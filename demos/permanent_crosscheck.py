@@ -13,14 +13,12 @@ inclusion-exclusion algorithm (exact, O(2^n * n), fine through n = 14 here).
 from strongpow import (
     CliqueParams,
     adjacency,
-    adjacency_permanent_formula,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_graph,
     clique_plus_vertex_laplacian_permanent,
     complete_graph,
     complete_graph_laplacian_permanent,
     laplacian,
-    laplacian_permanent_formula,
     make_cyclic,
     permanent_ryser,
     strong_power_graph,
@@ -30,15 +28,17 @@ print("cyclic strong power graphs: per(A) and per(L), formula vs Ryser")
 print(f"{'n':>3} {'per(A) formula':>16} {'ryser':>16} {'per(L) formula':>16} {'ryser':>16}")
 for n in range(2, 15):
     graph = strong_power_graph(make_cyclic(n))
-    pa_formula = adjacency_permanent_formula(n)
+    shape = CliqueParams.for_group(n, cyclic=True)
+    pa_formula = clique_plus_vertex_adjacency_permanent(shape)
     pa_ryser = permanent_ryser(adjacency(graph))
-    pl_formula = laplacian_permanent_formula(n)
+    pl_formula = clique_plus_vertex_laplacian_permanent(shape)
     pl_ryser = permanent_ryser(laplacian(graph))
     assert pa_formula == pa_ryser and pl_formula == pl_ryser
     print(f"{n:>3} {pa_formula:>16} {pa_ryser:>16} {pl_formula:>16} {pl_ryser:>16}")
 
 # the cyclic case is one slice of the general clique-plus-vertex family:
-# a clique on m + k vertices with one extra vertex joined to k of them
+# a clique on m + k vertices with one extra vertex joined to k of them;
+# Z_n sits at m = phi(n), k = n - phi(n) - 1
 print()
 print("general clique-plus-vertex family, adjacency permanents (m rows, k cols):")
 header = "     " + "".join(f"{k:>10}" for k in range(0, 6))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from strongpow import (
     char_poly_exact,
-    closed_form_char_poly,
+    char_poly_from_spectrum,
     closed_form_spectrum,
     eigenvalues_numeric,
     is_cyclic,
@@ -39,8 +39,7 @@ for spec in SPECS:
 
     # closed-form Laplacian spectrum, written value^multiplicity
     spectrum = closed_form_spectrum(g.n, cyclic)
-    shown = " ".join(f"{v}^{m}" for v, m in spectrum.pairs)
-    print(f"   spectrum: {shown}")
+    print(f"   spectrum: {spectrum}")
 
     # the numeric eigenvalues of the constructed Laplacian back this up
     numeric = eigenvalues_numeric(lap)
@@ -50,8 +49,7 @@ for spec in SPECS:
 
     # exact characteristic polynomial vs the spectrum's product form
     exact = char_poly_exact(lap)
-    if cyclic:
-        assert exact.coeffs == closed_form_char_poly(g.n).coeffs
+    assert exact.coeffs == char_poly_from_spectrum(spectrum).coeffs
     print(f"   char poly: {exact}")
 
     # spanning trees: closed form vs a Kirchhoff minor determinant

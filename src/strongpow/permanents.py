@@ -105,8 +105,8 @@ class CliqueParams:
     vertices whose extra vertex is adjacent to n of them and non-adjacent to
     the other m. Total m+n+1 vertices; d = m+n-1.
 
-    The strong power graph of Z_N has this shape with m = phi(N) and
-    n = N - phi(N) - 1.
+    The strong power graph of every finite group has this shape; see
+    for_group.
     """
 
     m: int
@@ -121,9 +121,14 @@ class CliqueParams:
         return self.m + self.n - 1
 
     @classmethod
-    def for_cyclic_order(cls, order: int) -> "CliqueParams":
+    def for_group(cls, order: int, cyclic: bool) -> "CliqueParams":
+        """The shape of the strong power graph of a group of the given order:
+        (phi(N), N - phi(N) - 1) for Z_N, (0, N - 1) for a noncyclic group,
+        whose graph is the complete graph K_N."""
         if order < 2:
-            raise ValueError(f"cyclic order must be >= 2, got {order}")
+            raise ValueError(f"group order must be >= 2, got {order}")
+        if not cyclic:
+            return cls(m=0, n=order - 1)
         phi = euler_phi(order)
         return cls(m=phi, n=order - phi - 1)
 
@@ -133,6 +138,11 @@ def clique_plus_vertex_adjacency_permanent(p: CliqueParams) -> int:
 
         n * sum_{r=1}^{m+n} (-1)^{r-1} (m+n-r)! *
             [C(m+n-1, r-1) + (n-1) C(m+n-2, r-1)]
+
+    At m = phi(N), n = N-phi-1 this is the source's display for Z_N:
+
+        (N-phi-1) * sum_{r=1}^{N-1} (-1)^{r-1} (N-1-r)! *
+            [C(N-2, r-1) + (N-2-phi) C(N-3, r-1)]
     """
     m, n = p.m, p.n
     total = 0
@@ -142,24 +152,6 @@ def clique_plus_vertex_adjacency_permanent(p: CliqueParams) -> int:
         )
         total += -term if (r - 1) & 1 else term
     return n * total
-
-
-def adjacency_permanent_formula(order: int) -> int:
-    """Closed-form adjacency permanent for the strong power graph of Z_N:
-
-        (N-phi-1) * sum_{r=1}^{N-1} (-1)^{r-1} (N-1-r)! *
-            [C(N-2, r-1) + (N-2-phi) C(N-3, r-1)]
-    """
-    if order < 2:
-        raise ValueError(f"adjacency_permanent_formula requires N >= 2, got {order}")
-    phi = euler_phi(order)
-    total = 0
-    for r in range(1, order):
-        term = math.factorial(order - 1 - r) * (
-            _comb(order - 2, r - 1) + (order - 2 - phi) * _comb(order - 3, r - 1)
-        )
-        total += -term if (r - 1) & 1 else term
-    return (order - phi - 1) * total
 
 
 def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
@@ -173,6 +165,15 @@ def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
 
         F_r(d) = sum_{i+j=r-1} C(m,i) (d+2)^j (d+1)^i *
             [n C(n-1,j) + n(n-1) C(n-2,j) - (d-m+1)(m+n-r+1) C(n,j)]
+
+    At m = phi(N), n = c = N-phi-1 (so d+2 = N, d+1 = N-1, d-m+1 = c) this
+    is the source's display for Z_N:
+
+        sum_{r=1}^{N-1} (-1)^{N-r-1} (N-r-1)! F_r
+          + c * sum_{i+j=N-1} C(phi,i) C(c,j) N^j (N-1)^i
+
+        F_r = sum_{i+j=r-1} C(phi,i) N^j (N-1)^i *
+            [c C(c-1,j) + c(c-1) C(c-2,j) - c(N-r) C(c,j)]
     """
     m, n = p.m, p.n
     d = p.d
@@ -198,44 +199,6 @@ def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
         j = m + n - i
         tail += _comb(m, i) * _comb(n, j) * (d + 2) ** j * (d + 1) ** i
     return total + (d - m + 1) * tail
-
-
-def laplacian_permanent_formula(order: int) -> int:
-    """Closed-form Laplacian permanent for the strong power graph of Z_N,
-    transcribed literally (phi = phi(N), c = N-phi-1):
-
-        sum_{r=1}^{N-1} (-1)^{N-r-1} (N-r-1)! F_r
-          + c * sum_{i+j=N-1} C(phi,i) C(c,j) N^j (N-1)^i
-
-        F_r = sum_{i+j=r-1} C(phi,i) N^j (N-1)^i *
-            [c C(c-1,j) + c(c-1) C(c-2,j) - c(N-r) C(c,j)]
-    """
-    if order < 2:
-        raise ValueError(f"laplacian_permanent_formula requires N >= 2, got {order}")
-    phi = euler_phi(order)
-    c = order - phi - 1
-
-    def f_r(r: int) -> int:
-        acc = 0
-        for i in range(r):
-            j = r - 1 - i
-            bracket = (
-                c * _comb(c - 1, j)
-                + c * (c - 1) * _comb(c - 2, j)
-                - c * (order - r) * _comb(c, j)
-            )
-            acc += _comb(phi, i) * order ** j * (order - 1) ** i * bracket
-        return acc
-
-    total = 0
-    for r in range(1, order):
-        term = math.factorial(order - r - 1) * f_r(r)
-        total += -term if (order - r - 1) & 1 else term
-    tail = 0
-    for i in range(order):
-        j = order - 1 - i
-        tail += _comb(phi, i) * _comb(c, j) * order ** j * (order - 1) ** i
-    return total + c * tail
 
 
 def complete_graph_laplacian_permanent(n: int) -> int:

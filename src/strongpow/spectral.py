@@ -136,6 +136,10 @@ class ExactSpectrum:
     def trace(self) -> int:
         return sum(value * mult for value, mult in self.pairs)
 
+    def __str__(self) -> str:
+        """Space-separated value^multiplicity, eigenvalues descending."""
+        return " ".join(f"{value}^{mult}" for value, mult in self.pairs)
+
 
 def laplacian(graph: Graph) -> IntMatrix:
     """L = D - A; rows sum to zero."""
@@ -314,26 +318,10 @@ def closed_form_spectrum(n: int, cyclic: bool) -> ExactSpectrum:
     )
 
 
-def closed_form_char_poly(n: int) -> CharPoly:
-    """Expanded x(x-n)^{n-phi-1} (x-(n-phi-1)) (x-(n-1))^{phi-1} for the
-    cyclic case, n >= 2. This is the form consistent with the closed-form
-    spectrum and the trace identity."""
-    if n < 2:
-        raise ValueError(f"closed_form_char_poly requires n >= 2, got {n}")
-    phi = euler_phi(n)
-    roots = [0] + [n] * (n - phi - 1) + [n - phi - 1] + [n - 1] * (phi - 1)
-    coeffs = [1]
-    for r in roots:
-        coeffs = [0] + coeffs
-        if r:
-            for k in range(len(coeffs) - 1):
-                coeffs[k] -= r * coeffs[k + 1]
-    return CharPoly(tuple(coeffs))
-
-
 def char_poly_from_spectrum(s: ExactSpectrum) -> CharPoly:
     """Monic polynomial whose roots are the spectrum's eigenvalues with
-    multiplicity, ascending coefficients."""
+    multiplicity, ascending coefficients. On closed_form_spectrum(n, True)
+    this is the closed form x(x-n)^{n-phi-1} (x-(n-phi-1)) (x-(n-1))^{phi-1}."""
     coeffs = [1]
     for value, mult in s.pairs:
         for _ in range(mult):

@@ -229,26 +229,12 @@ def root_graph_search(g: Graph, max_root_vertices: int = ROOT_SEARCH_VERTEX_LIMI
 
     return search(0, 0, -1)
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
 def cyclic_line_graph_classification(n: int) -> bool:
     """True iff the strong power graph of Z_n is a line graph, which happens
     exactly for n = 4, n = 9, and prime n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return n == 4 or n == 9 or _is_prime(n)
+    return n == 4 or n == 9 or (n >= 2 and euler_phi(n) == n - 1)
 
 def cyclic_line_graph_root(n: int) -> Graph:
     """An explicit root graph H with L(H) isomorphic to the strong power
@@ -261,9 +247,9 @@ def cyclic_line_graph_root(n: int) -> Graph:
     if n == 9:
         star9 = tuple((0, v) for v in range(1, 9))
         return graph_from_edges(9, star9 + ((1, 2),))
-    if _is_prime(n):
-        return disjoint_union(star_graph(n - 1), complete_graph(2))
-    raise ValueError(f"strong power graph of Z_{n} is not a line graph")
+    if not cyclic_line_graph_classification(n):
+        raise ValueError(f"strong power graph of Z_{n} is not a line graph")
+    return disjoint_union(star_graph(n - 1), complete_graph(2))
 
 @dataclass(frozen=True)
 class ConnectionSet:

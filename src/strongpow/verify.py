@@ -33,7 +33,6 @@ from .spectral import (
     adjacency,
     char_poly_exact,
     char_poly_from_spectrum,
-    closed_form_char_poly,
     closed_form_spectrum,
     eigenvalues_numeric,
     laplacian,
@@ -43,11 +42,9 @@ from .spectral import (
 )
 from .permanents import (
     CliqueParams,
-    adjacency_permanent_formula,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    laplacian_permanent_formula,
     permanent_ryser,
 )
 from .structure import (
@@ -138,10 +135,6 @@ def load_known_discrepancies() -> tuple[KnownDiscrepancy, ...]:
     )
 
 
-def _spectrum_str(pairs) -> str:
-    return " ".join(f"{v}^{m}" for v, m in pairs)
-
-
 def _bool_str(b: bool) -> str:
     return "true" if b else "false"
 
@@ -167,14 +160,11 @@ def _check_spectrum(g, graph, n, cyclic):
             merged.append((v, 1))
     oracle_str = " ".join(f"{v:g}^{m}" for v, m in merged)
     status = AGREE if worst <= NUMERIC_SPECTRUM_TOL else DISAGREE
-    return _spectrum_str(exact.pairs), oracle_str, status, f"max deviation {worst:.2e}"
+    return str(exact), oracle_str, status, f"max deviation {worst:.2e}"
 
 
 def _check_charpoly(g, graph, n, cyclic):
-    if cyclic and n >= 2:
-        formula = closed_form_char_poly(n)
-    else:
-        formula = char_poly_from_spectrum(closed_form_spectrum(n, cyclic))
+    formula = char_poly_from_spectrum(closed_form_spectrum(n, cyclic))
     oracle = char_poly_exact(laplacian(graph))
     return _agreement(tuple(formula.coeffs), tuple(oracle.coeffs))
 
@@ -258,29 +248,19 @@ def _check_cayley(g, graph, n, cyclic):
 
 
 def _check_perm_adj(g, graph, n, cyclic):
-    if cyclic:
-        if n < 2:
-            return None, None, SKIPPED, "closed form stated for n >= 2"
-        formula = adjacency_permanent_formula(n)
-    else:
-        formula = clique_plus_vertex_adjacency_permanent(CliqueParams(0, n - 1))
+    if n < 2:
+        return None, None, SKIPPED, "closed form stated for n >= 2"
+    formula = clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(n, cyclic))
     oracle = permanent_ryser(adjacency(graph))
     return _agreement(formula, oracle)
 
 
 def _check_perm_lap(g, graph, n, cyclic):
-    note = ""
-    if cyclic:
-        if n < 2:
-            return None, None, SKIPPED, "closed form stated for n >= 2"
-        formula = laplacian_permanent_formula(n)
-        generic = clique_plus_vertex_laplacian_permanent(CliqueParams.for_cyclic_order(n))
-        if generic != formula:
-            note = f"general-shape form gives {generic}"
-    else:
-        formula = clique_plus_vertex_laplacian_permanent(CliqueParams(0, n - 1))
+    if n < 2:
+        return None, None, SKIPPED, "closed form stated for n >= 2"
+    formula = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, cyclic))
     oracle = permanent_ryser(laplacian(graph))
-    return _agreement(formula, oracle, note)
+    return _agreement(formula, oracle)
 
 
 def _check_perm_complete(g, graph, n, cyclic):
@@ -376,16 +356,6 @@ class VerifyReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def worker_count() -> int:
-    env = os.environ.get("STRONGPOW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"STRONGPOW_THREADS must be an integer, got {env!r}")
-    return min(8, os.cpu_count() or 1)
-
-
 def run_verify(
     family: str,
     n_lo: int,
@@ -395,9 +365,9 @@ def run_verify(
 ) -> VerifyReport:
     """Run the requested checks over one family and an inclusive order range.
 
-    Work items run on a thread pool (size from STRONGPOW_THREADS, else CPU
-    count capped at 8) but records are assembled in deterministic
-    (group, check) order regardless of completion order."""
+    Work items run on a thread pool (`threads`, else the CPU count capped at
+    8) but records are assembled in deterministic (group, check) order
+    regardless of completion order."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n_lo < 1 or n_hi < n_lo:
@@ -417,7 +387,7 @@ def run_verify(
         graph = strong_power_graph(grp)
         for check in ordered_checks:
             tasks.append((check, family, spec, grp, graph))
-    nthreads = threads if threads is not None else worker_count()
+    nthreads = threads if threads is not None else min(8, os.cpu_count() or 1)
     if nthreads <= 1 or len(tasks) <= 1:
         records = [run_one_check(*t) for t in tasks]
     else:

@@ -20,11 +20,9 @@ from strongpow.graphs import (
 from strongpow.groups import make_cyclic, noncyclic_corpus
 from strongpow.permanents import (
     CliqueParams,
-    adjacency_permanent_formula,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    laplacian_permanent_formula,
     permanent_expansion,
     permanent_ryser,
 )
@@ -32,7 +30,6 @@ from strongpow.spectral import (
     adjacency,
     char_poly_exact,
     char_poly_from_spectrum,
-    closed_form_char_poly,
     closed_form_spectrum,
     eigenvalues_numeric,
     laplacian,
@@ -86,11 +83,7 @@ def test_criterion_1_spectrum(criteria_log):
         if dev > SPECTRUM_TOL:
             failures.append(f"{spec}: spectrum deviation {dev}")
         exact = char_poly_exact(lap)
-        stated = (
-            closed_form_char_poly(g.n)
-            if cyclic
-            else char_poly_from_spectrum(expected)
-        )
+        stated = char_poly_from_spectrum(expected)
         if exact.coeffs != stated.coeffs:
             failures.append(f"{spec}: characteristic polynomial mismatch")
     criteria_log("criterion 1 (spectrum and characteristic polynomial)", not failures)
@@ -213,9 +206,10 @@ def test_criterion_7_permanents(criteria_log):
                 failures.append(f"{spec}: ryser != expansion on {name}")
     for n in range(2, 15):
         graph = strong_power_graph(make_cyclic(n))
-        if adjacency_permanent_formula(n) != permanent_ryser(adjacency(graph)):
+        p = CliqueParams.for_group(n, True)
+        if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(adjacency(graph)):
             failures.append(f"n={n}: adjacency permanent formula != ryser")
-    if adjacency_permanent_formula(4) != 1:
+    if clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(4, True)) != 1:
         failures.append("spot adjacency permanent at n=4 is not 1")
     for n in range(1, 13):
         if complete_graph_laplacian_permanent(n) != permanent_ryser(
@@ -236,34 +230,29 @@ def test_criterion_7_permanents(criteria_log):
                 adjacency(graph)
             ):
                 failures.append(f"clique({m},{k}): adjacency permanent mismatch")
-    # two independent closed forms for the cyclic laplacian permanent, both
-    # judged against Ryser; a mismatch is documented, not silently fatal
+    # the cyclic laplacian permanent closed form, judged against Ryser; a
+    # mismatch is documented, not silently fatal
     known = load_known_discrepancies()
     records = []
     for n in range(2, 13):
         graph = strong_power_graph(make_cyclic(n))
         oracle = permanent_ryser(laplacian(graph))
-        direct = laplacian_permanent_formula(n)
-        generic = clique_plus_vertex_laplacian_permanent(
-            CliqueParams.for_cyclic_order(n)
-        )
-        records.append((n, direct, generic, oracle))
+        value = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
+        records.append((n, value, oracle))
     if len(records) != 11:
         failures.append("laplacian permanent record is incomplete")
-    for n, direct, generic, oracle in records:
-        for label, value in (("direct", direct), ("generic", generic)):
-            if value == oracle:
-                continue
-            rec = CheckRecord(
-                "perm_lap", "cyclic", f"zn:{n}", n, str(value), str(oracle), "disagree"
+    for n, value, oracle in records:
+        if value == oracle:
+            continue
+        rec = CheckRecord(
+            "perm_lap", "cyclic", f"zn:{n}", n, str(value), str(oracle), "disagree"
+        )
+        if not any(k.matches(rec) for k in known):
+            failures.append(
+                f"n={n}: laplacian permanent {value} != {oracle} and is not documented"
             )
-            if not any(k.matches(rec) for k in known):
-                failures.append(
-                    f"n={n}: {label} laplacian permanent {value} != {oracle} "
-                    "and is not documented"
-                )
     spot = [r for r in records if r[0] == 4]
-    if not spot or spot[0][3] != 22:
+    if not spot or spot[0][2] != 22:
         failures.append("spot laplacian permanent oracle at n=4 is not 22")
     criteria_log("criterion 7 (permanent formulas)", not failures)
     assert not failures, failures

@@ -2,6 +2,7 @@ import json
 
 import strongpow.cli as cli
 from strongpow.cli import main
+from strongpow.spectral import spanning_tree_count_formula
 
 
 def run(capsys, *argv):
@@ -109,6 +110,25 @@ def test_invariants_json_cyclic_5(capsys):
     assert payload["kappa"] == 0
     assert payload["line_graph"] is True
     assert payload["cayley"] is False
+
+
+def test_invariants_json_past_every_guard(capsys):
+    # order 42 exceeds the kappa, line-graph and Ryser oracle bounds
+    code, out, _ = run(capsys, "invariants", "--group", "zn:42", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kappa_oracle"] is None
+    assert payload["per_adj"]["ryser"] is None
+    assert payload["per_lap"]["ryser"] is None
+    assert payload["per_adj"]["formula"] is not None
+    assert payload["line_graph"] is False
+    code, out, _ = run(
+        capsys, "invariants", "--group", "dihedral:21", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kappa_oracle"] is None
+    assert payload["line_graph"] is True
 
 
 def test_invalid_group_spec_exits_2(capsys):
@@ -220,3 +240,12 @@ def test_sweep_deterministic(capsys):
     code2, out2, _ = run(capsys, "sweep", "--range", "2..12")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sweep_past_int_str_digit_limit(capsys):
+    # tau(1500) has more than 4300 decimal digits
+    code, out, err = run(capsys, "sweep", "--range", "1500..1500")
+    assert code == 0 and err == ""
+    header, row = out.strip().split("\n")
+    tau = row.split(",")[header.split(",").index("tau")]
+    assert tau == str(spanning_tree_count_formula(1500, True))

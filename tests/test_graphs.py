@@ -28,6 +28,7 @@ from strongpow.graphs import (
     vertex_connectivity_bruteforce,
 )
 from strongpow.groups import euler_phi, make_cyclic, make_klein, noncyclic_corpus
+from strongpow.spectral import closed_form_spectrum
 
 
 def path_graph(n):
@@ -131,6 +132,10 @@ def test_edge_count_formula_cyclic():
         g = strong_power_graph(make_cyclic(n))
         phi = euler_phi(n)
         assert g.edge_count() == (n * n - n - 2 * phi) // 2
+    # sweep takes 2m from the closed-form spectrum's trace
+    for n in range(1, 129):
+        g = strong_power_graph(make_cyclic(n))
+        assert closed_form_spectrum(n, True).trace() // 2 == g.edge_count()
 
 
 def test_degree_multiset_cyclic():

@@ -6,20 +6,27 @@ from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     clique_plus_vertex_graph,
     complete_graph,
+    graph_isomorphic,
     strong_power_graph,
 )
 from strongpow.groups import make_cyclic
 from strongpow.permanents import (
     CliqueParams,
-    adjacency_permanent_formula,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    laplacian_permanent_formula,
     permanent_expansion,
     permanent_ryser,
 )
 from strongpow.spectral import IntMatrix, adjacency, laplacian
+
+
+def cyclic_adjacency_permanent(n):
+    return clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(n, True))
+
+
+def cyclic_laplacian_permanent(n):
+    return clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
 
 
 def random_matrix(n, rng, lo=-3, hi=3):
@@ -65,10 +72,11 @@ def test_clique_params_validation():
         CliqueParams(-1, 2)
     with pytest.raises(ValueError):
         CliqueParams(2, -1)
-    assert CliqueParams.for_cyclic_order(6) == CliqueParams(2, 3)
-    assert CliqueParams.for_cyclic_order(5) == CliqueParams(4, 0)
+    assert CliqueParams.for_group(6, True) == CliqueParams(2, 3)
+    assert CliqueParams.for_group(5, True) == CliqueParams(4, 0)
+    assert CliqueParams.for_group(6, False) == CliqueParams(0, 5)
     with pytest.raises(ValueError):
-        CliqueParams.for_cyclic_order(1)
+        CliqueParams.for_group(1, True)
 
 
 def test_clique_adjacency_permanent_matches_ryser():
@@ -107,12 +115,10 @@ def test_adjacency_permanent_formula_cyclic():
         12: 71019921,
     }
     for n, value in expected.items():
-        assert adjacency_permanent_formula(n) == value
+        assert cyclic_adjacency_permanent(n) == value
     for n in range(2, 13):
         g = strong_power_graph(make_cyclic(n))
-        assert adjacency_permanent_formula(n) == permanent_ryser(adjacency(g))
-    with pytest.raises(ValueError):
-        adjacency_permanent_formula(1)
+        assert cyclic_adjacency_permanent(n) == permanent_ryser(adjacency(g))
 
 
 def test_laplacian_permanent_formula_cyclic():
@@ -125,20 +131,23 @@ def test_laplacian_permanent_formula_cyclic():
         12: 1960022840832,
     }
     for n, value in expected.items():
-        assert laplacian_permanent_formula(n) == value
+        assert cyclic_laplacian_permanent(n) == value
     for n in range(2, 13):
         g = strong_power_graph(make_cyclic(n))
-        assert laplacian_permanent_formula(n) == permanent_ryser(laplacian(g))
-    with pytest.raises(ValueError):
-        laplacian_permanent_formula(1)
+        assert cyclic_laplacian_permanent(n) == permanent_ryser(laplacian(g))
 
 
 def test_formula_forms_agree_cyclic():
-    # the cyclic specialization equals the generic clique form at (phi, n-phi-1)
-    for n in range(2, 15):
-        p = CliqueParams.for_cyclic_order(n)
-        assert adjacency_permanent_formula(n) == clique_plus_vertex_adjacency_permanent(p)
-        assert laplacian_permanent_formula(n) == clique_plus_vertex_laplacian_permanent(p)
+    # Z_n's graph is the clique-plus-vertex graph at for_group(n, True); a
+    # noncyclic group's is K_n, whose Laplacian permanent has its own form
+    for n in range(2, 13):
+        p = CliqueParams.for_group(n, True)
+        assert graph_isomorphic(
+            clique_plus_vertex_graph(p.m, p.n), strong_power_graph(make_cyclic(n))
+        )
+        assert clique_plus_vertex_laplacian_permanent(
+            CliqueParams.for_group(n, False)
+        ) == complete_graph_laplacian_permanent(n)
 
 
 def test_complete_graph_laplacian_permanent():
@@ -155,5 +164,5 @@ def test_complete_graph_laplacian_permanent():
 def test_permanent_cyclic_14_formula_value():
     # beyond quick hand checks but still within the Ryser bound
     g = strong_power_graph(make_cyclic(14))
-    assert adjacency_permanent_formula(14) == 9251279149
+    assert cyclic_adjacency_permanent(14) == 9251279149
     assert permanent_ryser(adjacency(g)) == 9251279149

@@ -14,7 +14,6 @@ from strongpow.spectral import (
     algebraic_connectivity,
     char_poly_exact,
     char_poly_from_spectrum,
-    closed_form_char_poly,
     closed_form_spectrum,
     det_bareiss,
     eigenvalues_numeric,
@@ -149,11 +148,10 @@ def test_closed_form_spectrum_matches_numeric():
 
 
 def test_closed_form_char_poly_matches_exact():
-    for n in range(2, 13):
+    for n in range(1, 13):
         g = strong_power_graph(make_cyclic(n))
-        assert closed_form_char_poly(n).coeffs == char_poly_exact(laplacian(g)).coeffs
-    with pytest.raises(ValueError):
-        closed_form_char_poly(1)
+        stated = char_poly_from_spectrum(closed_form_spectrum(n, True))
+        assert stated.coeffs == char_poly_exact(laplacian(g)).coeffs
 
 
 def test_char_poly_from_spectrum():
@@ -162,11 +160,10 @@ def test_char_poly_from_spectrum():
     assert p.degree == 4
     for t in range(-2, 5):
         assert p.evaluate(t) == t * t * (t - 3) * (t - 1)
-    for n in range(2, 11):
-        assert (
-            char_poly_from_spectrum(closed_form_spectrum(n, True)).coeffs
-            == closed_form_char_poly(n).coeffs
-        )
+    # x (x-n)^{n-phi-1} (x-(n-phi-1)) (x-(n-1))^{phi-1} at n = 6, phi = 2
+    six = char_poly_from_spectrum(closed_form_spectrum(6, True))
+    for t in range(-2, 8):
+        assert six.evaluate(t) == t * (t - 6) ** 3 * (t - 3) * (t - 5)
 
 
 def test_algebraic_connectivity():

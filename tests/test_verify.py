@@ -11,7 +11,6 @@ from strongpow.verify import (
     KnownDiscrepancy,
     load_known_discrepancies,
     run_verify,
-    worker_count,
 )
 
 
@@ -132,18 +131,6 @@ def test_report_tsv_and_json_shapes():
     assert payload["counts"][AGREE] == 1
     assert payload["counts"][DISAGREE] == 1
     assert {r["check"] for r in payload["records"]} == {"tau", "le"}
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("STRONGPOW_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("STRONGPOW_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("STRONGPOW_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("STRONGPOW_THREADS")
-    assert worker_count() >= 1
 
 
 def test_skip_notes_name_the_guard():
