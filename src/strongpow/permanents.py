@@ -9,11 +9,14 @@ records where each matches the oracle. Nothing here "fixes" a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SizeGuardError
-from .spectral import IntMatrix
+from .spectral import IntMatrix, _crt_lift, _primes
 from .groups import euler_phi
 
 RYSER_LIMIT = 24
@@ -30,8 +33,18 @@ def _comb(a: int, b: int) -> int:
 
 def permanent_ryser(m: IntMatrix) -> int:
     """Exact permanent by Ryser's inclusion-exclusion over column subsets,
-    enumerated in Gray-code order so each step updates the running row sums
-    by a single column. O(2^n * n); bounded at order 24."""
+
+        per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij,
+
+    evaluated in numpy modulo 2^64 (uint64 wraparound) and modulo as many
+    ~27-bit primes as the row-sum bound 2 * prod_i sum_j |a_ij| needs, then
+    recombined by CRT and lifted to the symmetric range. Entries are reduced
+    before any summation, so arbitrary Python ints stay exact. The subsets
+    of the low k columns form one table, and each subset of the other n - k
+    columns adds its row sums to the whole table at once, k chosen so that
+    a block holds about 2^15 words. O(2^n * n) per modulus; bounded at
+    order 24.
+    Results are memoized per process on the matrix entries."""
     n = m.n
     if n > RYSER_LIMIT:
         raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
@@ -42,34 +55,81 @@ def permanent_ryser(m: IntMatrix) -> int:
         return 0
     if any(not any(row[j] for row in rows) for j in range(n)):
         return 0
-    cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
-    sums = [0] * n
-    rng = range(n)
-    gray = 0
-    size = 0
+    return _permanent_rows(rows)
+
+
+# 2^15 eight-byte words: the table, a block and its scratch stay cache-sized
+# and add about 1 MB to a process's peak RSS, while each numpy call still
+# covers enough elements to hide its fixed cost.
+_BLOCK_ELEMENTS = 1 << 15
+_WORD = 1 << 64
+
+
+@functools.lru_cache(maxsize=64)
+def _permanent_rows(rows: tuple[tuple[int, ...], ...]) -> int:
+    """Permanent of a matrix with no zero row or column, from its residues
+    modulo 2^64 and enough primes that their product exceeds twice the
+    row-sum bound on its absolute value."""
+    bound = 2 * math.prod(sum(abs(v) for v in row) for row in rows)
+    moduli = [_WORD]
+    while math.prod(moduli) <= bound:
+        moduli = [_WORD, *_primes(len(moduli))]
+    residues = [_ryser_mod(rows, q) for q in moduli]
+    return _crt_lift([[r] for r in residues], moduli)[0]
+
+
+def _subset_sums(cols: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Row sums modulo q of every subset of the columns of `cols`, one
+    subset per column of the result, the even-sized subsets first. Returns
+    the table and the number of even-sized subsets."""
+    even = np.zeros((cols.shape[0], 1), dtype=cols.dtype)
+    odd = even[:, :0]
+    for j in range(cols.shape[1]):
+        col = cols[:, j:j + 1]
+        even, odd = (
+            np.concatenate([even, odd + col], axis=1),
+            np.concatenate([odd, even + col], axis=1),
+        )
+        if q != _WORD:
+            even %= q
+            odd %= q
+    return np.concatenate([even, odd], axis=1), even.shape[1]
+
+
+def _ryser_mod(rows: tuple[tuple[int, ...], ...], q: int) -> int:
+    """Ryser's sum modulo q, which is 2^64 (wrapping uint64 arithmetic) or a
+    prime below 2^27 (int64). Table entries are below q, so a row sum is
+    below 2q < 2^28 and every product of two stays below 2^56."""
+    n = len(rows)
+    prime = q != _WORD
+    dtype = np.int64 if prime else np.uint64
+    a = np.array([[v % q for v in row] for row in rows], dtype=dtype)
+    k = min(n, (_BLOCK_ELEMENTS // n).bit_length() - 1)
+    low, low_even = _subset_sums(a[:, :k], q)
+    high, high_even = _subset_sums(a[:, k:], q)
+    block = np.empty_like(low)
+    scratch = np.empty_like(low[: n // 2])
     total = 0
-    for t in range(1, 1 << n):
-        bit = (t & -t).bit_length() - 1
-        mask = 1 << bit
-        col = cols[bit]
-        if gray & mask:
-            size -= 1
-            for i in rng:
-                sums[i] -= col[i]
-        else:
-            size += 1
-            for i in rng:
-                sums[i] += col[i]
-        gray ^= mask
-        prod = 1
-        for s in sums:
-            if not s:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += -prod if size & 1 else prod
-    return total if n % 2 == 0 else -total
+    for index, sums in enumerate(high.T):
+        np.add(low, sums[:, None], out=block)
+        # multiply the rows together pairwise, halving the rows left each time
+        left = n
+        while left > 1:
+            half = left // 2
+            head = block[:half]
+            np.multiply(head, block[left - half:left], out=head)
+            if prime:
+                # head -= (head // q) * q: numpy divides by a scalar much
+                # faster than it takes a remainder
+                quot = scratch[:half]
+                np.floor_divide(head, q, out=quot)
+                quot *= q
+                head -= quot
+            left -= half
+        prods = block[0]
+        signed = int(prods[:low_even].sum()) - int(prods[low_even:].sum())
+        total += signed if index < high_even else -signed
+    return (-total if n % 2 else total) % q
 
 
 def permanent_expansion(m: IntMatrix) -> int:

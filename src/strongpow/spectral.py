@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,6 +215,7 @@ def det_bareiss(m: IntMatrix) -> int:
 
 _PRIME_HIGH = (1 << 27) - 1
 _prime_cache: list[int] = []
+_prime_lock = threading.Lock()  # verify's threads extend the cache concurrently
 
 
 def _is_prime(n: int) -> bool:
@@ -241,12 +243,25 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes(count: int) -> list[int]:
-    candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_HIGH
-    while len(_prime_cache) < count:
-        if _is_prime(candidate):
-            _prime_cache.append(candidate)
-        candidate -= 2
-    return _prime_cache[:count]
+    with _prime_lock:
+        candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_HIGH
+        while len(_prime_cache) < count:
+            if _is_prime(candidate):
+                _prime_cache.append(candidate)
+            candidate -= 2
+        return _prime_cache[:count]
+
+
+def _crt_lift(residues: list[list[int]], moduli: list[int]) -> list[int]:
+    """For each position k, the x in (-M/2, M/2] with x = residues[i][k]
+    modulo moduli[i], where M is the product of the (coprime) moduli."""
+    prod = math.prod(moduli)
+    weights = [(prod // q) * pow(prod // q, -1, q) % prod for q in moduli]
+    lifted = []
+    for column in zip(*residues):
+        x = sum(r * w for r, w in zip(column, weights)) % prod
+        lifted.append(x - prod if x > prod // 2 else x)
+    return lifted
 
 
 def _char_poly_mod(reduced: np.ndarray, p: int) -> list[int]:
@@ -288,13 +303,7 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
     for p in primes:
         reduced = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)
         residues.append(_char_poly_mod(reduced, p))
-    weights = [(prod // p) * pow(prod // p, -1, p) % prod for p in primes]
-    coeffs = []
-    for k in range(n + 1):
-        x = sum(res[k] * w for res, w in zip(residues, weights)) % prod
-        if x > prod // 2:
-            x -= prod
-        coeffs.append(x)
+    coeffs = _crt_lift(residues, primes)
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
     return CharPoly(tuple(coeffs))
 

@@ -231,17 +231,21 @@ def root_graph_search(g: Graph, max_root_vertices: int = ROOT_SEARCH_VERTEX_LIMI
 
 def cyclic_line_graph_classification(n: int) -> bool:
     """True iff the strong power graph of Z_n is a line graph, which happens
-    exactly for n = 4, n = 9, and prime n."""
+    exactly for n = 1 (the one-vertex graph is L(K_2)), n = 4, n = 9, and
+    prime n."""
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    return n == 4 or n == 9 or (n >= 2 and euler_phi(n) == n - 1)
+    return n in (1, 4, 9) or euler_phi(n) == n - 1
 
 def cyclic_line_graph_root(n: int) -> Graph:
     """An explicit root graph H with L(H) isomorphic to the strong power
-    graph of Z_n, for the orders where one exists: K_{1,n-1} + K_2 for prime
-    n, a star with a pendant on one leaf for n = 4, and a 9-vertex star with
-    one leaf-leaf edge for n = 9 (no root on fewer than 9 vertices exists:
-    eight pairwise-intersecting edges force a degree-8 star center)."""
+    graph of Z_n, for the orders where one exists: K_2 for n = 1,
+    K_{1,n-1} + K_2 for prime n, a star with a pendant on one leaf for
+    n = 4, and a 9-vertex star with one leaf-leaf edge for n = 9 (no root on
+    fewer than 9 vertices exists: eight pairwise-intersecting edges force a
+    degree-8 star center)."""
+    if n == 1:
+        return complete_graph(2)
     if n == 4:
         return graph_from_edges(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
     if n == 9:

@@ -217,11 +217,6 @@ def _check_chi(g, graph, n, cyclic):
 
 def _check_linegraph(g, graph, n, cyclic):
     if cyclic:
-        if n < 2:
-            return None, None, SKIPPED, (
-                "classification stated for n >= 2; the one-vertex graph is "
-                "trivially a line graph"
-            )
         formula = cyclic_line_graph_classification(n)
     else:
         # Complete graphs are line graphs of stars.

@@ -219,6 +219,23 @@ def test_sweep_range(capsys):
     assert by_n["6"][8] == "false"
 
 
+def test_line_graph_cell_order_1_agrees(capsys):
+    # the one-vertex graph of Z_1 is L(K_2); every command must say so
+    code, out, _ = run(capsys, "sweep", "--range", "1..1")
+    assert code == 0
+    header, row = out.strip().split("\n")
+    assert row.split(",")[header.split(",").index("linegraph")] == "true"
+    code, out, _ = run(capsys, "invariants", "--group", "zn:1")
+    assert code == 0
+    rows = dict(line.split(None, 1) for line in out.strip().split("\n"))
+    assert rows["line_graph"] == "true"
+    code, out, _ = run(
+        capsys, "verify", "--family", "cyclic", "--range", "1..1", "--checks", "linegraph"
+    )
+    assert code == 0
+    assert out.strip().split("\n")[1].split("\t")[4:7] == ["true", "true", "agree"]
+
+
 def test_sweep_columns_subset(capsys):
     code, out, _ = run(
         capsys, "sweep", "--range", "2..4", "--columns", "tau,phi"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from strongpow import permanents
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     clique_plus_vertex_graph,
@@ -51,11 +52,65 @@ def test_permanent_zero_fast_paths():
 
 
 def test_permanent_ryser_matches_expansion():
+    # entries in [-3, 3], and entries of +-10^30 that no machine word holds
     rng = random.Random(11)
-    for _ in range(200):
-        n = rng.randint(1, 7)
-        m = random_matrix(n, rng)
-        assert permanent_ryser(m) == permanent_expansion(m)
+    negative_odd = 0
+    for n in range(0, 11):
+        for lo, hi in ((-3, 3), (-(10**30), 10**30)):
+            for _ in range(20 if n <= 7 else 1):
+                if n == 10 and hi > 3:
+                    continue  # expansion takes seconds on a dense n = 10 matrix
+                m = random_matrix(n, rng, lo, hi)
+                value = permanent_ryser(m)
+                assert value == permanent_expansion(m), m
+                negative_odd += n % 2 == 1 and value < 0
+    assert negative_odd > 0
+    for n in range(1, 10):
+        minus_identity = IntMatrix([[-int(i == j) for j in range(n)] for i in range(n)])
+        assert permanent_ryser(minus_identity) == (-1) ** n
+
+
+def test_permanent_ryser_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for _ in range(3):
+            m = random_matrix(n, rng)
+            assert permanent_ryser(m) == sympy.Matrix(m.rows).per()
+
+
+def test_permanent_ryser_many_blocks(monkeypatch):
+    # at the default block size every n <= 11 is one block; a tiny block
+    # sends each of these matrices through many
+    monkeypatch.setattr(permanents, "_BLOCK_ELEMENTS", 16)
+    permanents._permanent_rows.cache_clear()
+    rng = random.Random(23)
+    for n in range(2, 10):
+        for lo, hi in ((-3, 3), (-(10**30), 10**30)):
+            m = random_matrix(n, rng, lo, hi)
+            assert permanent_ryser(m) == permanent_expansion(m), m
+
+
+def test_permanent_ryser_cyclic_closed_forms_past_one_block():
+    for n in (11, 15, 18):
+        g = strong_power_graph(make_cyclic(n))
+        assert permanent_ryser(adjacency(g)) == cyclic_adjacency_permanent(n)
+        assert permanent_ryser(laplacian(g)) == cyclic_laplacian_permanent(n)
+
+
+def test_permanent_ryser_past_two_to_the_64():
+    # per(L(K_20)) needs the residues modulo primes as well as modulo 2^64
+    expected = complete_graph_laplacian_permanent(20)
+    assert expected.bit_length() > 64
+    assert permanent_ryser(laplacian(complete_graph(20))) == expected
+
+
+def test_permanent_ryser_repeat_is_cached():
+    m = laplacian(strong_power_graph(make_cyclic(12)))
+    first = permanent_ryser(m)
+    hits = permanents._permanent_rows.cache_info().hits
+    assert permanent_ryser(IntMatrix(m.rows)) == first
+    assert permanents._permanent_rows.cache_info().hits == hits + 1
 
 
 def test_permanent_guards():

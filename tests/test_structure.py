@@ -141,19 +141,19 @@ def test_root_graph_search():
 
 
 def test_cyclic_line_graph_classification():
-    # n = 1 is outside the classification (not 4, 9, or prime), even though
-    # the one-vertex graph is trivially a line graph
+    # the one-vertex graph of Z_1 is L(K_2)
     true_orders = {n for n in range(1, 31) if cyclic_line_graph_classification(n)}
-    assert true_orders == {2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 29}
+    assert true_orders == {1, 2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 29}
     with pytest.raises(ValueError):
         cyclic_line_graph_classification(0)
 
 
 def test_cyclic_line_graph_root_round_trips():
-    for n in (2, 3, 4, 5, 7, 9, 11):
+    for n in (1, 2, 3, 4, 5, 7, 9, 11):
         root = cyclic_line_graph_root(n)
         g = strong_power_graph(make_cyclic(n))
         assert graph_isomorphic(line_graph_construct(root), g)
+    assert cyclic_line_graph_root(1).n == 2
     assert cyclic_line_graph_root(4).n == 5
     assert cyclic_line_graph_root(9).n == 9
     with pytest.raises(ValueError):
