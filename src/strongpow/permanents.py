@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
-from .spectral import IntMatrix, _crt_lift, _primes
+from .spectral import IntMatrix, _crt_lift, _primes_above
 from .groups import euler_phi
 
 RYSER_LIMIT = 24
@@ -71,9 +71,7 @@ def _permanent_rows(rows: tuple[tuple[int, ...], ...]) -> int:
     modulo 2^64 and enough primes that their product exceeds twice the
     row-sum bound on its absolute value."""
     bound = 2 * math.prod(sum(abs(v) for v in row) for row in rows)
-    moduli = [_WORD]
-    while math.prod(moduli) <= bound:
-        moduli = [_WORD, *_primes(len(moduli))]
+    moduli = [_WORD, *_primes_above(bound >> 64)]
     residues = [_ryser_mod(rows, q) for q in moduli]
     return _crt_lift([[r] for r in residues], moduli)[0]
 

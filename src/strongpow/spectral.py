@@ -21,7 +21,7 @@ from .errors import SizeGuardError
 from .graphs import Graph
 from .groups import euler_phi
 
-CHAR_POLY_LIMIT = 128
+CHAR_POLY_LIMIT = 256
 KIRCHHOFF_LIMIT = 64
 
 
@@ -207,11 +207,13 @@ def det_bareiss(m: IntMatrix) -> int:
 
 # --- exact characteristic polynomial -------------------------------------
 #
-# Faddeev-LeVerrier modulo a set of word-sized primes, recombined by CRT.
-# Per prime the dominant cost is n int64 matrix products, which numpy does
-# quickly; the result is exact because the product of the primes exceeds
-# twice an a-priori coefficient bound. Primes sit just below 2^27 so that a
-# 128-term dot product of residues stays below 2^63.
+# Hessenberg reduction modulo a set of word-sized primes, recombined by CRT.
+# Per prime the matrix is brought to upper Hessenberg form by similarity
+# (O(n^3)), and the polynomial follows from the Hessenberg recurrence; the
+# result is exact because the product of the primes exceeds twice an
+# a-priori coefficient bound. Primes sit just below 2^27, so a product of two
+# residues is below 2^54 and a dot product of up to 512 such products stays
+# below 2^63 in int64; at order CHAR_POLY_LIMIT = 256 none has more than 256.
 
 _PRIME_HIGH = (1 << 27) - 1
 _prime_cache: list[int] = []
@@ -264,24 +266,58 @@ def _crt_lift(residues: list[list[int]], moduli: list[int]) -> list[int]:
     return lifted
 
 
+def _primes_above(bound: int) -> list[int]:
+    """The fewest cached primes whose product exceeds bound. Each prime is
+    above 2^26, so bit_length // 26 + 1 of them always suffice."""
+    chosen = []
+    prod = 1
+    for p in _primes(bound.bit_length() // 26 + 1):
+        if prod > bound:
+            break
+        chosen.append(p)
+        prod *= p
+    return chosen
+
+
 def _char_poly_mod(reduced: np.ndarray, p: int) -> list[int]:
+    """Coefficients, ascending, of det(xI - M) modulo p for M given by its
+    residues in [0, p): Hessenberg reduction by similarity, then the
+    Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9)."""
     n = reduced.shape[0]
-    m = np.eye(n, dtype=np.int64)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    diag = np.diag_indices(n)
+    h = reduced.copy()
+    for k in range(n - 2):
+        nonzero = np.flatnonzero(h[k + 1:, k])
+        if not nonzero.size:
+            continue  # column k is already reduced
+        r = k + 1 + int(nonzero[0])
+        if r != k + 1:
+            h[[k + 1, r]] = h[[r, k + 1]]
+            h[:, [k + 1, r]] = h[:, [r, k + 1]]
+        # rows k+2.. -= u * row k+1, then column k+1 += columns k+2.. @ u;
+        # rows below k+1 are already zero left of column k
+        u = h[k + 2:, k] * pow(int(h[k + 1, k]), -1, p) % p
+        h[k + 2:, k:] = (h[k + 2:, k:] - np.outer(u, h[k + 1, k:])) % p
+        h[:, k + 1] = (h[:, k + 1] + h[:, k + 2:] @ u) % p
+    # polys[k] is the char poly of the leading k x k block:
+    # p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_{i-1}
+    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
+    sub = np.zeros(0, dtype=np.int64)  # prod_{j=i+1..k} h_{j,j-1}, i < k
     for k in range(1, n + 1):
-        am = (reduced @ m) % p
-        c = (-int(am.trace()) * pow(k, -1, p)) % p
-        coeffs[n - k] = c
-        m = am
-        m[diag] = (m[diag] + c) % p
-    return coeffs
+        prev = polys[k - 1]
+        cur = -h[k - 1, k - 1] * prev
+        cur[1:] += prev[:-1]
+        if k > 1:
+            sub = np.append(sub, 1) * h[k - 1, k - 2] % p
+            cur -= (h[: k - 1, k - 1] * sub % p) @ polys[: k - 1]
+        polys[k] = cur % p
+    return polys[n].tolist()
 
 
 def char_poly_exact(m: IntMatrix) -> CharPoly:
     """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients. Bounded at order 128."""
+    coefficients. Bounded at order 256."""
     n = m.n
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
@@ -292,13 +328,7 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
     # |coeff of x^(n-k)| <= C(n,k) * rho^k with rho >= spectral radius.
     rho = max(sum(abs(v) for v in row) for row in m.rows)
     bits = n * max(rho, 2).bit_length() + n + 4
-    primes: list[int] = []
-    prod = 1
-    count = bits // 26 + 1
-    while prod.bit_length() <= bits + 1:
-        primes = _primes(count)
-        prod = math.prod(primes)
-        count += 2
+    primes = _primes_above(1 << (bits + 1))
     residues = []
     for p in primes:
         reduced = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)

@@ -4,6 +4,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpow import spectral
 from strongpow.errors import SizeGuardError
@@ -104,27 +106,104 @@ def test_char_poly_exact_cyclic_4():
     assert char_poly_exact(laplacian(g)).coeffs == (0, -12, 19, -8, 1)
 
 
+def shifted(m, t):
+    """tI - M."""
+    return IntMatrix(
+        [[(t if i == j else 0) - v for j, v in enumerate(row)] for i, row in enumerate(m.rows)]
+    )
+
+
+def assert_char_poly_at_points(m):
+    # n + 1 points pin down a degree-n polynomial
+    p = char_poly_exact(m)
+    assert p.degree == m.n
+    for t in range(-(m.n // 2), m.n - m.n // 2 + 1):
+        assert p.evaluate(t) == det_bareiss(shifted(m, t)), (m, t)
+
+
+def random_square(n, rng, entry):
+    return IntMatrix([[entry(rng) for _ in range(n)] for _ in range(n)])
+
+
+RANDOM_ENTRIES = (
+    lambda rng: rng.randint(-3, 3),
+    lambda rng: rng.choice((-1, 1)) * 10**30 + rng.randint(-3, 3),
+    lambda rng: rng.randint(-3, 3) if rng.random() < 0.5 else 0,
+)
+
+
 def test_char_poly_exact_matches_direct_determinant():
     rng = random.Random(7)
+    for n in range(13):
+        for entry in RANDOM_ENTRIES:
+            assert_char_poly_at_points(random_square(n, rng, entry))
     for _ in range(12):
-        n = rng.randint(1, 6)
-        m = random_symmetric(n, rng)
-        p = char_poly_exact(m)
-        # p(t) = det(tI - M) at a few integer points
-        for t in (-3, 0, 1, 5):
-            shifted = IntMatrix(
-                [
-                    [(t if i == j else 0) - m.rows[i][j] for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            assert p.evaluate(t) == det_bareiss(shifted)
-        assert det_bareiss(m) == (-1) ** n * p.evaluate(0)
+        m = random_symmetric(rng.randint(1, 6), rng)
+        assert det_bareiss(m) == (-1) ** m.n * char_poly_exact(m).evaluate(0)
+
+
+def test_char_poly_exact_pivot_branches():
+    p0 = spectral._primes(1)[0]
+    cases = {
+        "zero": IntMatrix([[0] * 5 for _ in range(5)]),
+        "diagonal": IntMatrix([[(i - 2) * (i == j) for j in range(5)] for i in range(5)]),
+        # column 0's only nonzero is in the last row: swapped up
+        "cyclic permutation": IntMatrix(
+            [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
+        ),
+        # column 1 has no nonzero below row 2: skipped
+        "block diagonal": IntMatrix(
+            [
+                [1, 2, 0, 0, 0],
+                [3, 4, 0, 0, 0],
+                [0, 0, 5, 6, 7],
+                [0, 0, 8, 9, 1],
+                [0, 0, 2, 3, 4],
+            ]
+        ),
+        # h[1,0] = 0 with h[2,0] != 0: rows and columns 1 and 2 swap
+        "zero subdiagonal": IntMatrix([[1, 2, 3, 4], [0, 4, 5, 6], [6, 7, 8, 9], [1, 0, 2, 5]]),
+        # column 0 has a pivot modulo every prime but p0
+        "multiples of a prime in one column": IntMatrix(
+            [[1, 2, 3, 4], [p0, 4, 5, 6], [-2 * p0, 7, 8, 9], [3 * p0, 0, 2, 5]]
+        ),
+        # the zero matrix modulo p0 only
+        "multiples of a prime": IntMatrix(
+            [[p0 * ((3 * i + j) % 5 - 2) for j in range(5)] for i in range(5)]
+        ),
+    }
+    for m in cases.values():
+        assert_char_poly_at_points(m)
+    assert char_poly_exact(cases["zero"]).coeffs == (0, 0, 0, 0, 0, 1)
+    assert char_poly_exact(cases["cyclic permutation"]).coeffs == (-1, 0, 0, 0, 0, 0, 1)
+
+
+def test_char_poly_exact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for entry in RANDOM_ENTRIES:
+            m = random_square(n, rng, entry)
+            expected = sympy.Matrix(m.rows).charpoly().all_coeffs()[::-1]
+            assert char_poly_exact(m).coeffs == tuple(int(c) for c in expected)
+
+
+@st.composite
+def small_matrices(draw):
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-20, 20)
+    return IntMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices(), st.integers(-30, 30))
+def test_char_poly_exact_evaluates_to_determinant(m, t):
+    assert char_poly_exact(m).evaluate(t) == det_bareiss(shifted(m, t))
 
 
 def test_char_poly_exact_guard():
     with pytest.raises(SizeGuardError):
-        char_poly_exact(IntMatrix([[0] * 129 for _ in range(129)]))
+        char_poly_exact(IntMatrix([[0] * 257 for _ in range(257)]))
 
 
 def test_closed_form_spectrum_examples():
@@ -151,7 +230,8 @@ def test_closed_form_spectrum_matches_numeric():
 
 
 def test_closed_form_char_poly_matches_exact():
-    for n in range(1, 13):
+    # 160 lies past the guard of 128 that an O(n^4) kernel needed
+    for n in (*range(1, 13), 64, 97, 128, 160):
         g = strong_power_graph(make_cyclic(n))
         stated = char_poly_from_spectrum(closed_form_spectrum(n, True))
         assert stated.coeffs == char_poly_exact(laplacian(g)).coeffs
