@@ -7,8 +7,9 @@ A graph is a line graph exactly when none of nine small forbidden graphs
 occurs as an induced subgraph. This script shows the nine patterns, checks
 each one really is a minimal non-line graph using the exhaustive root-graph
 search, and then classifies strong power graphs of cyclic groups: they are
-line graphs exactly for orders 4, 9, and primes, and for those orders an
-explicit root graph is produced and round-tripped.
+line graphs exactly for orders 1, 4, 9, and primes. The recognizer rebuilds
+a root graph with its edge map; for two orders that root is printed beside
+the explicit one, and every explicit root is round-tripped.
 """
 
 from strongpow import (
@@ -19,6 +20,7 @@ from strongpow import (
     induced_subgraph,
     is_line_graph,
     line_graph_construct,
+    line_graph_root,
     make_cyclic,
     root_graph_search,
     strong_power_graph,
@@ -46,6 +48,19 @@ for n in range(2, 31):
     if recognized:
         line_orders.append(n)
 print(f"   line-graph orders up to 30: {line_orders}")
+print()
+
+print("roots rebuilt by the recognizer beside the explicit ones:")
+for n in (7, 9):
+    graph = strong_power_graph(make_cyclic(n))
+    root, edge_of = line_graph_root(graph)
+    explicit = cyclic_line_graph_root(n)
+    assert graph_isomorphic(root, explicit)
+    degrees = sorted((root.degree(v) for v in range(root.n)), reverse=True)
+    print(f"   n={n:2d}: rebuilt root has {root.n} vertices, degrees {degrees}")
+    print(f"         explicit root edges {explicit.edges()}")
+    print(f"         rebuilt root edges  {root.edges()}")
+    print(f"         group element -> root edge: {list(edge_of)}")
 print()
 
 print("explicit root graphs and their round trips:")

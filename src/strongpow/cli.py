@@ -125,12 +125,6 @@ def compute_invariant_bundle(spec: str) -> InvariantBundle:
     except SizeGuardError:
         kappa_oracle = None
 
-    try:
-        line = is_line_graph(graph)
-    except SizeGuardError:
-        # classify instead; a noncyclic group's K_n is the line graph of a star
-        line = cyclic_line_graph_classification(n) if cyclic else True
-
     per_adj_formula = per_lap_formula = None
     if n >= 2:
         shape = CliqueParams.for_group(n, cyclic)
@@ -157,7 +151,7 @@ def compute_invariant_bundle(spec: str) -> InvariantBundle:
         kappa=kappa_formula(n, cyclic),
         kappa_oracle=kappa_oracle,
         chi=chi_formula(n, cyclic),
-        line_graph=line,
+        line_graph=is_line_graph(graph),
         cayley=cayley_classification(group),
         per_adj_formula=per_adj_formula,
         per_adj_ryser=per_adj_ryser,

@@ -329,9 +329,14 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
     rho = max(sum(abs(v) for v in row) for row in m.rows)
     bits = n * max(rho, 2).bit_length() + n + 4
     primes = _primes_above(1 << (bits + 1))
+    # Every entry is at most rho in size; reduce past int64 in Python.
+    entries = np.array(m.rows, dtype=np.int64) if rho < 1 << 63 else None
     residues = []
     for p in primes:
-        reduced = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)
+        if entries is not None:
+            reduced = entries % p
+        else:
+            reduced = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)
         residues.append(_char_poly_mod(reduced, p))
     coeffs = _crt_lift(residues, primes)
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"

@@ -236,6 +236,18 @@ def test_line_graph_cell_order_1_agrees(capsys):
     assert out.strip().split("\n")[1].split("\t")[4:7] == ["true", "true", "agree"]
 
 
+def test_verify_linegraph_reach(capsys):
+    # no line-graph record skips at any order
+    for family, span in (("cyclic", "1..256"), ("corpus", "1..24")):
+        code, out, _ = run(
+            capsys, "verify", "--family", family, "--range", span, "--checks", "linegraph"
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == (256 if family == "cyclic" else 18)
+        assert all(r[6] == "agree" for r in rows)
+
+
 def test_sweep_columns_subset(capsys):
     code, out, _ = run(
         capsys, "sweep", "--range", "2..4", "--columns", "tau,phi"

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
@@ -15,6 +19,7 @@ from strongpow.graphs import (
     vertex_connectivity_bruteforce,
 )
 from strongpow.groups import (
+    euler_phi,
     make_cyclic,
     make_klein,
     make_symmetric,
@@ -34,6 +39,7 @@ from strongpow.structure import (
     is_line_graph,
     kappa_formula,
     line_graph_construct,
+    line_graph_root,
     root_graph_search,
 )
 
@@ -101,15 +107,130 @@ def test_is_line_graph_spots():
         assert is_line_graph(complete_graph(k))
     assert is_line_graph(cycle_graph(5))
     assert not is_line_graph(star_graph(3))
-    with pytest.raises(SizeGuardError):
-        is_line_graph(complete_graph(41))
+    # is_line_graph has no size guard
+    assert is_line_graph(complete_graph(41))
+    assert is_line_graph(strong_power_graph(make_cyclic(41)))
 
 
 def test_line_graph_recognizer_matches_classification():
     for n in range(2, 31):
         g = strong_power_graph(make_cyclic(n))
-        if g.n <= 40:
-            assert is_line_graph(g) == cyclic_line_graph_classification(n)
+        assert is_line_graph(g) == cyclic_line_graph_classification(n)
+
+
+def beineke_free(g):
+    return not any(contains_induced(g, p) for p in beineke_patterns())
+
+
+def assert_certified(g, found):
+    """The root's edge map reproduces g exactly: distinct edges, and two
+    vertices adjacent iff their edges share an endpoint."""
+    root, edge_of = found
+    assert len(edge_of) == g.n
+    assert len(set(edge_of)) == g.n
+    for a, b in edge_of:
+        assert a < b and root.has_edge(a, b)
+    assert root.edge_count() == g.n
+    for v in range(g.n):
+        for w in range(v + 1, g.n):
+            shared = bool(set(edge_of[v]) & set(edge_of[w]))
+            assert shared == g.has_edge(v, w), (v, w)
+
+
+def test_line_graph_root_every_small_graph():
+    # every labelled graph on at most 5 vertices, against the Beineke search
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            found = line_graph_root(g)
+            assert (found is not None) == beineke_free(g), g
+            assert is_line_graph(g) == (found is not None)
+            if found is not None:
+                assert_certified(g, found)
+
+
+def random_graphs(min_n, max_n):
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_n, max_n))
+        pairs = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return graph_from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+    return build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(6, 12))
+def test_line_graph_root_matches_beineke(g):
+    found = line_graph_root(g)
+    assert (found is not None) == beineke_free(g)
+    if found is not None:
+        assert_certified(g, found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(0, 10))
+def test_line_graph_root_of_every_line_graph(h):
+    # catches false negatives: L(H) always has a root, and the map rebuilds it
+    g = line_graph_construct(h)
+    found = line_graph_root(g)
+    assert found is not None
+    assert_certified(g, found)
+
+
+def test_line_graph_root_against_networkx():
+    nx = pytest.importorskip("networkx")
+    for n in list(range(2, 30)) + [37, 49, 60, 61, 64, 67]:
+        g = strong_power_graph(make_cyclic(n))
+        found = line_graph_root(g)
+        graph = nx.Graph(g.edges())
+        graph.add_nodes_from(range(g.n))
+        expected = True
+        for comp in nx.connected_components(graph):
+            try:
+                nx.inverse_line_graph(graph.subgraph(comp))
+            except nx.NetworkXError:
+                expected = False
+        assert (found is not None) == expected, n
+        if found is not None:
+            root = nx.Graph(found[0].edges())
+            assert nx.is_isomorphic(nx.line_graph(root), graph)
+
+
+def test_line_graph_root_reach():
+    k500 = complete_graph(500)
+    assert is_line_graph(k500)
+    root, edge_of = line_graph_root(k500)
+    assert sorted(root.degree(v) for v in range(root.n)) == [1] * 500 + [500]
+    primes = [p for p in range(2, 1022) if euler_phi(p) == p - 1]
+    assert len(primes) == 172
+    for p in primes:
+        assert is_line_graph(strong_power_graph(make_cyclic(p))), p
+
+
+def test_line_graph_root_needs_its_certificate():
+    # every cell grown from the start cell is a clique and no vertex is in
+    # three, yet the cells miss edges: only the adjacency check rejects it
+    g = graph_from_edges(8, [
+        (0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 7), (2, 4),
+        (2, 6), (2, 7), (3, 4), (3, 5), (3, 7), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    ])
+    assert not beineke_free(g)
+    assert line_graph_root(g) is None
+
+
+def test_line_graph_root_shapes():
+    assert line_graph_root(Graph(0, ())) == (Graph(0, ()), ())
+    root, edge_of = line_graph_root(Graph(2, (0, 0)))
+    assert root.n == 4 and edge_of == ((0, 1), (2, 3))
+    # K_3 is L(K_3) and L(K_{1,3}); the rule starts from the whole triangle
+    root, _ = line_graph_root(complete_graph(3))
+    assert graph_isomorphic(root, star_graph(3))
+    root9, _ = line_graph_root(strong_power_graph(make_cyclic(9)))
+    assert graph_isomorphic(root9, cyclic_line_graph_root(9))
+    assert line_graph_root(star_graph(3)) is None
 
 
 def test_line_graph_construct():
