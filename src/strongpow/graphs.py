@@ -8,10 +8,11 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import SizeGuardError
 from .groups import FiniteGroup
 
-_FULL_VALIDATION_LIMIT = 512
 BRUTEFORCE_CONSTRUCTION_LIMIT = 32
 CONNECTIVITY_ORACLE_LIMIT = 14
 CHROMATIC_ORACLE_LIMIT = 14
@@ -31,17 +32,18 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry is O(n^2) bit probes; skip for very large graphs, whose
-        # only producers are the symmetric-by-construction builders below.
-        if self.n <= _FULL_VALIDATION_LIMIT:
-            for v in range(self.n):
-                m = self.adj[v]
-                while m:
-                    b = m & -m
-                    w = b.bit_length() - 1
-                    if not (self.adj[w] >> v) & 1:
-                        raise ValueError(f"asymmetric edge ({v}, {w})")
-                    m ^= b
+        # One 0/1 row per vertex, unpacked from its mask; symmetric means
+        # equal to its transpose.
+        width = (self.n + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self.adj)
+        bits = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width),
+            axis=1, count=self.n, bitorder="little",
+        )
+        one_way = np.argwhere(bits > bits.T)
+        if one_way.size:
+            v, w = (int(i) for i in one_way[0])
+            raise ValueError(f"asymmetric edge ({v}, {w})")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)

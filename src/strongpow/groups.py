@@ -2,20 +2,17 @@
 
 Two representations: cyclic groups of any order use modular arithmetic
 implicitly (no table); every other group carries an explicit multiplication
-table, validated on construction. Groups are immutable, so instances can be
-shared freely across worker threads.
+table, validated on construction. Groups are immutable.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_TABLE_ORDER = 4096
-EXHAUSTIVE_ASSOCIATIVITY_LIMIT = 64
-_ASSOCIATIVITY_SEED = 1729
-_ASSOCIATIVITY_SAMPLES_PER_N2 = 10
 
 
 class GroupError(ValueError):
@@ -128,29 +125,44 @@ def _check_inverses(table, n: int, e: int) -> None:
             raise MissingInverseError(f"element {x} has no two-sided inverse")
 
 
-def _check_associativity(table, n: int, exhaustive: bool) -> None:
-    if exhaustive:
-        rng_triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
-    else:
-        rng = random.Random(_ASSOCIATIVITY_SEED)
-        count = _ASSOCIATIVITY_SAMPLES_PER_N2 * n * n
-        rng_triples = (
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(count)
-        )
-    for a, b, c in rng_triples:
-        if table[table[a][b]][c] != table[a][table[b][c]]:
+def _check_associativity(table, n: int, e: int) -> None:
+    """Light's associativity test over a generating set built greedily.
+
+    Call it after the Latin-square and identity checks. The elements b with
+    (ab)c = a(bc) for all a, c are closed under products: for two such b, b',
+    (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c). The identity
+    is one of them, so every element reached from it by right products with
+    checked generators is one too, and once those cover the table every b
+    passes. Each generator is the least element not yet reached, and it is
+    checked before it is used. The reached set is then a subgroup whose left
+    cosets split the table into equal parts, so each new generator at least
+    doubles it and at most log2(n) generators are checked, O(n^2) each.
+    """
+    t = np.array(table, dtype=np.intp)
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = True
+    gens: list[int] = []
+    while not reached.all():
+        b = int(np.argmin(reached))
+        # [a, c] holds (a*b)*c on the left and a*(b*c) on the right
+        bad = t[t[:, b]] != t[:, t[b]]
+        if bad.any():
+            a, c = (int(i) for i in np.argwhere(bad)[0])
             raise NotAssociativeError(f"(a*b)*c != a*(b*c) for a={a}, b={b}, c={c}")
+        gens.append(b)
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            products = np.unique(t[np.ix_(frontier, gens)])
+            frontier = products[~reached[products]]
+            reached[frontier] = True
 
 
-def make_from_table(table, force_exhaustive: bool = False) -> FiniteGroup:
+def make_from_table(table) -> FiniteGroup:
     """Group from an explicit n x n multiplication table.
 
     Validates: Latin square, two-sided identity, two-sided inverses, and
-    associativity (exhaustive for n <= 64, else a fixed-seed random sample of
-    10*n^2 triples; pass force_exhaustive=True to insist on the n^3 check).
+    associativity, exactly at every order (Light's test over a generating
+    set, see _check_associativity).
     """
     rows = tuple(tuple(int(v) for v in row) for row in table)
     n = len(rows)
@@ -165,8 +177,7 @@ def make_from_table(table, force_exhaustive: bool = False) -> FiniteGroup:
     _check_latin(rows, n)
     e = _find_identity(rows, n)
     _check_inverses(rows, n, e)
-    exhaustive = force_exhaustive or n <= EXHAUSTIVE_ASSOCIATIVITY_LIMIT
-    _check_associativity(rows, n, exhaustive)
+    _check_associativity(rows, n, e)
     return FiniteGroup(n=n, kind="table", identity=e, table=rows)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
+from .graphs import _bits
 from .spectral import IntMatrix, _crt_lift, _primes_above
 from .groups import euler_phi
 
@@ -145,13 +146,10 @@ def permanent_expansion(m: IntMatrix) -> int:
         if i == n:
             return 1
         total = 0
-        mask = free
-        while mask:
-            b = mask & -mask
-            mask ^= b
-            a = rows[i][b.bit_length() - 1]
+        for j in _bits(free):
+            a = rows[i][j]
             if a:
-                total += a * expand(i + 1, free ^ b)
+                total += a * expand(i + 1, free ^ (1 << j))
         return total
 
     return expand(0, (1 << n) - 1)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .groups import euler_phi
 
 CHAR_POLY_LIMIT = 256
@@ -150,10 +149,8 @@ def laplacian(graph: Graph) -> IntMatrix:
         mask = graph.adj[u]
         row = [0] * n
         row[u] = mask.bit_count()
-        while mask:
-            b = mask & -mask
-            row[b.bit_length() - 1] = -1
-            mask ^= b
+        for w in _bits(mask):
+            row[w] = -1
         rows.append(row)
     return IntMatrix(rows)
 
@@ -163,11 +160,8 @@ def adjacency(graph: Graph) -> IntMatrix:
     rows = []
     for u in range(n):
         row = [0] * n
-        mask = graph.adj[u]
-        while mask:
-            b = mask & -mask
-            row[b.bit_length() - 1] = 1
-            mask ^= b
+        for w in _bits(graph.adj[u]):
+            row[w] = 1
         rows.append(row)
     return IntMatrix(rows)
 
@@ -217,7 +211,6 @@ def det_bareiss(m: IntMatrix) -> int:
 
 _PRIME_HIGH = (1 << 27) - 1
 _prime_cache: list[int] = []
-_prime_lock = threading.Lock()  # verify's threads extend the cache concurrently
 
 
 def _is_prime(n: int) -> bool:
@@ -245,13 +238,12 @@ def _is_prime(n: int) -> bool:
 
 
 def _primes(count: int) -> list[int]:
-    with _prime_lock:
-        candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_HIGH
-        while len(_prime_cache) < count:
-            if _is_prime(candidate):
-                _prime_cache.append(candidate)
-            candidate -= 2
-        return _prime_cache[:count]
+    candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_HIGH
+    while len(_prime_cache) < count:
+        if _is_prime(candidate):
+            _prime_cache.append(candidate)
+        candidate -= 2
+    return _prime_cache[:count]
 
 
 def _crt_lift(residues: list[list[int]], moduli: list[int]) -> list[int]:

@@ -104,37 +104,20 @@ def contains_induced(host: Graph, pattern: Graph) -> bool:
     def place(masks: list[int], remaining: int) -> bool:
         if not remaining:
             return True
-        u, best = -1, n + 1
-        mm = remaining
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            x = b.bit_length() - 1
-            c = masks[x].bit_count()
-            if c < best:
-                best, u = c, x
+        u = min(_bits(remaining), key=lambda x: masks[x].bit_count())
         rest = remaining ^ (1 << u)
-        cand = masks[u]
-        while cand:
-            vb = cand & -cand
-            cand ^= vb
-            v = vb.bit_length() - 1
-            avoid = full ^ vb
+        for v in _bits(masks[u]):
+            avoid = full ^ (1 << v)
             hadj = host.adj[v]
             narrowed = list(masks)
-            dead = False
-            ww = rest
-            while ww:
-                wb = ww & -ww
-                ww ^= wb
-                w = wb.bit_length() - 1
+            for w in _bits(rest):
                 m = narrowed[w] & (hadj if (pattern.adj[u] >> w) & 1 else hadj ^ full) & avoid
                 if not m:
-                    dead = True
                     break
                 narrowed[w] = m
-            if not dead and place(narrowed, rest):
-                return True
+            else:
+                if place(narrowed, rest):
+                    return True
         return False
 
     return place(base, (1 << k) - 1)

@@ -11,8 +11,6 @@ without masking new ones.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -55,20 +53,6 @@ from .structure import (
     full_connection_set,
     is_line_graph,
     kappa_formula,
-)
-
-CHECK_NAMES = (
-    "spectrum",
-    "charpoly",
-    "tau",
-    "le",
-    "kappa",
-    "chi",
-    "linegraph",
-    "cayley",
-    "perm_adj",
-    "perm_lap",
-    "perm_complete",
 )
 
 FAMILIES = ("cyclic", "corpus")
@@ -170,16 +154,12 @@ def _check_charpoly(g, graph, n, cyclic):
 
 
 def _check_tau(g, graph, n, cyclic):
-    if n < 2:
-        return None, None, SKIPPED, "closed form stated for n >= 2"
     formula = spanning_tree_count_formula(n, cyclic)
     oracle = spanning_tree_count_kirchhoff(graph)
     return _agreement(formula, oracle)
 
 
 def _check_le(g, graph, n, cyclic):
-    if n < 2:
-        return None, None, SKIPPED, "closed form stated for n >= 2"
     formula = laplacian_energy_closed_form(n, cyclic)
     numeric = eigenvalues_numeric(laplacian(graph))
     snapped = []
@@ -243,16 +223,12 @@ def _check_cayley(g, graph, n, cyclic):
 
 
 def _check_perm_adj(g, graph, n, cyclic):
-    if n < 2:
-        return None, None, SKIPPED, "closed form stated for n >= 2"
     formula = clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(n, cyclic))
     oracle = permanent_ryser(adjacency(graph))
     return _agreement(formula, oracle)
 
 
 def _check_perm_lap(g, graph, n, cyclic):
-    if n < 2:
-        return None, None, SKIPPED, "closed form stated for n >= 2"
     formula = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, cyclic))
     oracle = permanent_ryser(laplacian(graph))
     return _agreement(formula, oracle)
@@ -264,27 +240,36 @@ def _check_perm_complete(g, graph, n, cyclic):
     return _agreement(formula, oracle, f"complete graph K_{n}")
 
 
-_CHECK_FUNCS = {
-    "spectrum": _check_spectrum,
-    "charpoly": _check_charpoly,
-    "tau": _check_tau,
-    "le": _check_le,
-    "kappa": _check_kappa,
-    "chi": _check_chi,
-    "linegraph": _check_linegraph,
-    "cayley": _check_cayley,
-    "perm_adj": _check_perm_adj,
-    "perm_lap": _check_perm_lap,
-    "perm_complete": _check_perm_complete,
+# Every check in canonical record order, with the least order n its closed
+# form is stated for; smaller orders are recorded as skipped.
+_CHECKS = {
+    "spectrum": (_check_spectrum, 1),
+    "charpoly": (_check_charpoly, 1),
+    "tau": (_check_tau, 2),
+    "le": (_check_le, 2),
+    "kappa": (_check_kappa, 1),
+    "chi": (_check_chi, 1),
+    "linegraph": (_check_linegraph, 1),
+    "cayley": (_check_cayley, 1),
+    "perm_adj": (_check_perm_adj, 2),
+    "perm_lap": (_check_perm_lap, 2),
+    "perm_complete": (_check_perm_complete, 1),
 }
+
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_one_check(check: str, family: str, spec: str, group: FiniteGroup,
                   graph: Graph) -> CheckRecord:
     n = group.n
-    cyclic = is_cyclic(group)
+    func, min_n = _CHECKS[check]
+    if n < min_n:
+        return CheckRecord(
+            check, family, spec, n, "", "", SKIPPED,
+            f"closed form stated for n >= {min_n}",
+        )
     try:
-        formula, oracle, status, note = _CHECK_FUNCS[check](group, graph, n, cyclic)
+        formula, oracle, status, note = func(group, graph, n, is_cyclic(group))
     except SizeGuardError as e:
         return CheckRecord(check, family, spec, n, "", "", SKIPPED, str(e))
     return CheckRecord(
@@ -356,18 +341,16 @@ def run_verify(
     n_lo: int,
     n_hi: int,
     checks: tuple[str, ...] = CHECK_NAMES,
-    threads: Optional[int] = None,
 ) -> VerifyReport:
     """Run the requested checks over one family and an inclusive order range.
 
-    Work items run on a thread pool (`threads`, else the CPU count capped at
-    8) but records are assembled in deterministic (group, check) order
-    regardless of completion order."""
+    Records come in (group, check) order, checks in CHECK_NAMES order
+    whatever the order of `checks`."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"invalid range {n_lo}..{n_hi}")
-    bad = [c for c in checks if c not in _CHECK_FUNCS]
+    bad = [c for c in checks if c not in _CHECKS]
     if bad:
         raise ValueError(f"unknown checks: {', '.join(bad)}")
     if family == "cyclic":
@@ -377,15 +360,9 @@ def run_verify(
             (spec, grp) for spec, grp in noncyclic_corpus(n_hi) if grp.n >= n_lo
         ]
     ordered_checks = tuple(c for c in CHECK_NAMES if c in checks)
-    tasks = []
+    records = []
     for spec, grp in members:
         graph = strong_power_graph(grp)
         for check in ordered_checks:
-            tasks.append((check, family, spec, grp, graph))
-    nthreads = threads if threads is not None else min(8, os.cpu_count() or 1)
-    if nthreads <= 1 or len(tasks) <= 1:
-        records = [run_one_check(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            records = list(pool.map(lambda t: run_one_check(*t), tasks))
+            records.append(run_one_check(check, family, spec, grp, graph))
     return VerifyReport(family, n_lo, n_hi, records)

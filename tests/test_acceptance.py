@@ -121,7 +121,7 @@ def test_criterion_3_laplacian_energy(criteria_log):
         if abs(float(exact) - recomputed) > LE_TOL:
             failures.append(f"{spec}: exact {exact} vs recomputed {recomputed}")
     known = load_known_discrepancies()
-    rep_cyc = run_verify("cyclic", 4, 4, checks=("le",), threads=1)
+    rep_cyc = run_verify("cyclic", 4, 4, checks=("le",))
     rec = rep_cyc.records[0]
     if (rec.status, rec.formula_value, rec.oracle_value) != ("disagree", "4", "6"):
         failures.append(
@@ -130,7 +130,7 @@ def test_criterion_3_laplacian_energy(criteria_log):
         )
     if rep_cyc.exit_code(known) != 0:
         failures.append("cyclic disagreement is not covered by the known list")
-    rep_cor = run_verify("corpus", 4, 16, checks=("le",), threads=1)
+    rep_cor = run_verify("corpus", 4, 16, checks=("le",))
     if not all(r.status == "agree" for r in rep_cor.records):
         failures.append("noncyclic closed form 2(n-1) does not agree everywhere")
     if rep_cor.exit_code(known) != 0:

@@ -9,7 +9,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ("line_graph_gallery.py", "permanent_crosscheck.py", "spectra_tour.py")
+DEMOS = (
+    "line_graph_gallery.py",
+    "permanent_crosscheck.py",
+    "spectra_tour.py",
+    "verify_everything.py",
+)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -46,6 +46,11 @@ def test_graph_validation():
         Graph(1, (0b1,))
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))
+    # symmetry is checked at every order: 3 -> 597 stays, 597 -> 3 goes
+    adj = list(complete_graph(600).adj)
+    adj[597] &= ~(1 << 3)
+    with pytest.raises(ValueError, match=r"^asymmetric edge \(3, 597\)$"):
+        Graph(600, tuple(adj))
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -275,3 +280,35 @@ def test_relabel_isomorphic_property(g):
     rev = [g.n - 1 - i for i in range(g.n)]
     h = graph_from_edges(g.n, [tuple(sorted((rev[u], rev[v]))) for u, v in g.edges()])
     assert graph_isomorphic(g, h)
+
+
+@st.composite
+def loopless_masks(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    masks = [draw(st.integers(0, (1 << n) - 1)) & ~(1 << v) for v in range(n)]
+    if draw(st.booleans()):
+        masks = [
+            m | sum(1 << w for w in range(n) if (masks[w] >> v) & 1)
+            for v, m in enumerate(masks)
+        ]
+        if n and draw(st.booleans()):
+            v = draw(st.integers(0, n - 1))
+            masks[v] &= masks[v] - 1  # drop one direction of v's lowest edge
+    return masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(loopless_masks())
+def test_symmetry_check_matches_bit_probes(masks):
+    # reference: probe each edge (v, w) in row-major order for its reverse
+    n = len(masks)
+    first = next(
+        ((v, w) for v in range(n) for w in range(n)
+         if (masks[v] >> w) & 1 and not (masks[w] >> v) & 1),
+        None,
+    )
+    if first is None:
+        assert Graph(n, tuple(masks)).adj == tuple(masks)
+    else:
+        with pytest.raises(ValueError, match=rf"^asymmetric edge \({first[0]}, {first[1]}\)$"):
+            Graph(n, tuple(masks))

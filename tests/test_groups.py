@@ -1,6 +1,9 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongpow.groups import (
     FiniteGroup,
@@ -177,10 +180,79 @@ def test_make_from_table_rejects_one_sided_inverse():
 
 
 def test_make_from_table_rejects_nonassociative():
-    with pytest.raises(NotAssociativeError):
+    with pytest.raises(NotAssociativeError, match=r"a=\d+, b=\d+, c=\d+"):
         make_from_table(NONASSOCIATIVE_LOOP)
+
+
+def intercalate_perturbed_cyclic(n, a, b):
+    """Z_n's table (n even) with the intercalate on rows a, a + n/2 and
+    columns b, b + n/2 swapped: still a Latin square with identity 0."""
+    m = n // 2
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    for i in (a, a + m):
+        for j in (b, b + m):
+            table[i % n][j % n] = (table[i % n][j % n] + m) % n
+    return table
+
+
+def test_make_from_table_rejects_perturbed_z128():
+    table = intercalate_perturbed_cyclic(128, 1, 2)
     with pytest.raises(NotAssociativeError):
-        make_from_table(NONASSOCIATIVE_LOOP, force_exhaustive=True)
+        make_from_table(table)
+
+
+@st.composite
+def perturbed_cyclic_tables(draw):
+    m = draw(st.integers(3, 40))
+    # rows and columns 0 and m would break the identity's row and column,
+    # and a + b = 0 or m would move a 0 entry, so the inverse check fails first
+    a = draw(st.integers(1, m - 1))
+    b = draw(st.integers(1, m - 1).filter(lambda b: (a + b) % m))
+    return intercalate_perturbed_cyclic(2 * m, a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_cyclic_tables())
+def test_perturbed_tables_are_rejected(table):
+    with pytest.raises(NotAssociativeError):
+        make_from_table(table)
+
+
+def reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    def extend(rows):
+        if len(rows) == n:
+            yield rows
+            return
+        i = len(rows)
+        for p in itertools.permutations(range(n)):
+            if p[0] == i and all(p[j] != r[j] for r in rows for j in range(n)):
+                yield from extend(rows + [p])
+    yield from extend([tuple(range(n))])
+
+
+def test_associativity_check_matches_all_triples():
+    # Every loop of order <= 5 with identity 0; the reference tries all n^3
+    # triples. A loop is accepted exactly when it is associative.
+    for n in range(1, 6):
+        for table in reduced_latin_squares(n):
+            associative = all(
+                table[table[a][b]][c] == table[a][table[b][c]]
+                for a in range(n) for b in range(n) for c in range(n)
+            )
+            try:
+                make_from_table(table)
+                accepted = True
+            except (MissingInverseError, NotAssociativeError):
+                accepted = False
+            assert accepted == associative, table
+
+
+def test_every_group_table_is_accepted():
+    for spec, g in noncyclic_corpus(24):
+        assert make_from_table(g.table).table == g.table, spec
+    for k in range(1, 101):
+        assert make_dihedral(k).n == 2 * k
 
 
 def test_frozen_group_is_hashable_and_immutable():

@@ -1,6 +1,4 @@
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -347,26 +345,3 @@ def test_closed_form_input_validation():
         spanning_tree_count_formula(1, True)
     with pytest.raises(ValueError):
         laplacian_energy_closed_form(1, True)
-
-
-def test_prime_cache_threads(monkeypatch):
-    # verify's threads share the CRT primes; a lost update would repeat a
-    # prime in the cache, and the CRT needs coprime moduli
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            monkeypatch.setattr(spectral, "_prime_cache", [])
-            threads = [
-                threading.Thread(target=spectral._primes, args=(40,)) for _ in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            cache = spectral._prime_cache
-            assert len(cache) == 40
-            assert all(a > b for a, b in zip(cache, cache[1:]))
-    finally:
-        sys.setswitchinterval(old)

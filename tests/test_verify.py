@@ -93,18 +93,12 @@ def test_run_verify_exit_code_without_known_list():
 
 
 def test_run_verify_covers_each_pair_once():
-    checks = ("spectrum", "tau", "le")
-    report = run_verify("cyclic", 2, 6, checks=checks)
+    report = run_verify("cyclic", 2, 6, checks=("le", "spectrum", "tau"))
     seen = [(r.check, r.spec) for r in report.records]
-    assert len(seen) == len(set(seen)) == 15
-    # records follow canonical (group, check) order
-    assert seen[:3] == [("spectrum", "zn:2"), ("tau", "zn:2"), ("le", "zn:2")]
-
-
-def test_run_verify_thread_determinism():
-    a = run_verify("cyclic", 2, 10, threads=1)
-    b = run_verify("cyclic", 2, 10, threads=6)
-    assert a.to_tsv() == b.to_tsv()
+    # records follow canonical (group, check) order, whatever order was asked
+    assert seen == [
+        (c, f"zn:{n}") for n in range(2, 7) for c in ("spectrum", "tau", "le")
+    ]
 
 
 def test_run_verify_validation():
