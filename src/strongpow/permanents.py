@@ -233,28 +233,29 @@ def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
     """
     m, n = p.m, p.n
     d = p.d
+    # Each factor of a term depends on i or on j alone, so it is tabulated
+    # once over 0..m+n; the bracket splits into a part free of r and a
+    # multiple of C(n, j). Terms with i > m or j > n vanish.
+    top = m + n
+    by_i = [_comb(m, i) * (d + 1) ** i for i in range(top + 1)]
+    by_j = [
+        (d + 2) ** j * (n * _comb(n - 1, j) + n * (n - 1) * _comb(n - 2, j))
+        for j in range(top + 1)
+    ]
+    by_j_c = [(d + 2) ** j * _comb(n, j) for j in range(top + 1)]
+
+    def convolve(table: list[int], s: int) -> int:
+        # sum over i + j = s of by_i[i] * table[j]
+        return sum(by_i[i] * table[s - i] for i in range(max(0, s - n), min(s, m) + 1))
 
     def f_r(r: int) -> int:
-        acc = 0
-        for i in range(r):
-            j = r - 1 - i
-            bracket = (
-                n * _comb(n - 1, j)
-                + n * (n - 1) * _comb(n - 2, j)
-                - (d - m + 1) * (m + n - r + 1) * _comb(n, j)
-            )
-            acc += _comb(m, i) * (d + 2) ** j * (d + 1) ** i * bracket
-        return acc
+        return convolve(by_j, r - 1) - (d - m + 1) * (m + n - r + 1) * convolve(by_j_c, r - 1)
 
     total = 0
     for r in range(1, m + n + 1):
         term = math.factorial(m + n - r) * f_r(r)
         total += -term if (m + n - r) & 1 else term
-    tail = 0
-    for i in range(m + n + 1):
-        j = m + n - i
-        tail += _comb(m, i) * _comb(n, j) * (d + 2) ** j * (d + 1) ** i
-    return total + (d - m + 1) * tail
+    return total + (d - m + 1) * convolve(by_j_c, top)
 
 
 def complete_graph_laplacian_permanent(n: int) -> int:

@@ -9,6 +9,7 @@ compares them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .graphs import Graph, _bits
 from .groups import euler_phi
 
 CHAR_POLY_LIMIT = 256
-KIRCHHOFF_LIMIT = 64
 
 
 class IntMatrix:
@@ -170,7 +170,8 @@ def det_bareiss(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Every division in the update is exact over the integers, so no rationals
-    appear at any point.
+    appear at any point. The tests cross-check char_poly_exact and
+    spanning_tree_count_kirchhoff against it.
     """
     n = m.n
     if n == 0:
@@ -271,65 +272,107 @@ def _primes_above(bound: int) -> list[int]:
     return chosen
 
 
-def _char_poly_mod(reduced: np.ndarray, p: int) -> list[int]:
-    """Coefficients, ascending, of det(xI - M) modulo p for M given by its
-    residues in [0, p): Hessenberg reduction by similarity, then the
-    Hessenberg recurrence (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.2.9)."""
-    n = reduced.shape[0]
-    h = reduced.copy()
+# 2^18 eight-byte words per block of primes: a block's stack of reduced
+# matrices and its recurrence polynomials then add a few MB to peak RSS at
+# order 256, while each numpy call still covers every prime of the block.
+_BLOCK_WORDS = 1 << 18
+
+
+def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Coefficients, ascending, of det(xI - M) modulo each of the primes, one
+    row per prime, for M given by its residues h[i] in [0, primes[i]), a
+    (P, n, n) int64 stack that is reduced in place: Hessenberg reduction by
+    similarity, then the Hessenberg recurrence (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9), each step taken for
+    every prime at once."""
+    count, n, _ = h.shape
+    p = primes[:, None]
+    moduli = primes.tolist()
     for k in range(n - 2):
-        nonzero = np.flatnonzero(h[k + 1:, k])
-        if not nonzero.size:
-            continue  # column k is already reduced
-        r = k + 1 + int(nonzero[0])
-        if r != k + 1:
-            h[[k + 1, r]] = h[[r, k + 1]]
-            h[:, [k + 1, r]] = h[:, [r, k + 1]]
+        nonzero = h[:, k + 1:, k] != 0
+        if not nonzero.any():
+            continue  # column k is already reduced modulo every prime
+        # pivot per prime: the first nonzero below the subdiagonal, or row
+        # k+1 when column k is already reduced modulo that prime
+        first = nonzero.argmax(axis=1)
+        lanes = np.flatnonzero(first)
+        if lanes.size:
+            r = k + 1 + first[lanes]
+            h[lanes, k + 1], h[lanes, r] = h[lanes, r], h[lanes, k + 1]
+            h[lanes, :, k + 1], h[lanes, :, r] = h[lanes, :, r], h[lanes, :, k + 1]
         # rows k+2.. -= u * row k+1, then column k+1 += columns k+2.. @ u;
-        # rows below k+1 are already zero left of column k
-        u = h[k + 2:, k] * pow(int(h[k + 1, k]), -1, p) % p
-        h[k + 2:, k:] = (h[k + 2:, k:] - np.outer(u, h[k + 1, k:])) % p
-        h[:, k + 1] = (h[:, k + 1] + h[:, k + 2:] @ u) % p
-    # polys[k] is the char poly of the leading k x k block:
+        # rows below k+1 are already zero left of column k. Where column k
+        # is reduced, u is zero and both updates leave h as it is.
+        inverse = [pow(a or 1, -1, q) for a, q in zip(h[:, k + 1, k].tolist(), moduli)]
+        u = h[:, k + 2:, k] * np.array(inverse, dtype=np.int64)[:, None] % p
+        h[:, k + 2:, k:] -= u[:, :, None] * h[:, k + 1, None, k:]
+        h[:, k + 2:, k:] %= p[:, :, None]
+        h[:, :, k + 1] += (h[:, :, k + 2:] @ u[:, :, None])[:, :, 0]
+        h[:, :, k + 1] %= p
+    # polys[:, k] is the char poly of the leading k x k block:
     # p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_{i-1}
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    sub = np.zeros(0, dtype=np.int64)  # prod_{j=i+1..k} h_{j,j-1}, i < k
+    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
+    polys[:, 0, 0] = 1
+    # prod_{j=i+1..k} h_{j,j-1} for lo <= i < k. It is zero for every i < lo:
+    # where a subdiagonal entry is zero modulo every prime, the sum restarts.
+    lo = 0
+    sub = np.zeros((count, 0), dtype=np.int64)
+    one = np.ones((count, 1), dtype=np.int64)
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = -h[k - 1, k - 1] * prev
-        cur[1:] += prev[:-1]
+        prev = polys[:, k - 1]
+        cur = -h[:, k - 1, k - 1, None] * prev
+        cur[:, 1:] += prev[:, :-1]
         if k > 1:
-            sub = np.append(sub, 1) * h[k - 1, k - 2] % p
-            cur -= (h[: k - 1, k - 1] * sub % p) @ polys[: k - 1]
-        polys[k] = cur % p
-    return polys[n].tolist()
+            link = h[:, k - 1, k - 2, None]
+            if link.any():
+                sub = np.concatenate([sub, one], axis=1) * link % p
+            else:
+                lo, sub = k - 1, sub[:, :0]
+            w = h[:, lo : k - 1, k - 1] * sub % p
+            # p_{i-1} has degree i - 1 < k - 1
+            cur[:, : k - 1] -= (w[:, None, :] @ polys[:, lo : k - 1, : k - 1])[:, 0]
+        polys[:, k] = cur % p
+    return polys[:, n]
 
 
 def char_poly_exact(m: IntMatrix) -> CharPoly:
     """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients. Bounded at order 256."""
+    coefficients. Bounded at order 256. Results are memoized per process on
+    the matrix entries."""
     n = m.n
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
             f"char_poly_exact is bounded at order {CHAR_POLY_LIMIT}, got {n}"
         )
+    return _char_poly_rows(m.rows)
+
+
+@functools.lru_cache(maxsize=8)
+def _char_poly_rows(rows: tuple[tuple[int, ...], ...]) -> CharPoly:
+    """Characteristic polynomial from its residues modulo enough primes that
+    their product exceeds twice a bound on its coefficients, the primes
+    taken in blocks of about _BLOCK_WORDS words."""
+    n = len(rows)
     if n == 0:
         return CharPoly((1,))
     # |coeff of x^(n-k)| <= C(n,k) * rho^k with rho >= spectral radius.
-    rho = max(sum(abs(v) for v in row) for row in m.rows)
+    rho = max(sum(abs(v) for v in row) for row in rows)
     bits = n * max(rho, 2).bit_length() + n + 4
     primes = _primes_above(1 << (bits + 1))
     # Every entry is at most rho in size; reduce past int64 in Python.
-    entries = np.array(m.rows, dtype=np.int64) if rho < 1 << 63 else None
+    entries = np.array(rows, dtype=np.int64) if rho < 1 << 63 else None
+    per_block = max(1, _BLOCK_WORDS // (n * n))
     residues = []
-    for p in primes:
+    for start in range(0, len(primes), per_block):
+        block = np.array(primes[start:start + per_block], dtype=np.int64)
         if entries is not None:
-            reduced = entries % p
+            stack = entries % block[:, None, None]
         else:
-            reduced = np.array([[v % p for v in row] for row in m.rows], dtype=np.int64)
-        residues.append(_char_poly_mod(reduced, p))
+            stack = np.array(
+                [[[v % q for v in row] for row in rows] for q in block.tolist()],
+                dtype=np.int64,
+            )
+        residues.extend(_char_poly_mod(stack, block).tolist())
     coeffs = _crt_lift(residues, primes)
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
     return CharPoly(tuple(coeffs))
@@ -409,19 +452,18 @@ def spanning_tree_count_formula(n: int, cyclic: bool) -> int:
 
 
 def spanning_tree_count_kirchhoff(graph: Graph) -> int:
-    """Spanning trees as the exact determinant of the Laplacian with row and
-    column 0 deleted. Bounded at 64 vertices."""
+    """Spanning trees by the all-minors matrix-tree theorem: the coefficient
+    of x in det(xI - L) is (-1)^(n-1) times the sum of the n principal
+    (n-1)-minors of the Laplacian L, each of which equals the count, so
+    c_1 = (-1)^(n-1) n tau. Read off char_poly_exact(L), which is
+    memoized, so this shares its bound of 256 vertices."""
     n = graph.n
-    if n > KIRCHHOFF_LIMIT:
-        raise SizeGuardError(
-            f"spanning_tree_count_kirchhoff is bounded at {KIRCHHOFF_LIMIT} "
-            f"vertices, got {n}"
-        )
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    lap = laplacian(graph).rows
-    minor = IntMatrix([row[1:] for row in lap[1:]])
-    return det_bareiss(minor)
+    c1 = char_poly_exact(laplacian(graph)).coeffs[1]
+    tau, rest = divmod((-1) ** (n - 1) * c1, n)
+    assert rest == 0, f"x-coefficient {c1} of the Laplacian is not a multiple of {n}"
+    return tau
 
 
 def laplacian_energy_from_spectrum(s: ExactSpectrum, edge_count: int, n: int) -> Fraction:

@@ -248,6 +248,18 @@ def test_verify_linegraph_reach(capsys):
         assert all(r[6] == "agree" for r in rows)
 
 
+def test_verify_tau_reach(capsys):
+    # tau is read off the char poly, so neither check skips below order 257
+    for family, span, groups in (("cyclic", "60..70", 11), ("corpus", "1..24", 18)):
+        code, out, _ = run(
+            capsys, "verify", "--family", family, "--range", span, "--checks", "charpoly,tau"
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 2 * groups
+        assert all(r[6] == "agree" for r in rows)
+
+
 def test_sweep_columns_subset(capsys):
     code, out, _ = run(
         capsys, "sweep", "--range", "2..4", "--columns", "tau,phi"

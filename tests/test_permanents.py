@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -190,6 +191,47 @@ def test_laplacian_permanent_formula_cyclic():
     for n in range(2, 13):
         g = strong_power_graph(make_cyclic(n))
         assert cyclic_laplacian_permanent(n) == permanent_ryser(laplacian(g))
+
+
+def transcribed_laplacian_permanent(p):
+    """clique_plus_vertex_laplacian_permanent as its docstring displays it,
+    every binomial and power evaluated inside F_r."""
+    m, n, d = p.m, p.n, p.d
+
+    def comb(a, b):
+        return math.comb(a, b) if 0 <= b <= a else 0
+
+    def f_r(r):
+        acc = 0
+        for i in range(r):
+            j = r - 1 - i
+            bracket = (
+                n * comb(n - 1, j)
+                + n * (n - 1) * comb(n - 2, j)
+                - (d - m + 1) * (m + n - r + 1) * comb(n, j)
+            )
+            acc += comb(m, i) * (d + 2) ** j * (d + 1) ** i * bracket
+        return acc
+
+    total = sum(
+        (-1) ** (m + n - r) * math.factorial(m + n - r) * f_r(r) for r in range(1, m + n + 1)
+    )
+    tail = sum(
+        comb(m, i) * comb(n, m + n - i) * (d + 2) ** (m + n - i) * (d + 1) ** i
+        for i in range(m + n + 1)
+    )
+    return total + (d - m + 1) * tail
+
+
+def test_laplacian_permanent_tables_match_transcription():
+    for order in range(2, 61):
+        for cyclic in (True, False):
+            p = CliqueParams.for_group(order, cyclic)
+            assert clique_plus_vertex_laplacian_permanent(p) == transcribed_laplacian_permanent(p)
+    for m in range(6):
+        for n in range(6):
+            p = CliqueParams(m, n)
+            assert clique_plus_vertex_laplacian_permanent(p) == transcribed_laplacian_permanent(p)
 
 
 def test_formula_forms_agree_cyclic():

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from strongpow import spectral
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import complete_graph, strong_power_graph
+from strongpow.graphs import (
+    complete_graph,
+    disjoint_union,
+    graph_from_edges,
+    strong_power_graph,
+)
 from strongpow.groups import euler_phi, make_cyclic, noncyclic_corpus
 from strongpow.spectral import (
     CharPoly,
@@ -111,9 +116,9 @@ def shifted(m, t):
     )
 
 
-def assert_char_poly_at_points(m):
+def assert_char_poly_at_points(m, primes_per_block=None):
     # n + 1 points pin down a degree-n polynomial
-    p = char_poly_exact(m)
+    p = char_poly_in_blocks(m, primes_per_block)
     assert p.degree == m.n
     for t in range(-(m.n // 2), m.n - m.n // 2 + 1):
         assert p.evaluate(t) == det_bareiss(shifted(m, t)), (m, t)
@@ -140,8 +145,36 @@ def test_char_poly_exact_matches_direct_determinant():
         assert det_bareiss(m) == (-1) ** m.n * char_poly_exact(m).evaluate(0)
 
 
-def test_char_poly_exact_pivot_branches():
-    p0 = spectral._primes(1)[0]
+def char_poly_in_blocks(m, primes_per_block):
+    """char_poly_exact(m), computed afresh, with the CRT primes taken
+    primes_per_block at a time (None: the default block size)."""
+    sizes = []
+    kernel = spectral._char_poly_mod
+
+    def spy(stack, primes):
+        sizes.append(len(primes))
+        return kernel(stack, primes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_char_poly_mod", spy)
+        if primes_per_block is not None:
+            # the kernel takes _BLOCK_WORDS // n^2 primes at a time
+            mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * m.n * m.n)
+        spectral._char_poly_rows.cache_clear()
+        poly = char_poly_exact(m)
+        spectral._char_poly_rows.cache_clear()
+    if primes_per_block is not None:
+        assert all(size <= primes_per_block for size in sizes)
+    return poly
+
+
+# one and two primes per block, so that each block has one pivot choice,
+# or two that may differ
+SMALL_BLOCKS = pytest.mark.parametrize("primes_per_block", [1, 2])
+
+
+def check_pivot_branches(primes_per_block):
+    p0, p1 = spectral._primes(2)
     cases = {
         "zero": IntMatrix([[0] * 5 for _ in range(5)]),
         "diagonal": IntMatrix([[(i - 2) * (i == j) for j in range(5)] for i in range(5)]),
@@ -165,15 +198,32 @@ def test_char_poly_exact_pivot_branches():
         "multiples of a prime in one column": IntMatrix(
             [[1, 2, 3, 4], [p0, 4, 5, 6], [-2 * p0, 7, 8, 9], [3 * p0, 0, 2, 5]]
         ),
+        # h[1,0] is zero modulo p1 only and h[2,0] modulo p0 only: rows and
+        # columns 1 and 2 swap for p1 and for no other prime, and p1 shares
+        # a block with p0, whose row 2 would be no pivot
+        "subdiagonal zero modulo one prime": IntMatrix(
+            [[1, 2, 3, 4, 0], [p1, 4, 5, 6, 1], [p0, 7, 8, 9, 2], [1, 0, 2, 5, 3], [3, 1, 0, 2, 6]]
+        ),
         # the zero matrix modulo p0 only
         "multiples of a prime": IntMatrix(
             [[p0 * ((3 * i + j) % 5 - 2) for j in range(5)] for i in range(5)]
         ),
     }
     for m in cases.values():
-        assert_char_poly_at_points(m)
-    assert char_poly_exact(cases["zero"]).coeffs == (0, 0, 0, 0, 0, 1)
-    assert char_poly_exact(cases["cyclic permutation"]).coeffs == (-1, 0, 0, 0, 0, 0, 1)
+        assert_char_poly_at_points(m, primes_per_block)
+    assert char_poly_in_blocks(cases["zero"], primes_per_block).coeffs == (0, 0, 0, 0, 0, 1)
+    assert char_poly_in_blocks(cases["cyclic permutation"], primes_per_block).coeffs == (
+        -1, 0, 0, 0, 0, 0, 1
+    )
+
+
+def test_char_poly_exact_pivot_branches():
+    check_pivot_branches(None)
+
+
+@SMALL_BLOCKS
+def test_char_poly_exact_pivot_branches_in_blocks(primes_per_block):
+    check_pivot_branches(primes_per_block)
 
 
 def test_char_poly_exact_matches_sympy():
@@ -197,6 +247,22 @@ def small_matrices(draw):
 @given(small_matrices(), st.integers(-30, 30))
 def test_char_poly_exact_evaluates_to_determinant(m, t):
     assert char_poly_exact(m).evaluate(t) == det_bareiss(shifted(m, t))
+
+
+@SMALL_BLOCKS
+@settings(max_examples=80, deadline=None)
+@given(small_matrices(), st.integers(-30, 30))
+def test_char_poly_exact_evaluates_to_determinant_in_blocks(primes_per_block, m, t):
+    poly = char_poly_in_blocks(m, primes_per_block)
+    assert poly.evaluate(t) == det_bareiss(shifted(m, t))
+
+
+def test_char_poly_exact_repeat_is_cached():
+    m = laplacian(strong_power_graph(make_cyclic(20)))
+    first = char_poly_exact(m)
+    hits = spectral._char_poly_rows.cache_info().hits
+    assert char_poly_exact(IntMatrix(m.rows)) is first
+    assert spectral._char_poly_rows.cache_info().hits == hits + 1
 
 
 def test_char_poly_exact_guard():
@@ -268,7 +334,58 @@ def test_spanning_tree_count():
         assert spanning_tree_count_formula(grp.n, False) == spanning_tree_count_kirchhoff(g)
     assert spanning_tree_count_kirchhoff(complete_graph(4)) == 16
     with pytest.raises(SizeGuardError):
-        spanning_tree_count_kirchhoff(complete_graph(65))
+        spanning_tree_count_kirchhoff(complete_graph(257))
+
+
+def reduced_laplacian_determinant(graph):
+    """Kirchhoff's count as Bareiss's determinant of L with row and column 0
+    deleted."""
+    rows = laplacian(graph).rows
+    return det_bareiss(IntMatrix([row[1:] for row in rows[1:]]))
+
+
+def test_spanning_tree_count_matches_bareiss():
+    graphs = [strong_power_graph(make_cyclic(n)) for n in range(1, 41)]
+    graphs += [strong_power_graph(grp) for _, grp in noncyclic_corpus(24)]
+    graphs += [complete_graph(n) for n in range(1, 13)]
+    for g in graphs:
+        assert spanning_tree_count_kirchhoff(g) == reduced_laplacian_determinant(g), g.n
+    # Cayley's formula
+    for n in range(2, 13):
+        assert spanning_tree_count_kirchhoff(complete_graph(n)) == n ** (n - 2)
+
+
+def test_spanning_tree_count_disconnected():
+    # at a prime order the identity is joined to nothing
+    for p in (2, 3, 5, 7, 31, 61, 127, 251):
+        assert spanning_tree_count_kirchhoff(strong_power_graph(make_cyclic(p))) == 0
+    for g in (
+        graph_from_edges(2, []),
+        disjoint_union(complete_graph(3), complete_graph(4)),
+        disjoint_union(strong_power_graph(make_cyclic(9)), complete_graph(1)),
+    ):
+        assert spanning_tree_count_kirchhoff(g) == 0 == reduced_laplacian_determinant(g)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [e for e, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_graphs())
+def test_spanning_tree_count_matches_bareiss_property(g):
+    assert spanning_tree_count_kirchhoff(g) == reduced_laplacian_determinant(g)
+
+
+def test_spanning_tree_count_reach():
+    # past the 64-vertex bound that a Bareiss minor determinant needed
+    for n in (*range(65, 71), 97, 128, 256):
+        g = strong_power_graph(make_cyclic(n))
+        assert spanning_tree_count_kirchhoff(g) == spanning_tree_count_formula(n, True), n
 
 
 def test_laplacian_energy_from_spectrum():
