@@ -16,46 +16,17 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SizeGuardError
-from .groups import (
-    GroupError,
-    GroupSpecError,
-    euler_phi,
-    is_cyclic,
-    parse_group_spec,
+from .groups import GroupError, GroupSpecError, parse_group_spec
+from .graphs import degree_sequence, graph_to_dot, graph_to_json, strong_power_graph
+from .spectral import ExactSpectrum, adjacency, laplacian, to_matrix_market
+from .permanents import RYSER_LIMIT, permanent_ryser
+from .verify import (
+    CHECK_NAMES,
+    GroupCase,
+    closed_forms,
+    load_known_discrepancies,
+    run_verify,
 )
-from .graphs import (
-    degree_sequence,
-    graph_to_dot,
-    graph_to_json,
-    strong_power_graph,
-    vertex_connectivity_bruteforce,
-)
-from .spectral import (
-    ExactSpectrum,
-    adjacency,
-    algebraic_connectivity,
-    closed_form_spectrum,
-    laplacian,
-    laplacian_energy_closed_form,
-    laplacian_energy_from_spectrum,
-    spanning_tree_count_formula,
-    to_matrix_market,
-)
-from .permanents import (
-    RYSER_LIMIT,
-    CliqueParams,
-    clique_plus_vertex_adjacency_permanent,
-    clique_plus_vertex_laplacian_permanent,
-    permanent_ryser,
-)
-from .structure import (
-    cayley_classification,
-    chi_formula,
-    cyclic_line_graph_classification,
-    is_line_graph,
-    kappa_formula,
-)
-from .verify import CHECK_NAMES, load_known_discrepancies, run_verify
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
@@ -105,57 +76,34 @@ class InvariantBundle:
 
 
 def compute_invariant_bundle(spec: str) -> InvariantBundle:
-    group = parse_group_spec(spec)
-    graph = strong_power_graph(group)
-    n = group.n
-    cyclic = is_cyclic(group)
-    phi = euler_phi(n)
-    spectrum = closed_form_spectrum(n, cyclic)
-    m = graph.edge_count()
-
-    if n >= 2:
-        tau = spanning_tree_count_formula(n, cyclic)
-        le_closed: Optional[Fraction] = laplacian_energy_closed_form(n, cyclic)
-    else:
-        tau = 1  # the one-vertex graph is its own spanning tree
-        le_closed = None
-
-    try:
-        kappa_oracle: Optional[int] = vertex_connectivity_bruteforce(graph)
-    except SizeGuardError:
-        kappa_oracle = None
-
-    per_adj_formula = per_lap_formula = None
-    if n >= 2:
-        shape = CliqueParams.for_group(n, cyclic)
-        per_adj_formula = clique_plus_vertex_adjacency_permanent(shape)
-        per_lap_formula = clique_plus_vertex_laplacian_permanent(shape)
-
+    case = GroupCase.of(parse_group_spec(spec))
+    n, graph = case.n, case.graph
+    forms = closed_forms(n, case.cyclic)
+    # Past RYSER_LIMIT Ryser would refuse the matrices; skip building them.
     per_adj_ryser = per_lap_ryser = None
     if n <= RYSER_LIMIT:
-        per_adj_ryser = permanent_ryser(adjacency(graph))
-        per_lap_ryser = permanent_ryser(laplacian(graph))
-
+        per_adj_ryser = permanent_ryser(case.adj_matrix)
+        per_lap_ryser = permanent_ryser(case.lap_matrix)
     return InvariantBundle(
         group=spec,
         n=n,
-        cyclic=cyclic,
-        phi=phi,
-        edges=m,
+        cyclic=case.cyclic,
+        phi=forms["phi"],
+        edges=graph.edge_count(),
         degrees=tuple(degree_sequence(graph)),
-        spectrum=spectrum,
-        algebraic_connectivity=algebraic_connectivity(spectrum),
-        spanning_trees=tau,
-        le_definition=laplacian_energy_from_spectrum(spectrum, m, n),
-        le_closed_form=le_closed,
-        kappa=kappa_formula(n, cyclic),
-        kappa_oracle=kappa_oracle,
-        chi=chi_formula(n, cyclic),
-        line_graph=is_line_graph(graph),
-        cayley=cayley_classification(group),
-        per_adj_formula=per_adj_formula,
+        spectrum=forms["spectrum"],
+        algebraic_connectivity=forms["a"],
+        spanning_trees=forms["tau"],
+        le_definition=forms["le"],
+        le_closed_form=case.formula("le"),
+        kappa=forms["kappa"],
+        kappa_oracle=case.oracle("kappa"),
+        chi=forms["chi"],
+        line_graph=case.oracle("linegraph"),
+        cayley=case.formula("cayley"),
+        per_adj_formula=case.formula("perm_adj"),
         per_adj_ryser=per_adj_ryser,
-        per_lap_formula=per_lap_formula,
+        per_lap_formula=case.formula("perm_lap"),
         per_lap_ryser=per_lap_ryser,
     )
 
@@ -271,22 +219,9 @@ def cmd_verify(args) -> int:
 
 
 def _sweep_row(n: int) -> dict[str, str]:
-    cyclic = True
-    phi = euler_phi(n)
-    spectrum = closed_form_spectrum(n, cyclic)
-    m = spectrum.trace() // 2  # the Laplacian trace is the degree sum, 2m
-    tau = spanning_tree_count_formula(n, cyclic) if n >= 2 else 1
-    return {
-        "n": str(n),
-        "phi": str(phi),
-        "spectrum": str(spectrum),
-        "a": str(algebraic_connectivity(spectrum)),
-        "tau": str(tau),
-        "le": str(laplacian_energy_from_spectrum(spectrum, m, n)),
-        "kappa": str(kappa_formula(n, cyclic)),
-        "chi": str(chi_formula(n, cyclic)),
-        "linegraph": "true" if cyclic_line_graph_classification(n) else "false",
-    }
+    row = {"n": n, **closed_forms(n, cyclic=True)}
+    row["linegraph"] = "true" if row["linegraph"] else "false"
+    return {k: str(v) for k, v in row.items()}
 
 
 def cmd_sweep(args) -> int:

@@ -99,33 +99,32 @@ def make_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(n=n, kind="cyclic", identity=0, table=None)
 
 
-def _check_latin(table: tuple[tuple[int, ...], ...], n: int) -> None:
-    full = frozenset(range(n))
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-        if frozenset(row) != full:
-            raise NotLatinSquareError(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(row[j] for row in table) != full:
-            raise NotLatinSquareError(f"column {j} is not a permutation of 0..{n - 1}")
+def _check_latin(t: np.ndarray, n: int) -> None:
+    full = np.arange(n)
+    rows = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
+    if rows.size:
+        raise NotLatinSquareError(f"row {rows[0]} is not a permutation of 0..{n - 1}")
+    cols = np.flatnonzero((np.sort(t, axis=0) != full[:, None]).any(axis=0))
+    if cols.size:
+        raise NotLatinSquareError(f"column {cols[0]} is not a permutation of 0..{n - 1}")
 
 
-def _find_identity(table: tuple[tuple[int, ...], ...], n: int) -> int:
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            return e
-    raise NoIdentityError("no two-sided identity element")
+def _find_identity(t: np.ndarray, n: int) -> int:
+    full = np.arange(n)
+    found = np.flatnonzero((t == full).all(axis=1) & (t == full[:, None]).all(axis=0))
+    if not found.size:
+        raise NoIdentityError("no two-sided identity element")
+    return int(found[0])
 
 
-def _check_inverses(table, n: int, e: int) -> None:
-    for x in range(n):
-        row = table[x]
-        if not any(row[y] == e and table[y][x] == e for y in range(n)):
-            raise MissingInverseError(f"element {x} has no two-sided inverse")
+def _check_inverses(t: np.ndarray, n: int, e: int) -> None:
+    left = t == e
+    bad = np.flatnonzero(~(left & left.T).any(axis=1))
+    if bad.size:
+        raise MissingInverseError(f"element {bad[0]} has no two-sided inverse")
 
 
-def _check_associativity(table, n: int, e: int) -> None:
+def _check_associativity(t: np.ndarray, n: int, e: int) -> None:
     """Light's associativity test over a generating set built greedily.
 
     Call it after the Latin-square and identity checks. The elements b with
@@ -138,7 +137,6 @@ def _check_associativity(table, n: int, e: int) -> None:
     cosets split the table into equal parts, so each new generator at least
     doubles it and at most log2(n) generators are checked, O(n^2) each.
     """
-    t = np.array(table, dtype=np.intp)
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
     gens: list[int] = []
@@ -164,7 +162,7 @@ def make_from_table(table) -> FiniteGroup:
     associativity, exactly at every order (Light's test over a generating
     set, see _check_associativity).
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n < 1:
         raise InvalidOrderError("table must have at least one row")
@@ -174,10 +172,14 @@ def make_from_table(table) -> FiniteGroup:
         for v in row:
             if not 0 <= v < n:
                 raise NotLatinSquareError(f"row {i} has out-of-range entry {v}")
-    _check_latin(rows, n)
-    e = _find_identity(rows, n)
-    _check_inverses(rows, n, e)
-    _check_associativity(rows, n, e)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
+    t = np.array(rows, dtype=np.intp)
+    _check_latin(t, n)
+    e = _find_identity(t, n)
+    _check_inverses(t, n, e)
+    _check_associativity(t, n, e)
     return FiniteGroup(n=n, kind="table", identity=e, table=rows)
 
 

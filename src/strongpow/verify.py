@@ -1,11 +1,12 @@
 """Formula-vs-oracle verification harness.
 
 Every closed form in the library is paired here with an independent
-computation on the constructed graph. Each (check, group) pair yields one
-record with status agree, disagree, or skipped; checks whose oracle exceeds
-its size guard auto-skip rather than fail. Disagreements are compared against
-the shipped known-discrepancy list so documented formula defects are reported
-without masking new ones.
+computation on the constructed graph, in one table, INVARIANTS, which the
+verify, invariants and sweep commands all read. Each (check, group) pair
+yields one record with status agree, disagree, or skipped; checks whose
+oracle exceeds its size guard auto-skip rather than fail. Disagreements are
+compared against the shipped known-discrepancy list so documented formula
+defects are reported without masking new ones.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import SizeGuardError
-from .groups import FiniteGroup, is_cyclic, make_cyclic, noncyclic_corpus
+from .groups import FiniteGroup, euler_phi, is_cyclic, make_cyclic, noncyclic_corpus
 from .graphs import (
     Graph,
     chromatic_number_exact,
@@ -28,13 +30,16 @@ from .graphs import (
     vertex_connectivity_bruteforce,
 )
 from .spectral import (
+    IntMatrix,
     adjacency,
+    algebraic_connectivity,
     char_poly_exact,
     char_poly_from_spectrum,
     closed_form_spectrum,
     eigenvalues_numeric,
     laplacian,
     laplacian_energy_closed_form,
+    laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
 )
@@ -119,18 +124,62 @@ def load_known_discrepancies() -> tuple[KnownDiscrepancy, ...]:
     )
 
 
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _agreement(formula, oracle, note: str = "") -> tuple[str, str, str, str]:
+class GroupCase:
+    """One group under check: its order, whether it is cyclic, and its strong
+    power graph. The graph, its Laplacian, its adjacency matrix and the
+    numeric Laplacian spectrum are built on first use, at most once each, and
+    shared by every check of the group. A case without a group serves the
+    closed forms other than cayley's, which read only n and cyclicity."""
+
+    def __init__(self, group: Optional[FiniteGroup], n: int, cyclic: bool):
+        self.group, self.n, self.cyclic = group, n, cyclic
+
+    @classmethod
+    def of(cls, group: FiniteGroup) -> "GroupCase":
+        return cls(group, group.n, is_cyclic(group))
+
+    @cached_property
+    def graph(self) -> Graph:
+        return strong_power_graph(self.group)
+
+    @cached_property
+    def lap_matrix(self) -> IntMatrix:
+        return laplacian(self.graph)
+
+    @cached_property
+    def adj_matrix(self) -> IntMatrix:
+        return adjacency(self.graph)
+
+    @cached_property
+    def lap_eigenvalues(self) -> list[float]:
+        return eigenvalues_numeric(self.lap_matrix, tol=NUMERIC_SPECTRUM_TOL)
+
+    def formula(self, check: str):
+        """The check's closed form, or None below the least order it is
+        stated for."""
+        inv = INVARIANTS[check]
+        return inv.formula(self) if self.n >= inv.min_n else None
+
+    def oracle(self, check: str):
+        """The check's oracle value, or None past the oracle's size guard."""
+        try:
+            return INVARIANTS[check].oracle(self)
+        except SizeGuardError:
+            return None
+
+
+def _agreement(case, formula, oracle, note: str = "") -> tuple[str, str, str, str]:
     status = AGREE if formula == oracle else DISAGREE
-    return str(formula), str(oracle), status, note
+    return _text(formula), _text(oracle), status, note
 
 
-def _check_spectrum(g, graph, n, cyclic):
-    exact = closed_form_spectrum(n, cyclic)
-    numeric = eigenvalues_numeric(laplacian(graph), tol=NUMERIC_SPECTRUM_TOL)
+def _judge_spectrum(case, exact, numeric):
     expected = list(reversed(exact.eigenvalues_desc()))
     worst = max(
         (abs(a - b) for a, b in zip(numeric, expected)), default=0.0
@@ -147,21 +196,9 @@ def _check_spectrum(g, graph, n, cyclic):
     return str(exact), oracle_str, status, f"max deviation {worst:.2e}"
 
 
-def _check_charpoly(g, graph, n, cyclic):
-    formula = char_poly_from_spectrum(closed_form_spectrum(n, cyclic))
-    oracle = char_poly_exact(laplacian(graph))
-    return _agreement(tuple(formula.coeffs), tuple(oracle.coeffs))
-
-
-def _check_tau(g, graph, n, cyclic):
-    formula = spanning_tree_count_formula(n, cyclic)
-    oracle = spanning_tree_count_kirchhoff(graph)
-    return _agreement(formula, oracle)
-
-
-def _check_le(g, graph, n, cyclic):
-    formula = laplacian_energy_closed_form(n, cyclic)
-    numeric = eigenvalues_numeric(laplacian(graph))
+def _judge_le(case, formula, numeric):
+    """Recompute the energy by definition from the numeric spectrum, snapped
+    to integers, in exact arithmetic."""
     snapped = []
     for lam in numeric:
         k = round(lam)
@@ -173,111 +210,125 @@ def _check_le(g, graph, n, cyclic):
                 "definition-based recomputation expected an integer spectrum",
             )
         snapped.append(k)
-    mean = Fraction(2 * graph.edge_count(), n)
+    mean = Fraction(2 * case.graph.edge_count(), case.n)
     oracle = sum((abs(Fraction(k) - mean) for k in snapped), Fraction(0))
     numeric_le = sum(abs(lam - float(mean)) for lam in numeric)
     drift = abs(numeric_le - float(oracle))
     note = f"float recomputation drift {drift:.2e}"
     if drift > LE_RECOMPUTE_TOL:
         return str(formula), str(oracle), DISAGREE, note
-    return _agreement(formula, oracle, note)
+    return _agreement(case, formula, oracle, note)
 
 
-def _check_kappa(g, graph, n, cyclic):
-    formula = kappa_formula(n, cyclic)
-    oracle = vertex_connectivity_bruteforce(graph)
-    return _agreement(formula, oracle)
-
-
-def _check_chi(g, graph, n, cyclic):
-    formula = chi_formula(n, cyclic)
-    oracle = chromatic_number_exact(graph)
-    return _agreement(formula, oracle)
-
-
-def _check_linegraph(g, graph, n, cyclic):
-    if cyclic:
-        formula = cyclic_line_graph_classification(n)
-    else:
-        # Complete graphs are line graphs of stars.
-        formula = True
-    oracle = is_line_graph(graph)
-    return _agreement(_bool_str(formula), _bool_str(oracle))
-
-
-def _check_cayley(g, graph, n, cyclic):
-    claimed = cayley_classification(g)
-    if not cyclic:
-        witness = cayley_graph(g, full_connection_set(g))
-        ok = graph_isomorphic(graph, witness)
-        return _agreement(_bool_str(claimed), _bool_str(ok), "witness C(G, G \\ {e})")
-    if n < 3:
-        return None, None, SKIPPED, (
+def _judge_cayley(case, claimed, oracle):
+    """The oracle is an isomorphism to the witness C(G, G \\ {e}) for a
+    noncyclic group and regularity for a cyclic one, where only a
+    non-regular graph settles the claim."""
+    if not case.cyclic:
+        return _agreement(case, claimed, oracle, "witness C(G, G \\ {e})")
+    if case.n < 3:
+        return "", "", SKIPPED, (
             "edgeless boundary case: regularity cannot separate cyclic from "
             "Cayley at n <= 2"
         )
-    regular = is_regular(graph)
-    if regular:
-        return _bool_str(claimed), "regular (inconclusive)", DISAGREE, ""
-    return _agreement(_bool_str(claimed), _bool_str(False), "graph is non-regular")
+    if oracle:
+        return _text(claimed), "regular (inconclusive)", DISAGREE, ""
+    return _agreement(case, claimed, False, "graph is non-regular")
 
 
-def _check_perm_adj(g, graph, n, cyclic):
-    formula = clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(n, cyclic))
-    oracle = permanent_ryser(adjacency(graph))
-    return _agreement(formula, oracle)
+@dataclass(frozen=True)
+class Invariant:
+    """One closed form paired with its oracle. Both take a GroupCase; the
+    judge turns their values into the record's formula, oracle, status and
+    note. The closed form is stated for orders n >= min_n."""
+
+    min_n: int
+    formula: Callable[[GroupCase], object]
+    oracle: Callable[[GroupCase], object]
+    judge: Callable[[GroupCase, object, object], tuple[str, str, str, str]] = _agreement
 
 
-def _check_perm_lap(g, graph, n, cyclic):
-    formula = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, cyclic))
-    oracle = permanent_ryser(laplacian(graph))
-    return _agreement(formula, oracle)
-
-
-def _check_perm_complete(g, graph, n, cyclic):
-    formula = complete_graph_laplacian_permanent(n)
-    oracle = permanent_ryser(laplacian(complete_graph(n)))
-    return _agreement(formula, oracle, f"complete graph K_{n}")
-
-
-# Every check in canonical record order, with the least order n its closed
-# form is stated for; smaller orders are recorded as skipped.
-_CHECKS = {
-    "spectrum": (_check_spectrum, 1),
-    "charpoly": (_check_charpoly, 1),
-    "tau": (_check_tau, 2),
-    "le": (_check_le, 2),
-    "kappa": (_check_kappa, 1),
-    "chi": (_check_chi, 1),
-    "linegraph": (_check_linegraph, 1),
-    "cayley": (_check_cayley, 1),
-    "perm_adj": (_check_perm_adj, 2),
-    "perm_lap": (_check_perm_lap, 2),
-    "perm_complete": (_check_perm_complete, 1),
+# Every check in canonical record order. Closed forms and oracles are
+# lambdas, so each call looks its function up in this module when it runs
+# and a function patched onto the module after import is the one called.
+INVARIANTS: dict[str, Invariant] = {
+    "spectrum": Invariant(
+        1, lambda c: closed_form_spectrum(c.n, c.cyclic),
+        lambda c: c.lap_eigenvalues, _judge_spectrum),
+    "charpoly": Invariant(
+        1, lambda c: tuple(char_poly_from_spectrum(closed_form_spectrum(c.n, c.cyclic)).coeffs),
+        lambda c: tuple(char_poly_exact(c.lap_matrix).coeffs)),
+    "tau": Invariant(
+        2, lambda c: spanning_tree_count_formula(c.n, c.cyclic),
+        lambda c: spanning_tree_count_kirchhoff(c.graph)),
+    "le": Invariant(
+        2, lambda c: laplacian_energy_closed_form(c.n, c.cyclic),
+        lambda c: c.lap_eigenvalues, _judge_le),
+    "kappa": Invariant(
+        1, lambda c: kappa_formula(c.n, c.cyclic),
+        lambda c: vertex_connectivity_bruteforce(c.graph)),
+    "chi": Invariant(
+        1, lambda c: chi_formula(c.n, c.cyclic),
+        lambda c: chromatic_number_exact(c.graph)),
+    # Complete graphs, the noncyclic case, are line graphs of stars.
+    "linegraph": Invariant(
+        1, lambda c: cyclic_line_graph_classification(c.n) if c.cyclic else True,
+        lambda c: is_line_graph(c.graph)),
+    "cayley": Invariant(
+        1, lambda c: cayley_classification(c.group),
+        lambda c: is_regular(c.graph) if c.cyclic else graph_isomorphic(
+            c.graph, cayley_graph(c.group, full_connection_set(c.group))),
+        _judge_cayley),
+    "perm_adj": Invariant(
+        2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),
+        lambda c: permanent_ryser(c.adj_matrix)),
+    "perm_lap": Invariant(
+        2, lambda c: clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(c.n, c.cyclic)),
+        lambda c: permanent_ryser(c.lap_matrix)),
+    "perm_complete": Invariant(
+        1, lambda c: complete_graph_laplacian_permanent(c.n),
+        lambda c: permanent_ryser(laplacian(complete_graph(c.n))),
+        lambda c, f, o: _agreement(c, f, o, f"complete graph K_{c.n}")),
 }
 
-CHECK_NAMES = tuple(_CHECKS)
+CHECK_NAMES = tuple(INVARIANTS)
 
 
-def run_one_check(check: str, family: str, spec: str, group: FiniteGroup,
-                  graph: Graph) -> CheckRecord:
-    n = group.n
-    func, min_n = _CHECKS[check]
-    if n < min_n:
+def closed_forms(n: int, cyclic: bool) -> dict[str, object]:
+    """The closed-form invariants `invariants` and `sweep` print for a group
+    of order n: phi, the Laplacian spectrum, its algebraic connectivity
+    ("a"), tau, the Laplacian energy by definition from that spectrum
+    ("le"), kappa, chi and line-graph membership."""
+    case = GroupCase(None, n, cyclic)
+    spectrum = case.formula("spectrum")
+    tau = case.formula("tau")
+    return {
+        "phi": euler_phi(n),
+        "spectrum": spectrum,
+        "a": algebraic_connectivity(spectrum),
+        # the one-vertex graph is its own spanning tree
+        "tau": 1 if tau is None else tau,
+        # the Laplacian trace is the degree sum, 2m
+        "le": laplacian_energy_from_spectrum(spectrum, spectrum.trace() // 2, n),
+        "kappa": case.formula("kappa"),
+        "chi": case.formula("chi"),
+        "linegraph": case.formula("linegraph"),
+    }
+
+
+def run_one_check(check: str, family: str, spec: str, case: GroupCase) -> CheckRecord:
+    n = case.n
+    inv = INVARIANTS[check]
+    if n < inv.min_n:
         return CheckRecord(
             check, family, spec, n, "", "", SKIPPED,
-            f"closed form stated for n >= {min_n}",
+            f"closed form stated for n >= {inv.min_n}",
         )
     try:
-        formula, oracle, status, note = func(group, graph, n, is_cyclic(group))
+        fields = inv.judge(case, inv.formula(case), inv.oracle(case))
     except SizeGuardError as e:
         return CheckRecord(check, family, spec, n, "", "", SKIPPED, str(e))
-    return CheckRecord(
-        check, family, spec, n,
-        "" if formula is None else str(formula),
-        "" if oracle is None else str(oracle),
-        status, note,
-    )
+    return CheckRecord(check, family, spec, n, *fields)
 
 
 @dataclass
@@ -350,9 +401,11 @@ def run_verify(
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"invalid range {n_lo}..{n_hi}")
-    bad = [c for c in checks if c not in _CHECKS]
+    bad = [c for c in checks if c not in INVARIANTS]
     if bad:
         raise ValueError(f"unknown checks: {', '.join(bad)}")
+    if not checks:
+        raise ValueError(f"empty check list; expected some of: {', '.join(CHECK_NAMES)}")
     if family == "cyclic":
         members = [(f"zn:{n}", make_cyclic(n)) for n in range(n_lo, n_hi + 1)]
     else:
@@ -362,7 +415,7 @@ def run_verify(
     ordered_checks = tuple(c for c in CHECK_NAMES if c in checks)
     records = []
     for spec, grp in members:
-        graph = strong_power_graph(grp)
+        case = GroupCase.of(grp)
         for check in ordered_checks:
-            records.append(run_one_check(check, family, spec, grp, graph))
+            records.append(run_one_check(check, family, spec, case))
     return VerifyReport(family, n_lo, n_hi, records)

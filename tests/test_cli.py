@@ -193,6 +193,14 @@ def test_verify_unknown_check_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_verify_empty_check_list_exits_2(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "cyclic", "--range", "1..3", "--checks", ","
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: empty check list")
+
+
 def test_verify_out_file(tmp_path, capsys):
     path = tmp_path / "report.tsv"
     code, out, _ = run(

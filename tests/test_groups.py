@@ -163,24 +163,35 @@ def test_make_from_table_rejects_empty():
 
 
 def test_make_from_table_rejects_non_latin():
-    with pytest.raises(NotLatinSquareError):
-        make_from_table([[0, 1], [1, 1]])
-    with pytest.raises(NotLatinSquareError):
-        make_from_table([[0, 5], [5, 0]])
+    # Each case names its first offending row, column or entry.
+    cases = [
+        ([[0, 1], [1, 1]], "row 1 is not a permutation of 0..1"),
+        ([[0, 5], [5, 0]], "row 0 has out-of-range entry 5"),
+        ([[0, 1, -1], [1, 2, 0], [2, 0, 1]], "row 0 has out-of-range entry -1"),
+        ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation of 0..2"),
+        ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "column 1 is not a permutation of 0..2"),
+    ]
+    for table, message in cases:
+        with pytest.raises(NotLatinSquareError) as ei:
+            make_from_table(table)
+        assert str(ei.value) == message
 
 
 def test_make_from_table_rejects_no_identity():
-    with pytest.raises(NoIdentityError):
+    with pytest.raises(NoIdentityError, match="^no two-sided identity element$"):
         make_from_table(SUBTRACTION_MOD_3)
+    # Z_3 relabelled so that its identity is 2
+    assert make_from_table([[1, 2, 0], [2, 0, 1], [0, 1, 2]]).identity == 2
 
 
 def test_make_from_table_rejects_one_sided_inverse():
-    with pytest.raises(MissingInverseError):
+    with pytest.raises(MissingInverseError, match="^element 2 has no two-sided inverse$"):
         make_from_table(ONE_SIDED_INVERSE_LOOP)
 
 
 def test_make_from_table_rejects_nonassociative():
-    with pytest.raises(NotAssociativeError, match=r"a=\d+, b=\d+, c=\d+"):
+    with pytest.raises(NotAssociativeError, match=r"^\(a\*b\)\*c != a\*\(b\*c\) for a=1, b=1, c=2$"):
         make_from_table(NONASSOCIATIVE_LOOP)
 
 

@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
+import strongpow.verify as verify
+from strongpow.cli import compute_invariant_bundle, main
 from strongpow.verify import (
     AGREE,
     CHECK_NAMES,
@@ -110,6 +113,8 @@ def test_run_verify_validation():
         run_verify("cyclic", 5, 2)
     with pytest.raises(ValueError):
         run_verify("cyclic", 2, 5, checks=("tau", "nope"))
+    with pytest.raises(ValueError, match="empty check list"):
+        run_verify("cyclic", 2, 5, checks=())
 
 
 def test_report_tsv_and_json_shapes():
@@ -132,3 +137,75 @@ def test_skip_notes_name_the_guard():
     # cayley witness but the structural fast path still settles it
     report = run_verify("corpus", 16, 16, checks=("cayley",))
     assert all(r.status == AGREE for r in report.records)
+
+
+def test_one_registry_drives_verify_invariants_and_sweep(capsys):
+    checks = ("tau", "le", "kappa", "linegraph", "perm_adj", "perm_lap")
+    bundles = {}
+    # One order at a time, so each bundle's Ryser permanents are the ones
+    # verify has just computed and memoized.
+    for family, hi in (("cyclic", 40), ("corpus", 16)):
+        for n in range(1, hi + 1):
+            recs = {}
+            for r in run_verify(family, n, n, checks).records:
+                recs.setdefault(r.spec, {})[r.check] = r
+            for spec, rec in recs.items():
+                b = bundles[spec] = compute_invariant_bundle(spec)
+                if n >= 2:
+                    assert str(b.spanning_trees) == rec["tau"].formula_value
+                    assert str(b.le_closed_form) == rec["le"].formula_value
+                else:
+                    assert b.le_closed_form is None and rec["le"].status == SKIPPED
+                if rec["kappa"].status == SKIPPED:
+                    assert b.kappa_oracle is None
+                else:
+                    assert str(b.kappa) == rec["kappa"].formula_value
+                    assert str(b.kappa_oracle) == rec["kappa"].oracle_value
+                assert str(b.line_graph).lower() == rec["linegraph"].oracle_value
+                for field, check in (("per_adj", "perm_adj"), ("per_lap", "perm_lap")):
+                    formula = getattr(b, f"{field}_formula")
+                    ryser = getattr(b, f"{field}_ryser")
+                    if rec[check].status == SKIPPED:
+                        # below the least order, or past Ryser's guard
+                        assert formula is None or ryser is None
+                    else:
+                        assert str(formula) == rec[check].formula_value
+                        assert str(ryser) == rec[check].oracle_value
+    assert len(bundles) > 48
+    assert main(["sweep", "--range", "1..40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 41
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        b = bundles[f"zn:{row['n']}"]
+        assert row == {
+            "n": str(b.n),
+            "phi": str(b.phi),
+            "spectrum": str(b.spectrum),
+            "a": str(b.algebraic_connectivity),
+            "tau": str(b.spanning_trees),
+            "le": str(b.le_definition),
+            "kappa": str(b.kappa),
+            "chi": str(b.chi),
+            "linegraph": str(b.line_graph).lower(),
+        }
+
+
+def test_each_matrix_is_built_once_per_group(monkeypatch):
+    calls = {"laplacian": [], "adjacency": [], "eigenvalues_numeric": []}
+    for name, log in calls.items():
+        def spy(arg, *args, _real=getattr(verify, name), _log=log, **kwargs):
+            _log.append(arg)
+            return _real(arg, *args, **kwargs)
+
+        monkeypatch.setattr(verify, name, spy)
+    report = run_verify("cyclic", 2, 12)
+    groups = 11
+    assert len({r.spec for r in report.records}) == groups
+    # perm_complete builds L(K_n), a different graph, once per group as well
+    for name, log in calls.items():
+        assert max(Counter(log).values()) == 1, name
+    assert len(calls["laplacian"]) <= 2 * groups
+    assert len(calls["adjacency"]) <= groups
+    assert len(calls["eigenvalues_numeric"]) <= groups
