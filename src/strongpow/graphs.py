@@ -32,14 +32,7 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # One 0/1 row per vertex, unpacked from its mask; symmetric means
-        # equal to its transpose.
-        width = (self.n + 7) // 8
-        raw = b"".join(m.to_bytes(width, "little") for m in self.adj)
-        bits = np.unpackbits(
-            np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width),
-            axis=1, count=self.n, bitorder="little",
-        )
+        bits = _bit_matrix(self)
         one_way = np.argwhere(bits > bits.T)
         if one_way.size:
             v, w = (int(i) for i in one_way[0])
@@ -66,6 +59,17 @@ class Graph:
                 m >>= 1
                 v += 1
         return out
+
+
+def _bit_matrix(graph: Graph) -> np.ndarray:
+    """The n x n 0/1 uint8 matrix whose row v is the mask adj[v] unpacked."""
+    n = graph.n
+    width = (n + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in graph.adj)
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
+        axis=1, count=n, bitorder="little",
+    )
 
 
 def _bits(mask: int):
@@ -320,14 +324,14 @@ def chromatic_number_exact(graph: Graph) -> int:
     n = graph.n
     if n == 0:
         return 0
-    if is_complete(graph):
+    full = (1 << n) - 1
+    missed = [(full ^ (1 << v) ^ m).bit_count() for v, m in enumerate(graph.adj)]
+    if not any(missed):
         return n
-    for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        if is_complete(induced_subgraph(graph, rest)):
-            # v misses at least one vertex of the (n-1)-clique, so its color
-            # can be reused.
-            return n - 1
+    if 2 * max(missed) == sum(missed):
+        # G - v is complete, as v's non-neighbours make up every non-edge;
+        # v misses a vertex of that (n-1)-clique, so its color can be reused.
+        return n - 1
     if n > CHROMATIC_ORACLE_LIMIT:
         raise SizeGuardError(
             f"chromatic_number_exact is bounded at {CHROMATIC_ORACLE_LIMIT} vertices "

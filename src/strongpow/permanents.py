@@ -51,12 +51,10 @@ def permanent_ryser(m: IntMatrix) -> int:
         raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
     if n == 0:
         return 1
-    rows = m.rows
-    if any(not any(row) for row in rows):
+    nonzero = m.array != 0
+    if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
         return 0
-    if any(not any(row[j] for row in rows) for j in range(n)):
-        return 0
-    return _permanent_rows(rows)
+    return _permanent(m)
 
 
 # 2^15 eight-byte words: the table, a block and its scratch stay cache-sized
@@ -67,13 +65,13 @@ _WORD = 1 << 64
 
 
 @functools.lru_cache(maxsize=64)
-def _permanent_rows(rows: tuple[tuple[int, ...], ...]) -> int:
+def _permanent(m: IntMatrix) -> int:
     """Permanent of a matrix with no zero row or column, from its residues
     modulo 2^64 and enough primes that their product exceeds twice the
     row-sum bound on its absolute value."""
-    bound = 2 * math.prod(sum(abs(v) for v in row) for row in rows)
+    bound = 2 * math.prod(np.abs(m.array).sum(axis=1).tolist())
     moduli = [_WORD, *_primes_above(bound >> 64)]
-    residues = [_ryser_mod(rows, q) for q in moduli]
+    residues = [_ryser_mod(m.array, q) for q in moduli]
     return _crt_lift([[r] for r in residues], moduli)[0]
 
 
@@ -95,14 +93,15 @@ def _subset_sums(cols: np.ndarray, q: int) -> tuple[np.ndarray, int]:
     return np.concatenate([even, odd], axis=1), even.shape[1]
 
 
-def _ryser_mod(rows: tuple[tuple[int, ...], ...], q: int) -> int:
+def _ryser_mod(entries: np.ndarray, q: int) -> int:
     """Ryser's sum modulo q, which is 2^64 (wrapping uint64 arithmetic) or a
     prime below 2^27 (int64). Table entries are below q, so a row sum is
     below 2q < 2^28 and every product of two stays below 2^56."""
-    n = len(rows)
+    n = len(entries)
     prime = q != _WORD
     dtype = np.int64 if prime else np.uint64
-    a = np.array([[v % q for v in row] for row in rows], dtype=dtype)
+    # reduced as Python ints, where 2^64 and entries of any size are exact
+    a = (entries.astype(object) % q).astype(dtype)
     k = min(n, (_BLOCK_ELEMENTS // n).bit_length() - 1)
     low, low_even = _subset_sums(a[:, :k], q)
     high, high_even = _subset_sums(a[:, k:], q)

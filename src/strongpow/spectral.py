@@ -18,44 +18,58 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeGuardError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bit_matrix
 from .groups import euler_phi
 
 CHAR_POLY_LIMIT = 256
 
 
 class IntMatrix:
-    """Square matrix of arbitrary-precision integers (rows of tuples)."""
+    """Square integer matrix in one read-only 2-D numpy array, `array`: int64
+    when every entry is at most (2^63 - 1) // n in size, so that no row's
+    absolute sum can overflow, else Python ints (dtype object). An array
+    passed in becomes the matrix's own, and an object array keeps its dtype.
+    Equality and hash go by value, whatever the dtype."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("array",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        self.rows = rows
+        given = isinstance(rows, np.ndarray)
+        a = rows if given else np.array(rows, dtype=object)
+        if len(a) == 0:
+            a = a.reshape(0, 0)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not (given and a.dtype == object):
+            limit = np.iinfo(np.int64).max // max(len(a), 1)
+            fits = bool(((a >= -limit) & (a <= limit)).all())
+            a = a.astype(np.int64 if fits else object, copy=False)
+        a.flags.writeable = False
+        self.array = a
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as tuples of Python ints, for the reference oracles."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.array)
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
+        return int(self.array.trace())
 
     def is_symmetric(self) -> bool:
-        r = self.rows
-        return all(r[i][j] == r[j][i] for i in range(self.n) for j in range(i))
+        return bool((self.array == self.array.T).all())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+        return isinstance(other, IntMatrix) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(tuple(self.array.ravel().tolist()))
 
     def __repr__(self) -> str:
-        return f"IntMatrix({list(map(list, self.rows))!r})"
+        return f"IntMatrix({self.array.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -143,27 +157,13 @@ class ExactSpectrum:
 
 def laplacian(graph: Graph) -> IntMatrix:
     """L = D - A; rows sum to zero."""
-    n = graph.n
-    rows = []
-    for u in range(n):
-        mask = graph.adj[u]
-        row = [0] * n
-        row[u] = mask.bit_count()
-        for w in _bits(mask):
-            row[w] = -1
-        rows.append(row)
-    return IntMatrix(rows)
+    lap = np.negative(_bit_matrix(graph), dtype=np.int64)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return IntMatrix(lap)
 
 
 def adjacency(graph: Graph) -> IntMatrix:
-    n = graph.n
-    rows = []
-    for u in range(n):
-        row = [0] * n
-        for w in _bits(graph.adj[u]):
-            row[w] = 1
-        rows.append(row)
-    return IntMatrix(rows)
+    return IntMatrix(_bit_matrix(graph).astype(np.int64))
 
 
 def det_bareiss(m: IntMatrix) -> int:
@@ -344,34 +344,27 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
         raise SizeGuardError(
             f"char_poly_exact is bounded at order {CHAR_POLY_LIMIT}, got {n}"
         )
-    return _char_poly_rows(m.rows)
+    return _char_poly(m)
 
 
 @functools.lru_cache(maxsize=8)
-def _char_poly_rows(rows: tuple[tuple[int, ...], ...]) -> CharPoly:
+def _char_poly(m: IntMatrix) -> CharPoly:
     """Characteristic polynomial from its residues modulo enough primes that
     their product exceeds twice a bound on its coefficients, the primes
     taken in blocks of about _BLOCK_WORDS words."""
-    n = len(rows)
+    n, a = m.n, m.array
     if n == 0:
         return CharPoly((1,))
     # |coeff of x^(n-k)| <= C(n,k) * rho^k with rho >= spectral radius.
-    rho = max(sum(abs(v) for v in row) for row in rows)
+    rho = int(np.abs(a).sum(axis=1).max())
     bits = n * max(rho, 2).bit_length() + n + 4
     primes = _primes_above(1 << (bits + 1))
-    # Every entry is at most rho in size; reduce past int64 in Python.
-    entries = np.array(rows, dtype=np.int64) if rho < 1 << 63 else None
     per_block = max(1, _BLOCK_WORDS // (n * n))
     residues = []
     for start in range(0, len(primes), per_block):
         block = np.array(primes[start:start + per_block], dtype=np.int64)
-        if entries is not None:
-            stack = entries % block[:, None, None]
-        else:
-            stack = np.array(
-                [[[v % q for v in row] for row in rows] for q in block.tolist()],
-                dtype=np.int64,
-            )
+        # an object array's residues are Python ints below 2^27
+        stack = (a % block[:, None, None]).astype(np.int64, copy=False)
         residues.extend(_char_poly_mod(stack, block).tolist())
     coeffs = _crt_lift(residues, primes)
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
@@ -411,17 +404,14 @@ def char_poly_from_spectrum(s: ExactSpectrum) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-def eigenvalues_numeric(m: IntMatrix, tol: float = 1e-9) -> list[float]:
+def eigenvalues_numeric(m: IntMatrix) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending, via a dense
-    symmetric eigensolver. LAPACK accuracy is far inside the stated tol for
-    the matrix sizes this library builds."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    symmetric eigensolver (LAPACK)."""
     if not m.is_symmetric():
         raise ValueError("eigenvalues_numeric requires a symmetric matrix")
     if m.n == 0:
         return []
-    return [float(v) for v in np.linalg.eigvalsh(np.array(m.rows, dtype=np.float64))]
+    return np.linalg.eigvalsh(m.array.astype(np.float64)).tolist()
 
 
 def algebraic_connectivity(s: ExactSpectrum) -> int:
@@ -451,16 +441,18 @@ def spanning_tree_count_formula(n: int, cyclic: bool) -> int:
     return n ** (n - phi - 2) * (n - phi - 1) * (n - 1) ** (phi - 1)
 
 
-def spanning_tree_count_kirchhoff(graph: Graph) -> int:
-    """Spanning trees by the all-minors matrix-tree theorem: the coefficient
-    of x in det(xI - L) is (-1)^(n-1) times the sum of the n principal
-    (n-1)-minors of the Laplacian L, each of which equals the count, so
-    c_1 = (-1)^(n-1) n tau. Read off char_poly_exact(L), which is
-    memoized, so this shares its bound of 256 vertices."""
-    n = graph.n
+def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
+    """Spanning trees of a graph from its Laplacian L, by the all-minors
+    matrix-tree theorem: the coefficient of x in det(xI - L) is (-1)^(n-1)
+    times the sum of the n principal (n-1)-minors of L, each of which
+    equals the count, so c_1 = (-1)^(n-1) n tau. Read off char_poly_exact(L),
+    which is memoized, so this shares its bound of 256 vertices."""
+    n = lap.n
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    c1 = char_poly_exact(laplacian(graph)).coeffs[1]
+    if not lap.is_symmetric() or lap.array.sum(axis=1).any():
+        raise ValueError("expected a Laplacian: symmetric, with rows summing to zero")
+    c1 = char_poly_exact(lap).coeffs[1]
     tau, rest = divmod((-1) ** (n - 1) * c1, n)
     assert rest == 0, f"x-coefficient {c1} of the Laplacian is not a multiple of {n}"
     return tau
@@ -495,15 +487,14 @@ def laplacian_energy_closed_form(n: int, cyclic: bool) -> Fraction:
 def to_matrix_market(m: IntMatrix) -> str:
     """Matrix Market coordinate text (integer field, 1-based indices); emits
     the lower triangle with the 'symmetric' qualifier when applicable."""
+    a = m.array
     symmetric = m.is_symmetric()
-    entries = []
-    for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
-            if v != 0 and (not symmetric or j <= i):
-                entries.append((i + 1, j + 1, v))
+    nonzero = a != 0
+    rows, cols = np.nonzero(np.tril(nonzero) if symmetric else nonzero)
     kind = "symmetric" if symmetric else "general"
     lines = [f"%%MatrixMarket matrix coordinate integer {kind}",
-             f"{m.n} {m.n} {len(entries)}"]
+             f"{m.n} {m.n} {len(rows)}"]
+    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), a[rows, cols].tolist())
     lines.extend(f"{i} {j} {v}" for i, j, v in entries)
     return "\n".join(lines) + "\n"
 

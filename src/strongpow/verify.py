@@ -158,7 +158,7 @@ class GroupCase:
 
     @cached_property
     def lap_eigenvalues(self) -> list[float]:
-        return eigenvalues_numeric(self.lap_matrix, tol=NUMERIC_SPECTRUM_TOL)
+        return eigenvalues_numeric(self.lap_matrix)
 
     def formula(self, check: str):
         """The check's closed form, or None below the least order it is
@@ -260,7 +260,7 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: tuple(char_poly_exact(c.lap_matrix).coeffs)),
     "tau": Invariant(
         2, lambda c: spanning_tree_count_formula(c.n, c.cyclic),
-        lambda c: spanning_tree_count_kirchhoff(c.graph)),
+        lambda c: spanning_tree_count_kirchhoff(c.lap_matrix)),
     "le": Invariant(
         2, lambda c: laplacian_energy_closed_form(c.n, c.cyclic),
         lambda c: c.lap_eigenvalues, _judge_le),

@@ -312,3 +312,41 @@ def test_symmetry_check_matches_bit_probes(masks):
     else:
         with pytest.raises(ValueError, match=rf"^asymmetric edge \({first[0]}, {first[1]}\)$"):
             Graph(n, tuple(masks))
+
+
+def chromatic_shape_by_subgraphs(graph):
+    """n for K_n and n - 1 when deleting some vertex leaves a clique, read
+    off n induced subgraphs; None for any other graph."""
+    n = graph.n
+    if is_complete(graph):
+        return n
+    for v in range(n):
+        if is_complete(induced_subgraph(graph, [u for u in range(n) if u != v])):
+            return n - 1
+    return None
+
+
+@st.composite
+def near_complete_graphs(draw):
+    # K_n less a few edges, often sharing an end, so that the shapes with
+    # and without a vertex that meets every non-edge both occur
+    n = draw(st.integers(min_value=1, max_value=22))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    hub = draw(st.integers(0, n - 1))
+    at_hub = [p for p in pairs if hub in p]
+    removed = set()
+    if pairs:
+        removed |= set(draw(st.lists(st.sampled_from(at_hub), max_size=4)))
+        removed |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    return graph_from_edges(n, [p for p in pairs if p not in removed])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_graphs(), near_complete_graphs()))
+def test_chromatic_shape_matches_induced_subgraphs(g):
+    expected = chromatic_shape_by_subgraphs(g)
+    if expected is not None:
+        assert chromatic_number_exact(g) == expected
+    elif g.n > 14:
+        with pytest.raises(SizeGuardError):
+            chromatic_number_exact(g)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from strongpow import permanents
@@ -84,7 +85,7 @@ def test_permanent_ryser_many_blocks(monkeypatch):
     # at the default block size every n <= 11 is one block; a tiny block
     # sends each of these matrices through many
     monkeypatch.setattr(permanents, "_BLOCK_ELEMENTS", 16)
-    permanents._permanent_rows.cache_clear()
+    permanents._permanent.cache_clear()
     rng = random.Random(23)
     for n in range(2, 10):
         for lo, hi in ((-3, 3), (-(10**30), 10**30)):
@@ -109,9 +110,10 @@ def test_permanent_ryser_past_two_to_the_64():
 def test_permanent_ryser_repeat_is_cached():
     m = laplacian(strong_power_graph(make_cyclic(12)))
     first = permanent_ryser(m)
-    hits = permanents._permanent_rows.cache_info().hits
+    hits = permanents._permanent.cache_info().hits
     assert permanent_ryser(IntMatrix(m.rows)) == first
-    assert permanents._permanent_rows.cache_info().hits == hits + 1
+    assert permanent_ryser(IntMatrix(np.array(m.rows, dtype=object))) == first
+    assert permanents._permanent.cache_info().hits == hits + 2
 
 
 def test_permanent_guards():

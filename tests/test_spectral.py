@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongpow import spectral
+from strongpow import permanents, spectral
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     complete_graph,
@@ -14,6 +15,7 @@ from strongpow.graphs import (
     strong_power_graph,
 )
 from strongpow.groups import euler_phi, make_cyclic, noncyclic_corpus
+from strongpow.permanents import permanent_expansion, permanent_ryser
 from strongpow.spectral import (
     CharPoly,
     ExactSpectrum,
@@ -75,6 +77,70 @@ def test_exact_spectrum_type():
     assert s.n == 4
     assert s.eigenvalues_desc() == [4, 4, 4, 0]
     assert s.trace() == 12
+
+
+def test_int_matrix_dtype_follows_the_row_sum_bound():
+    # int64 while n * max |entry| cannot overflow a row's absolute sum
+    limit = (2**63 - 1) // 3
+    for edge, dtype in ((limit, np.int64), (limit + 1, object)):
+        for v in (edge, -edge):
+            m = IntMatrix([[v, 0, 0], [0, 1, 0], [0, 0, v]])
+            assert m.array.dtype == dtype
+            assert m.rows == ((v, 0, 0), (0, 1, 0), (0, 0, v))
+            assert m.trace() == 2 * v + 1
+            assert not m.array.flags.writeable
+    assert IntMatrix([]).n == 0
+    assert IntMatrix(np.array([[2**63 - 1]], dtype=np.int64)).array.dtype == np.int64
+    assert IntMatrix(np.array([[2**62, 0], [0, 0]], dtype=np.int64)).array.dtype == object
+
+
+def test_int_matrix_backings_agree():
+    rng = random.Random(5)
+    cases = [[[1, 2], [3, 4]], [[0, -1], [-1, 0]], [[7]], []]
+    for n in (3, 6):
+        for entry in RANDOM_ENTRIES:
+            cases.append(random_square(n, rng, entry).rows)
+            cases.append(random_symmetric(n, rng, -10**30, 10**30).rows)
+    for rows in cases:
+        # nested Python rows, and an object array of the same values built
+        # separately, so that large entries are distinct int objects
+        a = IntMatrix(rows)
+        b = IntMatrix(np.array([[int(str(v)) for v in row] for row in rows],
+                               dtype=object).reshape(len(rows), len(rows)))
+        assert b.array.dtype == object
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+        assert a.rows == b.rows
+        assert a.trace() == b.trace()
+        assert a.is_symmetric() == b.is_symmetric()
+        assert to_matrix_market(a) == to_matrix_market(b)
+        values = []
+        for m in (a, b):
+            spectral._char_poly.cache_clear()
+            permanents._permanent.cache_clear()
+            values.append((char_poly_exact(m), permanent_ryser(m)))
+        assert values[0] == values[1]
+        assert values[0][0].evaluate(0) == (-1) ** a.n * det_bareiss(a)
+        if a.n <= 6:
+            assert values[0][1] == permanent_expansion(a)
+    assert IntMatrix([[1, 2], [3, 4]]) != IntMatrix([[1, 2], [3, 5]])
+    assert IntMatrix([[1]]) != IntMatrix([[1, 0], [0, 0]])
+
+
+NEIGHBOURHOOD_SIZES = (0, 1, 7, 8, 9, 63, 64, 65)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NEIGHBOURHOOD_SIZES), st.randoms(use_true_random=False),
+       st.floats(0, 1))
+def test_laplacian_and_adjacency_match_bit_probes(n, rng, density):
+    g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < density])
+    adj = [[(g.adj[u] >> w) & 1 for w in range(n)] for u in range(n)]
+    lap = [[sum(row) if w == u else -b for w, b in enumerate(row)]
+           for u, row in enumerate(adj)]
+    assert adjacency(g).rows == tuple(map(tuple, adj))
+    assert laplacian(g).rows == tuple(map(tuple, lap))
+    assert adjacency(g).array.dtype == laplacian(g).array.dtype == np.int64
 
 
 def test_laplacian_and_adjacency_matrices():
@@ -160,9 +226,9 @@ def char_poly_in_blocks(m, primes_per_block):
         if primes_per_block is not None:
             # the kernel takes _BLOCK_WORDS // n^2 primes at a time
             mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * m.n * m.n)
-        spectral._char_poly_rows.cache_clear()
+        spectral._char_poly.cache_clear()
         poly = char_poly_exact(m)
-        spectral._char_poly_rows.cache_clear()
+        spectral._char_poly.cache_clear()
     if primes_per_block is not None:
         assert all(size <= primes_per_block for size in sizes)
     return poly
@@ -260,9 +326,10 @@ def test_char_poly_exact_evaluates_to_determinant_in_blocks(primes_per_block, m,
 def test_char_poly_exact_repeat_is_cached():
     m = laplacian(strong_power_graph(make_cyclic(20)))
     first = char_poly_exact(m)
-    hits = spectral._char_poly_rows.cache_info().hits
+    hits = spectral._char_poly.cache_info().hits
     assert char_poly_exact(IntMatrix(m.rows)) is first
-    assert spectral._char_poly_rows.cache_info().hits == hits + 1
+    assert char_poly_exact(IntMatrix(np.array(m.rows, dtype=object))) is first
+    assert spectral._char_poly.cache_info().hits == hits + 2
 
 
 def test_char_poly_exact_guard():
@@ -328,13 +395,17 @@ def test_spanning_tree_count():
     assert spanning_tree_count_formula(4, False) == 16
     for n in range(2, 17):
         g = strong_power_graph(make_cyclic(n))
-        assert spanning_tree_count_formula(n, True) == spanning_tree_count_kirchhoff(g)
+        assert spanning_tree_count_formula(n, True) == spanning_tree_count_kirchhoff(laplacian(g))
     for _, grp in noncyclic_corpus(16):
         g = strong_power_graph(grp)
-        assert spanning_tree_count_formula(grp.n, False) == spanning_tree_count_kirchhoff(g)
-    assert spanning_tree_count_kirchhoff(complete_graph(4)) == 16
+        assert spanning_tree_count_formula(grp.n, False) == spanning_tree_count_kirchhoff(laplacian(g))
+    assert spanning_tree_count_kirchhoff(laplacian(complete_graph(4))) == 16
     with pytest.raises(SizeGuardError):
-        spanning_tree_count_kirchhoff(complete_graph(257))
+        spanning_tree_count_kirchhoff(laplacian(complete_graph(257)))
+    # not a Laplacian: rows that do not sum to zero, or not symmetric
+    for m in ([[1, 0], [0, 1]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]):
+        with pytest.raises(ValueError, match="expected a Laplacian"):
+            spanning_tree_count_kirchhoff(IntMatrix(m))
 
 
 def reduced_laplacian_determinant(graph):
@@ -349,22 +420,22 @@ def test_spanning_tree_count_matches_bareiss():
     graphs += [strong_power_graph(grp) for _, grp in noncyclic_corpus(24)]
     graphs += [complete_graph(n) for n in range(1, 13)]
     for g in graphs:
-        assert spanning_tree_count_kirchhoff(g) == reduced_laplacian_determinant(g), g.n
+        assert spanning_tree_count_kirchhoff(laplacian(g)) == reduced_laplacian_determinant(g), g.n
     # Cayley's formula
     for n in range(2, 13):
-        assert spanning_tree_count_kirchhoff(complete_graph(n)) == n ** (n - 2)
+        assert spanning_tree_count_kirchhoff(laplacian(complete_graph(n))) == n ** (n - 2)
 
 
 def test_spanning_tree_count_disconnected():
     # at a prime order the identity is joined to nothing
     for p in (2, 3, 5, 7, 31, 61, 127, 251):
-        assert spanning_tree_count_kirchhoff(strong_power_graph(make_cyclic(p))) == 0
+        assert spanning_tree_count_kirchhoff(laplacian(strong_power_graph(make_cyclic(p)))) == 0
     for g in (
         graph_from_edges(2, []),
         disjoint_union(complete_graph(3), complete_graph(4)),
         disjoint_union(strong_power_graph(make_cyclic(9)), complete_graph(1)),
     ):
-        assert spanning_tree_count_kirchhoff(g) == 0 == reduced_laplacian_determinant(g)
+        assert spanning_tree_count_kirchhoff(laplacian(g)) == 0 == reduced_laplacian_determinant(g)
 
 
 @st.composite
@@ -378,14 +449,14 @@ def random_graphs(draw):
 @settings(max_examples=120, deadline=None)
 @given(random_graphs())
 def test_spanning_tree_count_matches_bareiss_property(g):
-    assert spanning_tree_count_kirchhoff(g) == reduced_laplacian_determinant(g)
+    assert spanning_tree_count_kirchhoff(laplacian(g)) == reduced_laplacian_determinant(g)
 
 
 def test_spanning_tree_count_reach():
     # past the 64-vertex bound that a Bareiss minor determinant needed
     for n in (*range(65, 71), 97, 128, 256):
         g = strong_power_graph(make_cyclic(n))
-        assert spanning_tree_count_kirchhoff(g) == spanning_tree_count_formula(n, True), n
+        assert spanning_tree_count_kirchhoff(laplacian(g)) == spanning_tree_count_formula(n, True), n
 
 
 def test_laplacian_energy_from_spectrum():
