@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .errors import SizeGuardError
 from .groups import FiniteGroup
 
 BRUTEFORCE_CONSTRUCTION_LIMIT = 32
-CONNECTIVITY_ORACLE_LIMIT = 14
 CHROMATIC_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
 
@@ -215,13 +213,6 @@ def _reach(adj, start: int, keep: int) -> int:
     return seen
 
 
-def _connected_on(adj, keep: int) -> bool:
-    if keep == 0:
-        return True
-    start = (keep & -keep).bit_length() - 1
-    return _reach(adj, start, keep) == keep
-
-
 def connected_components(graph: Graph) -> list[list[int]]:
     """Vertex partition into components, each sorted, ordered by least vertex."""
     remaining = (1 << graph.n) - 1
@@ -250,27 +241,73 @@ def induced_subgraph(graph: Graph, subset) -> Graph:
     return Graph(len(vs), tuple(adj))
 
 
-def vertex_connectivity_bruteforce(graph: Graph) -> int:
+def vertex_connectivity(graph: Graph) -> int:
     """Smallest k such that deleting some k vertices disconnects the graph or
-    leaves a single vertex; 0 for disconnected or trivial graphs. Checks all
-    vertex subsets in increasing size, so bounded at 14 vertices."""
-    n = graph.n
-    if n > CONNECTIVITY_ORACLE_LIMIT:
-        raise SizeGuardError(
-            f"vertex_connectivity_bruteforce is bounded at {CONNECTIVITY_ORACLE_LIMIT} "
-            f"vertices, got {n}"
-        )
-    full = (1 << n) - 1
-    if n <= 1 or not _connected_on(graph.adj, full):
+    leaves a single vertex; 0 for disconnected or trivial graphs, n - 1 for
+    K_n. The minimum of the local connectivities over the pairs of
+    Esfahanian & Hakimi (1984): a least-degree vertex v against each vertex
+    not adjacent to it, and each non-adjacent pair of v's neighbours."""
+    adj = graph.adj
+    if graph.n <= 1:
         return 0
-    for k in range(1, n):
-        for cut in combinations(range(n), k):
-            keep = full
-            for v in cut:
-                keep ^= 1 << v
-            if keep.bit_count() <= 1 or not _connected_on(graph.adj, keep):
-                return k
-    return n - 1
+    v = min(range(graph.n), key=lambda u: adj[u].bit_count())
+    best = graph.n - 1
+    others = ((1 << graph.n) - 1) ^ (1 << v)
+    for t in _bits(others & ~adj[v]):
+        best = _local_connectivity(adj, v, t, best)
+    for a in _bits(adj[v]):
+        later = adj[v] & ~adj[a] & ~((2 << a) - 1)
+        for b in _bits(later):
+            best = _local_connectivity(adj, a, b, best)
+    return best
+
+
+def _local_connectivity(adj, s: int, t: int, cap: int) -> int:
+    """min(cap, kappa(s, t)) for non-adjacent s and t: their common
+    neighbours, which every s-t separator contains, plus the vertex-disjoint
+    s-t paths that avoid them (Menger). The paths are unit augmenting paths
+    found by BFS on the vertex-split graph, where vertex u is an arc
+    u_in -> u_out of capacity 1 (Even 1975)."""
+    common = adj[s] & adj[t]
+    found = common.bit_count()
+    keep = ~(common | (1 << s))
+    used = 0                      # vertices whose u_in -> u_out arc is full
+    flow_out = [0] * len(adj)     # flow_out[x] has w when arc x_out -> w_in is full
+    flow_in = [0] * len(adj)      # flow_in[w] has x when arc x_out -> w_in is full
+    while found < cap:
+        # BFS over (vertex, side) nodes, side 0 = in and 1 = out, from s_out
+        parent = {(s, 1): None}
+        frontier = [(s, 1)]
+        while frontier and (t, 0) not in parent:
+            nxt = []
+            for x, side in frontier:
+                if side:    # edge arcs out of x_out, and back across a full x
+                    heads = [(w, 0) for w in _bits(adj[x] & keep & ~flow_out[x])]
+                    if (used >> x) & 1:
+                        heads.append((x, 0))
+                else:       # across an empty x, or back along x's full in-arc
+                    heads = [(y, 1) for y in _bits(flow_in[x] if (used >> x) & 1 else 1 << x)]
+                for head in heads:
+                    if head not in parent:
+                        parent[head] = (x, side)
+                        nxt.append(head)
+            frontier = nxt
+        if (t, 0) not in parent:
+            break
+        head = (t, 0)
+        while parent[head] is not None:
+            (x, side), w = parent[head], head[0]
+            if x == w:      # along or back across an in -> out arc
+                used ^= 1 << w
+            elif side:      # along x_out -> w_in
+                flow_out[x] |= 1 << w
+                flow_in[w] |= 1 << x
+            else:           # back along w_out -> x_in
+                flow_out[w] &= ~(1 << x)
+                flow_in[x] &= ~(1 << w)
+            head = (x, side)
+        found += 1
+    return min(found, cap)
 
 
 def _max_clique_size(adj, n: int) -> int:

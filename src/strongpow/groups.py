@@ -1,8 +1,9 @@
 """Finite groups with elements indexed 0..n-1.
 
-Two representations: cyclic groups of any order use modular arithmetic
-implicitly (no table); every other group carries an explicit multiplication
-table, validated on construction. Groups are immutable.
+Two representations: cyclic groups use modular arithmetic implicitly (no
+table); every other group carries an explicit multiplication table, validated
+on construction. Every group has order at most MAX_TABLE_ORDER. Groups are
+immutable.
 """
 
 from __future__ import annotations
@@ -93,9 +94,11 @@ class FiniteGroup:
 
 
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group Z_n under addition mod n, for any positive order."""
+    """Cyclic group Z_n under addition mod n, for 1 <= n <= MAX_TABLE_ORDER."""
     if n < 1:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
+    if n > MAX_TABLE_ORDER:
+        raise InvalidOrderError(f"cyclic order {n} exceeds bound {MAX_TABLE_ORDER}")
     return FiniteGroup(n=n, kind="cyclic", identity=0, table=None)
 
 

@@ -27,7 +27,7 @@ from .graphs import (
     graph_isomorphic,
     is_regular,
     strong_power_graph,
-    vertex_connectivity_bruteforce,
+    vertex_connectivity,
 )
 from .spectral import (
     IntMatrix,
@@ -266,7 +266,7 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: c.lap_eigenvalues, _judge_le),
     "kappa": Invariant(
         1, lambda c: kappa_formula(c.n, c.cyclic),
-        lambda c: vertex_connectivity_bruteforce(c.graph)),
+        lambda c: vertex_connectivity(c.graph)),
     "chi": Invariant(
         1, lambda c: chi_formula(c.n, c.cyclic),
         lambda c: chromatic_number_exact(c.graph)),

@@ -14,7 +14,6 @@ from strongpow.graphs import (
     is_regular,
     strong_power_graph,
     strong_power_graph_bruteforce,
-    vertex_connectivity_bruteforce,
     induced_subgraph,
 )
 from strongpow.groups import make_cyclic, noncyclic_corpus
@@ -50,6 +49,8 @@ from strongpow.structure import (
     root_graph_search,
 )
 from strongpow.verify import CheckRecord, load_known_discrepancies, run_verify
+
+from reference import vertex_connectivity_bruteforce
 
 SPECTRUM_TOL = 1e-8
 LE_TOL = 1e-7

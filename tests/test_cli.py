@@ -113,11 +113,11 @@ def test_invariants_json_cyclic_5(capsys):
 
 
 def test_invariants_json_past_every_guard(capsys):
-    # order 42 exceeds the kappa, line-graph and Ryser oracle bounds
+    # order 42 exceeds the Ryser bound; the kappa oracle has no bound
     code, out, _ = run(capsys, "invariants", "--group", "zn:42", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["kappa_oracle"] is None
+    assert payload["kappa_oracle"] == payload["kappa"] == 29
     assert payload["per_adj"]["ryser"] is None
     assert payload["per_lap"]["ryser"] is None
     assert payload["per_adj"]["formula"] is not None
@@ -127,7 +127,7 @@ def test_invariants_json_past_every_guard(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["kappa_oracle"] is None
+    assert payload["kappa_oracle"] == payload["kappa"] == 41
     assert payload["line_graph"] is True
 
 
@@ -138,6 +138,23 @@ def test_invalid_group_spec_exits_2(capsys):
     assert "order" in err
     code, _, err = run(capsys, "build", "--group", "nonsense")
     assert code == 2 and err.startswith("error:")
+
+
+def test_orders_past_the_table_bound_exit_2(capsys):
+    # every group, cyclic ones too, is refused past 4096 before any work
+    for argv in (
+        ("build", "--group", "zn:100000"),
+        ("invariants", "--group", "zn:4097"),
+        ("verify", "--checks", "spectrum", "--family", "cyclic", "--range", "100000..100000"),
+        ("build", "--group", "dihedral:2049"),
+        ("build", "--group", "product:zn:2+zn:2049"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "exceeds bound 4096" in err
+    # sweep reads only closed forms and keeps every order
+    code, out, _ = run(capsys, "sweep", "--range", "5000..5000", "--columns", "kappa")
+    assert code == 0 and out.splitlines()[1].startswith("5000,")
 
 
 def test_invalid_range_exits_2(capsys):

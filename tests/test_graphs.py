@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import strongpow.graphs as graphs_module
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     Graph,
@@ -25,10 +27,13 @@ from strongpow.graphs import (
     star_graph,
     strong_power_graph,
     strong_power_graph_bruteforce,
-    vertex_connectivity_bruteforce,
+    vertex_connectivity,
 )
 from strongpow.groups import euler_phi, make_cyclic, make_klein, noncyclic_corpus
 from strongpow.spectral import closed_form_spectrum
+from strongpow.structure import kappa_formula
+
+from reference import vertex_connectivity_bruteforce
 
 
 def path_graph(n):
@@ -175,6 +180,90 @@ def test_vertex_connectivity():
     assert vertex_connectivity_bruteforce(complete_graph(1)) == 0
     with pytest.raises(SizeGuardError):
         vertex_connectivity_bruteforce(complete_graph(15))
+
+
+@st.composite
+def connectivity_graphs(draw):
+    # random graphs on 0..12 vertices at a drawn density, so sparse,
+    # disconnected, dense and complete graphs all occur
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    density = draw(st.integers(1, 4))
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k < density])
+
+
+@settings(max_examples=300, deadline=None)
+@given(connectivity_graphs())
+def test_vertex_connectivity_matches_bruteforce(g):
+    assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g)
+
+
+def two_cliques_through_low_vertex():
+    """K_5 on 0..4 and K_5 on 5..9 joined by s = 10, adjacent to all ten,
+    and v = 11, adjacent to 0, 1, 5 and 6. v has least degree and lies in
+    the only 2-separator {v, s}; each non-neighbour t of v has
+    kappa(v, t) = 3, so only a pair of v's neighbours finds kappa = 2."""
+    sides = [range(0, 5), range(5, 10)]
+    edges = [(a, b) for side in sides for a in side for b in side if a < b]
+    edges += [(a, 10) for a in range(10)] + [(a, 11) for a in (0, 1, 5, 6)]
+    return graph_from_edges(12, edges)
+
+
+def test_vertex_connectivity_boundary_cases():
+    cases = [
+        Graph(0, ()),
+        complete_graph(1),
+        Graph(5, (0,) * 5),
+        complete_graph(2),
+        complete_graph(9),
+        star_graph(6),
+        disjoint_union(complete_graph(3), complete_graph(4)),
+        disjoint_union(complete_graph(1), complete_graph(5)),
+        path_graph(7),
+        cycle_graph(8),
+        two_cliques_through_low_vertex(),
+    ]
+    for g in cases:
+        assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g)
+    assert [vertex_connectivity(g) for g in cases] == [0, 0, 0, 1, 8, 1, 0, 0, 1, 2, 2]
+
+
+def test_vertex_connectivity_pairs_start_at_least_degree(monkeypatch):
+    # The pairs of a leaf of K_{1,10} are the other 9 leaves; the centre,
+    # vertex 0, would give all C(10, 2) = 45 pairs of its neighbours.
+    pairs = []
+    local = graphs_module._local_connectivity
+
+    def record(adj, s, t, cap):
+        pairs.append((s, t))
+        return local(adj, s, t, cap)
+
+    monkeypatch.setattr(graphs_module, "_local_connectivity", record)
+    assert vertex_connectivity(star_graph(10)) == 1
+    assert len(pairs) == 9
+
+
+def test_vertex_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    for _ in range(60):
+        n = rng.randint(15, 40)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        assert vertex_connectivity(graph_from_edges(n, edges)) == nx.node_connectivity(ref)
+
+
+def test_vertex_connectivity_matches_kappa_formula():
+    for n in range(1, 257):
+        g = strong_power_graph(make_cyclic(n))
+        assert vertex_connectivity(g) == kappa_formula(n, True), n
+    for spec, grp in noncyclic_corpus(24):
+        g = strong_power_graph(grp)
+        assert vertex_connectivity(g) == kappa_formula(grp.n, False), spec
 
 
 def test_chromatic_number():

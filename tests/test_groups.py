@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongpow.groups import (
+    MAX_TABLE_ORDER,
     FiniteGroup,
     GroupSpecError,
     InvalidOrderError,
@@ -72,6 +73,12 @@ def test_make_cyclic_rejects_nonpositive():
         make_cyclic(0)
     with pytest.raises(InvalidOrderError):
         make_cyclic(-3)
+
+
+def test_make_cyclic_rejects_order_past_bound():
+    assert make_cyclic(MAX_TABLE_ORDER).n == MAX_TABLE_ORDER
+    with pytest.raises(InvalidOrderError, match="exceeds bound 4096"):
+        make_cyclic(MAX_TABLE_ORDER + 1)
 
 
 def test_trivial_group():

@@ -16,7 +16,6 @@ from strongpow.graphs import (
     is_regular,
     star_graph,
     strong_power_graph,
-    vertex_connectivity_bruteforce,
 )
 from strongpow.groups import (
     euler_phi,
@@ -42,6 +41,8 @@ from strongpow.structure import (
     line_graph_root,
     root_graph_search,
 )
+
+from reference import vertex_connectivity_bruteforce
 
 
 def path_graph(n):
