@@ -14,7 +14,6 @@ from strongpow import (
     CliqueParams,
     adjacency,
     clique_plus_vertex_adjacency_permanent,
-    clique_plus_vertex_graph,
     clique_plus_vertex_laplacian_permanent,
     complete_graph,
     complete_graph_laplacian_permanent,
@@ -35,27 +34,6 @@ for n in range(2, 15):
     pl_ryser = permanent_ryser(laplacian(graph))
     assert pa_formula == pa_ryser and pl_formula == pl_ryser
     print(f"{n:>3} {pa_formula:>16} {pa_ryser:>16} {pl_formula:>16} {pl_ryser:>16}")
-
-# the cyclic case is one slice of the general clique-plus-vertex family:
-# a clique on m + k vertices with one extra vertex joined to k of them;
-# Z_n sits at m = phi(n), k = n - phi(n) - 1
-print()
-print("general clique-plus-vertex family, adjacency permanents (m rows, k cols):")
-header = "     " + "".join(f"{k:>10}" for k in range(0, 6))
-print(header)
-for m in range(0, 6):
-    cells = []
-    for k in range(0, 6):
-        if m + k == 0:
-            cells.append(f"{'-':>10}")
-            continue
-        p = CliqueParams(m, k)
-        value = clique_plus_vertex_adjacency_permanent(p)
-        g = clique_plus_vertex_graph(m, k)
-        assert value == permanent_ryser(adjacency(g))
-        assert clique_plus_vertex_laplacian_permanent(p) == permanent_ryser(laplacian(g))
-        cells.append(f"{value:>10}")
-    print(f"m={m:>2} " + "".join(cells))
 
 # noncyclic groups give complete graphs, where the Laplacian permanent has
 # its own alternating closed form

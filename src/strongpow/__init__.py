@@ -4,6 +4,9 @@ classification, with every closed form paired against an independent oracle.
 
 The strong power graph of a finite group G of order n joins distinct
 elements a and b whenever a^i = b^j for some exponents 1 <= i, j <= n-1.
+
+The names below are the package's public API. The command line lives in
+`strongpow.cli`, which importing the package does not load.
 """
 
 from .errors import SizeGuardError
@@ -18,7 +21,6 @@ from .groups import (
     NotLatinSquareError,
     element_order,
     euler_phi,
-    generators,
     is_cyclic,
     load_cayley_table_csv,
     make_cyclic,
@@ -33,23 +35,15 @@ from .groups import (
 from .graphs import (
     Graph,
     chromatic_number_exact,
-    clique_plus_vertex_graph,
     complete_graph,
-    connected_components,
     degree_sequence,
-    disjoint_union,
     graph_from_edges,
-    graph_from_json,
     graph_isomorphic,
     graph_to_dot,
     graph_to_json,
-    induced_subgraph,
     is_complete,
     is_regular,
-    power_closure,
-    star_graph,
     strong_power_graph,
-    strong_power_graph_bruteforce,
     vertex_connectivity,
 )
 from .spectral import (
@@ -61,14 +55,12 @@ from .spectral import (
     char_poly_exact,
     char_poly_from_spectrum,
     closed_form_spectrum,
-    det_bareiss,
     eigenvalues_numeric,
     laplacian,
     laplacian_energy_closed_form,
     laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
-    spectrum_to_json,
     to_matrix_market,
 )
 from .permanents import (
@@ -76,25 +68,18 @@ from .permanents import (
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    permanent_expansion,
     permanent_ryser,
 )
 from .structure import (
     ConnectionSet,
-    ForbiddenPatternSet,
-    beineke_patterns,
     cayley_classification,
     cayley_graph,
     chi_formula,
-    contains_induced,
     cyclic_line_graph_classification,
-    cyclic_line_graph_root,
     full_connection_set,
     is_line_graph,
     kappa_formula,
-    line_graph_construct,
     line_graph_root,
-    root_graph_search,
 )
 from .verify import (
     CHECK_NAMES,
@@ -104,97 +89,5 @@ from .verify import (
     load_known_discrepancies,
     run_verify,
 )
-from .cli import InvariantBundle, compute_invariant_bundle
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SizeGuardError",
-    "FiniteGroup",
-    "GroupError",
-    "GroupSpecError",
-    "InvalidOrderError",
-    "MissingInverseError",
-    "NoIdentityError",
-    "NotAssociativeError",
-    "NotLatinSquareError",
-    "element_order",
-    "euler_phi",
-    "generators",
-    "is_cyclic",
-    "load_cayley_table_csv",
-    "make_cyclic",
-    "make_dihedral",
-    "make_direct_product",
-    "make_from_table",
-    "make_klein",
-    "make_symmetric",
-    "noncyclic_corpus",
-    "parse_group_spec",
-    "Graph",
-    "chromatic_number_exact",
-    "clique_plus_vertex_graph",
-    "complete_graph",
-    "connected_components",
-    "degree_sequence",
-    "disjoint_union",
-    "graph_from_edges",
-    "graph_from_json",
-    "graph_isomorphic",
-    "graph_to_dot",
-    "graph_to_json",
-    "induced_subgraph",
-    "is_complete",
-    "is_regular",
-    "power_closure",
-    "star_graph",
-    "strong_power_graph",
-    "strong_power_graph_bruteforce",
-    "vertex_connectivity",
-    "CharPoly",
-    "ExactSpectrum",
-    "IntMatrix",
-    "adjacency",
-    "algebraic_connectivity",
-    "char_poly_exact",
-    "char_poly_from_spectrum",
-    "closed_form_spectrum",
-    "det_bareiss",
-    "eigenvalues_numeric",
-    "laplacian",
-    "laplacian_energy_closed_form",
-    "laplacian_energy_from_spectrum",
-    "spanning_tree_count_formula",
-    "spanning_tree_count_kirchhoff",
-    "spectrum_to_json",
-    "to_matrix_market",
-    "CliqueParams",
-    "clique_plus_vertex_adjacency_permanent",
-    "clique_plus_vertex_laplacian_permanent",
-    "complete_graph_laplacian_permanent",
-    "permanent_expansion",
-    "permanent_ryser",
-    "ConnectionSet",
-    "ForbiddenPatternSet",
-    "beineke_patterns",
-    "cayley_classification",
-    "cayley_graph",
-    "chi_formula",
-    "contains_induced",
-    "cyclic_line_graph_classification",
-    "cyclic_line_graph_root",
-    "full_connection_set",
-    "is_line_graph",
-    "kappa_formula",
-    "line_graph_construct",
-    "line_graph_root",
-    "root_graph_search",
-    "CHECK_NAMES",
-    "CheckRecord",
-    "KnownDiscrepancy",
-    "VerifyReport",
-    "load_known_discrepancies",
-    "run_verify",
-    "InvariantBundle",
-    "compute_invariant_bundle",
-]

@@ -231,6 +231,8 @@ def cmd_sweep(args) -> int:
         bad = [c for c in requested if c not in SWEEP_COLUMNS]
         if bad:
             raise ValueError(f"unknown sweep columns: {', '.join(bad)}")
+        if not requested:
+            raise ValueError(f"empty column list; expected some of: {', '.join(SWEEP_COLUMNS)}")
         columns = [c for c in SWEEP_COLUMNS if c == "n" or c in requested]
     else:
         columns = list(SWEEP_COLUMNS)

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import SizeGuardError
 from .groups import FiniteGroup
 
-BRUTEFORCE_CONSTRUCTION_LIMIT = 32
 CHROMATIC_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
 
@@ -94,38 +93,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
-def star_graph(n: int) -> Graph:
-    """K_{1,n}: center 0, leaves 1..n."""
-    leaves = ((1 << n) - 1) << 1
-    return Graph(n + 1, (leaves,) + tuple(1 for _ in range(n)))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    adj = list(a.adj) + [m << a.n for m in b.adj]
-    return Graph(a.n + b.n, tuple(adj))
-
-
-def clique_plus_vertex_graph(m: int, k: int) -> Graph:
-    """Clique on m+k vertices plus one extra vertex adjacent to the last k of
-    them (so non-adjacent to the first m). Total m+k+1 vertices."""
-    if m < 0 or k < 0:
-        raise ValueError("clique parameters must be nonnegative")
-    c = m + k
-    full = (1 << c) - 1
-    adj = [full ^ (1 << v) for v in range(c)]
-    extra = ((1 << k) - 1) << m if k else 0
-    for v in _bits(extra):
-        adj[v] |= 1 << c
-    adj.append(extra)
-    return Graph(c + 1, tuple(adj))
-
-
-def power_closure(g: FiniteGroup, x: int) -> frozenset[int]:
-    """{x^m : 1 <= m <= n-1}. Equals <x> when the order of x is < n, and
-    <x> minus the identity when x generates. Empty for the trivial group."""
-    return frozenset(_bits(_closure_mask(g, x)))
-
-
 def _closure_mask(g: FiniteGroup, x: int) -> int:
     n = g.n
     if g.kind == "cyclic":
@@ -161,31 +128,6 @@ def strong_power_graph(g: FiniteGroup) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def strong_power_graph_bruteforce(g: FiniteGroup) -> Graph:
-    """Same graph by direct enumeration of the defining condition, one
-    (m1, m2) pair at a time. Independent of the bitset route; O(n^4)."""
-    n = g.n
-    if n > BRUTEFORCE_CONSTRUCTION_LIMIT:
-        raise SizeGuardError(
-            f"strong_power_graph_bruteforce is bounded at order "
-            f"{BRUTEFORCE_CONSTRUCTION_LIMIT}, got {n}"
-        )
-    powers = []
-    for x in range(n):
-        row = []
-        y = x
-        for _ in range(n - 1):
-            row.append(y)
-            y = g.op(y, x)
-        powers.append(row)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if any(pa == pb for pa in powers[a] for pb in powers[b]):
-                edges.append((a, b))
-    return graph_from_edges(n, edges)
-
-
 def degree_sequence(graph: Graph) -> list[int]:
     """Vertex degrees in ascending order."""
     return sorted(m.bit_count() for m in graph.adj)
@@ -198,47 +140,6 @@ def is_regular(graph: Graph) -> bool:
 def is_complete(graph: Graph) -> bool:
     full = (1 << graph.n) - 1
     return all(m == full ^ (1 << v) for v, m in enumerate(graph.adj))
-
-
-def _reach(adj, start: int, keep: int) -> int:
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        nxt &= keep & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
-def connected_components(graph: Graph) -> list[list[int]]:
-    """Vertex partition into components, each sorted, ordered by least vertex."""
-    remaining = (1 << graph.n) - 1
-    out = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _reach(graph.adj, start, remaining)
-        out.append(sorted(_bits(comp)))
-        remaining &= ~comp
-    return out
-
-
-def induced_subgraph(graph: Graph, subset) -> Graph:
-    """Subgraph on the given vertices, relabeled 0..k-1 in sorted order."""
-    vs = sorted(set(subset))
-    for v in vs:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
-    adj = []
-    for u in vs:
-        m = 0
-        for j, v in enumerate(vs):
-            if (graph.adj[u] >> v) & 1:
-                m |= 1 << j
-        adj.append(m)
-    return Graph(len(vs), tuple(adj))
 
 
 def vertex_connectivity(graph: Graph) -> int:
@@ -449,22 +350,6 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
 
 def graph_to_json(graph: Graph) -> str:
     return json.dumps({"n": graph.n, "edges": [[u, v] for u, v in graph.edges()]})
-
-
-def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) != {"n", "edges"}:
-        raise ValueError("expected an object with keys 'n' and 'edges'")
-    n = data["n"]
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("'n' must be a nonnegative integer")
-    edges = []
-    for item in data["edges"]:
-        u, v = item
-        if not (isinstance(u, int) and isinstance(v, int) and u < v):
-            raise ValueError(f"edge {item!r} must be [u, v] with u < v")
-        edges.append((u, v))
-    return graph_from_edges(n, edges)
 
 
 def graph_to_dot(graph: Graph) -> str:

@@ -76,19 +76,6 @@ class FiniteGroup:
                 return y
         raise MissingInverseError(f"element {x} has no inverse")
 
-    def power(self, x: int, m: int) -> int:
-        """x composed with itself m times (m >= 0)."""
-        if self.table is None:
-            return (x * m) % self.n
-        acc = self.identity
-        base = x
-        while m:
-            if m & 1:
-                acc = self.table[acc][base]
-            base = self.table[base][base]
-            m >>= 1
-        return acc
-
     def elements(self) -> range:
         return range(self.n)
 
@@ -267,14 +254,6 @@ def is_cyclic(g: FiniteGroup) -> bool:
     if g.kind == "cyclic":
         return True
     return any(element_order(g, x) == g.n for x in range(g.n))
-
-
-def generators(g: FiniteGroup) -> frozenset[int]:
-    """Elements of order exactly n (empty for noncyclic groups)."""
-    if g.kind == "cyclic":
-        # gcd(0, 1) == 1, so the trivial group correctly reports {0}.
-        return frozenset(x for x in range(g.n) if math.gcd(x, g.n) == 1)
-    return frozenset(x for x in range(g.n) if element_order(g, x) == g.n)
 
 
 def euler_phi(n: int) -> int:

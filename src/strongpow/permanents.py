@@ -1,10 +1,10 @@
 """Exact matrix permanents and the closed-form permanent expressions for
 strong power graphs.
 
-Two independent oracles (Ryser inclusion-exclusion, permanent-minor
-expansion) pin down ground truth; the closed forms are transcribed exactly as
-displayed in their sources, sign conventions and all, and the verify harness
-records where each matches the oracle. Nothing here "fixes" a closed form.
+Ryser's inclusion-exclusion is the oracle that pins down ground truth; the
+closed forms are transcribed exactly as displayed in their sources, sign
+conventions and all, and the verify harness records where each matches the
+oracle. Nothing here "fixes" a closed form.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
-from .graphs import _bits
 from .spectral import IntMatrix, _crt_lift, _primes_above
 from .groups import euler_phi
 
 RYSER_LIMIT = 24
-EXPANSION_LIMIT = 10
 
 
 def _comb(a: int, b: int) -> int:
@@ -128,30 +126,6 @@ def _ryser_mod(entries: np.ndarray, q: int) -> int:
         signed = int(prods[:low_even].sum()) - int(prods[low_even:].sum())
         total += signed if index < high_even else -signed
     return (-total if n % 2 else total) % q
-
-
-def permanent_expansion(m: IntMatrix) -> int:
-    """Exact permanent by expansion along successive rows (the permanent
-    analogue of cofactor expansion, without sign alternation). Independent of
-    the Ryser route; bounded at order 10."""
-    n = m.n
-    if n > EXPANSION_LIMIT:
-        raise SizeGuardError(
-            f"permanent_expansion is bounded at order {EXPANSION_LIMIT}, got {n}"
-        )
-    rows = m.rows
-
-    def expand(i: int, free: int) -> int:
-        if i == n:
-            return 1
-        total = 0
-        for j in _bits(free):
-            a = rows[i][j]
-            if a:
-                total += a * expand(i + 1, free ^ (1 << j))
-        return total
-
-    return expand(0, (1 << n) - 1)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ compares them.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,40 +163,6 @@ def laplacian(graph: Graph) -> IntMatrix:
 
 def adjacency(graph: Graph) -> IntMatrix:
     return IntMatrix(_bit_matrix(graph).astype(np.int64))
-
-
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Every division in the update is exact over the integers, so no rationals
-    appear at any point. The tests cross-check char_poly_exact and
-    spanning_tree_count_kirchhoff against it.
-    """
-    n = m.n
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 # --- exact characteristic polynomial -------------------------------------
@@ -498,7 +463,3 @@ def to_matrix_market(m: IntMatrix) -> str:
     lines.extend(f"{i} {j} {v}" for i, j, v in entries)
     return "\n".join(lines) + "\n"
 
-
-def spectrum_to_json(s: ExactSpectrum) -> str:
-    """JSON list of [eigenvalue, multiplicity] pairs, eigenvalues descending."""
-    return json.dumps([[value, mult] for value, mult in s.pairs])

@@ -1,126 +1,17 @@
 """Structural classification of strong power graphs: line-graph recognition
 by root-graph reconstruction (Roussopoulos 1973; Lehot 1974), which returns
-the root and the edge map that certify each "yes"; the nine forbidden
-induced subgraphs (Beineke) and an exhaustive root-graph search, kept as
-cross-checks and for the gallery demo; Cayley-graph construction and
-classification; and the connectivity and chromatic-number closed forms.
+the root and the edge map that certify each "yes"; Cayley-graph
+construction and classification; and the connectivity and chromatic-number
+closed forms.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SizeGuardError
-from .graphs import (
-    Graph,
-    _bits,
-    complete_graph,
-    disjoint_union,
-    graph_from_edges,
-    graph_isomorphic,
-    star_graph,
-)
+from .graphs import Graph, _bits, graph_from_edges
 from .groups import FiniteGroup, euler_phi, is_cyclic
-
-ROOT_SEARCH_HOST_LIMIT = 7
-ROOT_SEARCH_VERTEX_LIMIT = 8
-PATTERN_VERTEX_LIMIT = 6
-
-# The nine minimal graphs that are not line graphs, as vertex-count/edge-list
-# pairs in a canonical order (vertex count, edge count, degree sequence,
-# lexicographically least edge list over all relabelings). First is K_{1,3}.
-# The test suite re-derives both defining properties from scratch with
-# root_graph_search rather than trusting this transcription.
-_BEINEKE_EDGES = (
-    (4, ((0, 1), (0, 2), (0, 3))),
-    (5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4))),
-    (5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4))),
-    (6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5))),
-    (6, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))),
-    (6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (4, 5))),
-    (6, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 5), (2, 4), (3, 5))),
-    (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5))),
-    (6, ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5))),
-)
-
-@dataclass(frozen=True)
-class ForbiddenPatternSet:
-    """The nine minimal non-line graphs. A graph is a line graph exactly when
-    none of these occurs as an induced subgraph."""
-
-    patterns: tuple[Graph, ...]
-
-    def __post_init__(self):
-        if len(self.patterns) != 9:
-            raise ValueError(f"expected nine patterns, got {len(self.patterns)}")
-        for p in self.patterns:
-            if not 4 <= p.n <= PATTERN_VERTEX_LIMIT:
-                raise ValueError(f"pattern on {p.n} vertices is out of range 4..6")
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-@functools.lru_cache(maxsize=1)
-def beineke_patterns() -> ForbiddenPatternSet:
-    """The canonical nine minimal non-line graphs, claw first."""
-    return ForbiddenPatternSet(
-        tuple(graph_from_edges(n, edges) for n, edges in _BEINEKE_EDGES)
-    )
-
-def contains_induced(host: Graph, pattern: Graph) -> bool:
-    """True iff some vertex subset of host induces a graph isomorphic to
-    pattern. Both adjacency and non-adjacency must match, so supergraphs of
-    the pattern do not count.
-
-    Backtracking with forward checking: each unplaced pattern vertex keeps a
-    candidate bitmask over host vertices, every placement narrows all of them
-    in bulk, and the most-constrained vertex is placed next. Dead branches
-    (an empty candidate set) are cut before recursion."""
-    if pattern.n > PATTERN_VERTEX_LIMIT:
-        raise SizeGuardError(
-            f"contains_induced patterns are bounded at {PATTERN_VERTEX_LIMIT} "
-            f"vertices, got {pattern.n}"
-        )
-    k, n = pattern.n, host.n
-    if k > n:
-        return False
-    if k == 0:
-        return True
-    full = (1 << n) - 1
-    pdeg = [pattern.adj[u].bit_count() for u in range(k)]
-    hdeg = [host.adj[v].bit_count() for v in range(n)]
-    base = []
-    for u in range(k):
-        m = 0
-        for v in range(n):
-            if hdeg[v] >= pdeg[u]:
-                m |= 1 << v
-        if not m:
-            return False
-        base.append(m)
-
-    def place(masks: list[int], remaining: int) -> bool:
-        if not remaining:
-            return True
-        u = min(_bits(remaining), key=lambda x: masks[x].bit_count())
-        rest = remaining ^ (1 << u)
-        for v in _bits(masks[u]):
-            avoid = full ^ (1 << v)
-            hadj = host.adj[v]
-            narrowed = list(masks)
-            for w in _bits(rest):
-                m = narrowed[w] & (hadj if (pattern.adj[u] >> w) & 1 else hadj ^ full) & avoid
-                if not m:
-                    break
-                narrowed[w] = m
-            else:
-                if place(narrowed, rest):
-                    return True
-        return False
-
-    return place(base, (1 << k) - 1)
 
 def _is_clique(adj, mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in _bits(mask))
@@ -232,92 +123,8 @@ def line_graph_root(g: Graph) -> Optional[tuple[Graph, tuple[tuple[int, int], ..
 def is_line_graph(g: Graph) -> bool:
     """True iff g is the line graph of some simple graph, decided by
     rebuilding a root with line_graph_root: O(n) operations on n-bit masks,
-    with no size guard. The Beineke search (contains_induced over
-    beineke_patterns) is its cross-check in the tests."""
+    with no size guard."""
     return line_graph_root(g) is not None
-
-def line_graph_construct(g: Graph) -> Graph:
-    """The line graph L(g): one vertex per edge of g in lexicographic edge
-    order, adjacent iff the edges share an endpoint."""
-    edges = g.edges()
-    m = len(edges)
-    pairs = []
-    for i in range(m):
-        u1, v1 = edges[i]
-        for j in range(i + 1, m):
-            u2, v2 = edges[j]
-            if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
-                pairs.append((i, j))
-    return graph_from_edges(m, pairs)
-
-def root_graph_search(g: Graph, max_root_vertices: int = ROOT_SEARCH_VERTEX_LIMIT) -> Optional[Graph]:
-    """Exhaustive search for a graph H with L(H) isomorphic to g, over edge
-    sets of size g.n on at most max_root_vertices vertices. Returns the first
-    root in a fixed deterministic order, or None when no root exists within
-    the bound (so None on a ≤ 7-vertex input proves g is not a line graph
-    with a small root).
-
-    Candidates are enumerated as lexicographic edge sequences that introduce
-    new vertices in order, which visits every isomorphism class exactly via
-    its breadth-first labeling; candidates are pre-filtered by the line-graph
-    edge count sum(C(deg, 2)) before the isomorphism check.
-    """
-    if g.n > ROOT_SEARCH_HOST_LIMIT:
-        raise SizeGuardError(
-            f"root_graph_search hosts are bounded at {ROOT_SEARCH_HOST_LIMIT} "
-            f"vertices, got {g.n}"
-        )
-    if max_root_vertices > ROOT_SEARCH_VERTEX_LIMIT:
-        raise SizeGuardError(
-            f"root_graph_search roots are bounded at {ROOT_SEARCH_VERTEX_LIMIT} "
-            f"vertices, got {max_root_vertices}"
-        )
-    if max_root_vertices < 0:
-        raise ValueError("max_root_vertices must be nonnegative")
-    k = g.n
-    if k == 0:
-        return Graph(0, ())
-    target = g.edge_count()
-    r = max_root_vertices
-    all_edges = [(u, v) for u in range(r) for v in range(u + 1, r)]
-    total = len(all_edges)
-    # Adding an edge raises sum(C(deg, 2)) by deg(u)+deg(v), at most 2(r-1).
-    max_gain = 2 * (r - 1) if r > 1 else 0
-    deg = [0] * r
-    chosen: list[tuple[int, int]] = []
-
-    def search(start: int, pair_sum: int, max_seen: int) -> Optional[Graph]:
-        if len(chosen) == k:
-            if pair_sum != target:
-                return None
-            h = graph_from_edges(max_seen + 1, chosen)
-            if graph_isomorphic(line_graph_construct(h), g):
-                return h
-            return None
-        need = k - len(chosen)
-        if total - start < need or pair_sum + need * max_gain < target:
-            return None
-        for idx in range(start, total):
-            u, v = all_edges[idx]
-            if v > max_seen + 1 and not (u == max_seen + 1 and v == max_seen + 2):
-                continue
-            gain = deg[u] + deg[v]
-            if pair_sum + gain > target:
-                # Taking this edge overshoots; later edges touch other
-                # endpoints and may still fit, so skip just this one.
-                continue
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append((u, v))
-            found = search(idx + 1, pair_sum + gain, max(max_seen, v))
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-            if found is not None:
-                return found
-        return None
-
-    return search(0, 0, -1)
 
 def cyclic_line_graph_classification(n: int) -> bool:
     """True iff the strong power graph of Z_n is a line graph, which happens
@@ -326,24 +133,6 @@ def cyclic_line_graph_classification(n: int) -> bool:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     return n in (1, 4, 9) or euler_phi(n) == n - 1
-
-def cyclic_line_graph_root(n: int) -> Graph:
-    """An explicit root graph H with L(H) isomorphic to the strong power
-    graph of Z_n, for the orders where one exists: K_2 for n = 1,
-    K_{1,n-1} + K_2 for prime n, a star with a pendant on one leaf for
-    n = 4, and a 9-vertex star with one leaf-leaf edge for n = 9 (no root on
-    fewer than 9 vertices exists: eight pairwise-intersecting edges force a
-    degree-8 star center)."""
-    if n == 1:
-        return complete_graph(2)
-    if n == 4:
-        return graph_from_edges(5, ((0, 1), (0, 2), (0, 3), (1, 4)))
-    if n == 9:
-        star9 = tuple((0, v) for v in range(1, 9))
-        return graph_from_edges(9, star9 + ((1, 2),))
-    if not cyclic_line_graph_classification(n):
-        raise ValueError(f"strong power graph of Z_{n} is not a line graph")
-    return disjoint_union(star_graph(n - 1), complete_graph(2))
 
 @dataclass(frozen=True)
 class ConnectionSet:

@@ -7,14 +7,11 @@ per criterion, even on failure.
 """
 
 from strongpow.graphs import (
-    clique_plus_vertex_graph,
     complete_graph,
     chromatic_number_exact,
     graph_isomorphic,
     is_regular,
     strong_power_graph,
-    strong_power_graph_bruteforce,
-    induced_subgraph,
 )
 from strongpow.groups import make_cyclic, noncyclic_corpus
 from strongpow.permanents import (
@@ -22,7 +19,6 @@ from strongpow.permanents import (
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    permanent_expansion,
     permanent_ryser,
 )
 from strongpow.spectral import (
@@ -37,20 +33,26 @@ from strongpow.spectral import (
     spanning_tree_count_kirchhoff,
 )
 from strongpow.structure import (
-    beineke_patterns,
     cayley_graph,
     chi_formula,
     cyclic_line_graph_classification,
-    cyclic_line_graph_root,
     full_connection_set,
     is_line_graph,
     kappa_formula,
-    line_graph_construct,
-    root_graph_search,
 )
 from strongpow.verify import CheckRecord, load_known_discrepancies, run_verify
 
-from reference import vertex_connectivity_bruteforce
+from reference import (
+    BEINEKE_PATTERNS,
+    clique_plus_vertex_graph,
+    cyclic_line_graph_root,
+    induced_subgraph,
+    line_graph_construct,
+    permanent_expansion,
+    root_graph_search,
+    strong_power_graph_bruteforce,
+    vertex_connectivity_bruteforce,
+)
 
 SPECTRUM_TOL = 1e-8
 LE_TOL = 1e-7
@@ -169,7 +171,7 @@ def test_criterion_5_line_graphs(criteria_log):
         g = strong_power_graph(make_cyclic(n))
         if is_line_graph(g) != cyclic_line_graph_classification(n):
             failures.append(f"n={n}: recognizer disagrees with classification")
-    for i, p in enumerate(beineke_patterns()):
+    for i, p in enumerate(BEINEKE_PATTERNS):
         if root_graph_search(p) is not None:
             failures.append(f"pattern {i} has a root graph")
         for v in range(p.n):

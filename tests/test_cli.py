@@ -110,6 +110,8 @@ def test_invariants_json_cyclic_5(capsys):
     assert payload["kappa"] == 0
     assert payload["line_graph"] is True
     assert payload["cayley"] is False
+    # K_4 on the non-identity elements, with the identity isolated
+    assert payload["spectrum"] == [[4, 3], [0, 2]]
 
 
 def test_invariants_json_past_every_guard(capsys):
@@ -299,6 +301,13 @@ def test_sweep_columns_subset(capsys):
 def test_sweep_unknown_column_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--range", "2..4", "--columns", "zeta")
     assert code == 2 and err.startswith("error:")
+
+
+def test_sweep_empty_column_list_exits_2(capsys):
+    # as `verify --checks ,` does, an empty list is an error, not the n column
+    code, out, err = run(capsys, "sweep", "--range", "2..4", "--columns", ",")
+    assert code == 2 and out == ""
+    assert err == f"error: empty column list; expected some of: {', '.join(cli.SWEEP_COLUMNS)}\n"
 
 
 def test_sweep_deterministic(capsys):

@@ -9,31 +9,32 @@ import strongpow.graphs as graphs_module
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     Graph,
+    _closure_mask,
     chromatic_number_exact,
-    clique_plus_vertex_graph,
     complete_graph,
-    connected_components,
     degree_sequence,
-    disjoint_union,
     graph_from_edges,
-    graph_from_json,
     graph_isomorphic,
     graph_to_dot,
     graph_to_json,
-    induced_subgraph,
     is_complete,
     is_regular,
-    power_closure,
-    star_graph,
     strong_power_graph,
-    strong_power_graph_bruteforce,
     vertex_connectivity,
 )
 from strongpow.groups import euler_phi, make_cyclic, make_klein, noncyclic_corpus
 from strongpow.spectral import closed_form_spectrum
 from strongpow.structure import kappa_formula
 
-from reference import vertex_connectivity_bruteforce
+from reference import (
+    clique_plus_vertex_graph,
+    disjoint_union,
+    graph_from_json,
+    induced_subgraph,
+    star_graph,
+    strong_power_graph_bruteforce,
+    vertex_connectivity_bruteforce,
+)
 
 
 def path_graph(n):
@@ -87,19 +88,20 @@ def test_builders():
 
 
 def test_power_closure_cyclic_6():
+    # the closure {x^m : 1 <= m <= n - 1} as a bitmask over the elements
     g = make_cyclic(6)
-    assert power_closure(g, 0) == frozenset({0})
+    assert _closure_mask(g, 0) == 0b000001
     # exponents stop at n - 1, so a generator's closure misses the identity
-    assert power_closure(g, 1) == frozenset({1, 2, 3, 4, 5})
-    assert power_closure(g, 2) == frozenset({0, 2, 4})
-    assert power_closure(g, 3) == frozenset({0, 3})
+    assert _closure_mask(g, 1) == 0b111110
+    assert _closure_mask(g, 2) == 0b010101
+    assert _closure_mask(g, 3) == 0b001001
 
 
 def test_power_closure_klein_and_trivial():
     k = make_klein()
-    assert power_closure(k, 1) == frozenset({0, 1})
+    assert _closure_mask(k, 1) == 0b11
     g1 = make_cyclic(1)
-    assert power_closure(g1, 0) == frozenset()
+    assert _closure_mask(g1, 0) == 0
 
 
 def test_strong_power_graph_cyclic_4():
@@ -157,13 +159,6 @@ def test_degree_multiset_cyclic():
             [n - phi - 1] + [n - 2] * phi + [n - 1] * (n - phi - 1)
         )
         assert degs == expected
-
-
-def test_connected_components():
-    g = disjoint_union(complete_graph(3), path_graph(2))
-    assert connected_components(g) == [[0, 1, 2], [3, 4]]
-    assert connected_components(complete_graph(1)) == [[0]]
-    assert connected_components(Graph(0, ())) == []
 
 
 def test_vertex_connectivity():

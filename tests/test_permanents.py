@@ -6,22 +6,18 @@ import pytest
 
 from strongpow import permanents
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import (
-    clique_plus_vertex_graph,
-    complete_graph,
-    graph_isomorphic,
-    strong_power_graph,
-)
+from strongpow.graphs import complete_graph, graph_isomorphic, strong_power_graph
 from strongpow.groups import make_cyclic
 from strongpow.permanents import (
     CliqueParams,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
-    permanent_expansion,
     permanent_ryser,
 )
 from strongpow.spectral import IntMatrix, adjacency, laplacian
+
+from reference import clique_plus_vertex_graph, permanent_expansion
 
 
 def cyclic_adjacency_permanent(n):

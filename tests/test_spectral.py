@@ -8,14 +8,9 @@ from hypothesis import strategies as st
 
 from strongpow import permanents, spectral
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import (
-    complete_graph,
-    disjoint_union,
-    graph_from_edges,
-    strong_power_graph,
-)
+from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
 from strongpow.groups import euler_phi, make_cyclic, noncyclic_corpus
-from strongpow.permanents import permanent_expansion, permanent_ryser
+from strongpow.permanents import permanent_ryser
 from strongpow.spectral import (
     CharPoly,
     ExactSpectrum,
@@ -25,16 +20,16 @@ from strongpow.spectral import (
     char_poly_exact,
     char_poly_from_spectrum,
     closed_form_spectrum,
-    det_bareiss,
     eigenvalues_numeric,
     laplacian,
     laplacian_energy_closed_form,
     laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
-    spectrum_to_json,
     to_matrix_market,
 )
+
+from reference import det_bareiss, disjoint_union, permanent_expansion
 
 
 def random_symmetric(n, rng, lo=-4, hi=4):
@@ -519,11 +514,6 @@ def test_to_matrix_market_general():
     assert "general" in text.splitlines()[0]
     assert text.splitlines()[1] == "2 2 1"
     assert text.splitlines()[2] == "1 2 1"
-
-
-def test_spectrum_to_json():
-    s = closed_form_spectrum(4, True)
-    assert spectrum_to_json(s) == '[[4, 1], [3, 1], [1, 1], [0, 1]]'
 
 
 def test_closed_form_input_validation():
