@@ -8,6 +8,7 @@ Exit codes: 0 success (verify: all agree or documented disagreements only),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -168,25 +169,26 @@ def bundle_to_json(b: InvariantBundle) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(chunks, out: Optional[str]) -> None:
+    """Write each text chunk as it arrives, to stdout or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_build(args) -> int:
     group = parse_group_spec(args.group)
     graph = strong_power_graph(group)
     if args.format == "json":
-        text = graph_to_json(graph) + "\n"
+        chunks = itertools.chain(graph_to_json(graph), ["\n"])
     elif args.format == "dot":
-        text = graph_to_dot(graph)
+        chunks = graph_to_dot(graph)
     else:
         matrix = laplacian(graph) if args.matrix == "laplacian" else adjacency(graph)
-        text = to_matrix_market(matrix)
-    _write_output(text, args.out)
+        chunks = to_matrix_market(matrix)
+    _write_output(chunks, args.out)
     return 0
 
 
@@ -201,13 +203,13 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.checks:
+    if args.checks is not None:
         requested = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     else:
         requested = CHECK_NAMES
     report = run_verify(args.family, lo, hi, checks=requested)
     text = report.to_json() if args.format == "json" else report.to_tsv()
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     known = load_known_discrepancies()
     undocumented = report.undocumented_disagreements(known)
     for rec in undocumented:
@@ -226,7 +228,7 @@ def _sweep_row(n: int) -> dict[str, str]:
 
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.range)
-    if args.columns:
+    if args.columns is not None:
         requested = [c.strip() for c in args.columns.split(",") if c.strip()]
         bad = [c for c in requested if c not in SWEEP_COLUMNS]
         if bad:
@@ -239,7 +241,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(columns)]
     for row in map(_sweep_row, range(lo, hi + 1)):
         lines.append(",".join(row[c] for c in columns))
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

@@ -3,7 +3,6 @@ Python-int bitmask per vertex. All operations are pure; Graph is immutable."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -14,6 +13,8 @@ from .groups import FiniteGroup
 
 CHROMATIC_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
+# Rows per chunk of a streamed export.
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -46,27 +47,29 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list sorted lexicographically, u < v."""
-        out = []
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
-        return out
+        return [e for us, vs in _edge_blocks(self) for e in zip(us, vs)]
 
 
-def _bit_matrix(graph: Graph) -> np.ndarray:
-    """The n x n 0/1 uint8 matrix whose row v is the mask adj[v] unpacked."""
+def _bit_matrix(graph: Graph, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """The 0/1 uint8 matrix whose rows are the masks adj[lo:hi] unpacked to
+    n columns; all n rows by default."""
     n = graph.n
+    rows = graph.adj[lo:hi]
     width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in graph.adj)
+    raw = b"".join(m.to_bytes(width, "little") for m in rows)
     return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width),
         axis=1, count=n, bitorder="little",
     )
+
+
+def _edge_blocks(graph: Graph):
+    """The edges (u, v), u < v, in lexicographic order: one pair of lists
+    (the u's, the v's) per block of _BLOCK_ROWS rows, so that exports hold
+    one block at a time."""
+    for lo in range(0, graph.n, _BLOCK_ROWS):
+        us, vs = np.nonzero(np.triu(_bit_matrix(graph, lo, lo + _BLOCK_ROWS), k=lo + 1))
+        yield (us + lo).tolist(), vs.tolist()
 
 
 def _bits(mask: int):
@@ -94,6 +97,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def _closure_mask(g: FiniteGroup, x: int) -> int:
+    """Bitmask of the powers x^1, ..., x^(n-1)."""
     n = g.n
     if g.kind == "cyclic":
         d = math.gcd(x, n)
@@ -110,22 +114,51 @@ def _closure_mask(g: FiniteGroup, x: int) -> int:
     for _ in range(n - 1):
         mask |= 1 << y
         y = g.table[y][x]
+        if y == x:  # the powers repeat from here on
+            break
     return mask
+
+
+def _closure_classes(g: FiniteGroup) -> dict[int, int]:
+    """Each power-closure mask mapped to the bitmask of the elements that
+    have it. In Z_n the mask of x depends only on gcd(x, n), so there is one
+    class per divisor of n."""
+    n = g.n
+    if g.kind != "cyclic":
+        classes: dict[int, int] = {}
+        for x in range(n):
+            mask = _closure_mask(g, x)
+            classes[mask] = classes.get(mask, 0) | (1 << x)
+        return classes
+    gcds = np.gcd(np.arange(n), n)
+    return {
+        _closure_mask(g, d % n): int.from_bytes(
+            np.packbits(gcds == d, bitorder="little").tobytes(), "little"
+        )
+        for d in range(1, n + 1)
+        if n % d == 0
+    }
 
 
 def strong_power_graph(g: FiniteGroup) -> Graph:
     """Distinct a, b are adjacent iff a^{m1} = b^{m2} for some
-    1 <= m1, m2 < n; computed as intersection of power-closure bitsets."""
-    n = g.n
-    masks = [_closure_mask(g, x) for x in range(n)]
-    adj = [0] * n
-    for a in range(n):
-        ma = masks[a]
-        for b in range(a + 1, n):
-            if ma & masks[b]:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return Graph(n, tuple(adj))
+    1 <= m1, m2 < n, that is iff their power-closure masks intersect.
+    Elements with equal masks form a class; adjacency is decided once per
+    pair of classes, and each vertex's row is the union of the classes
+    adjacent to its own."""
+    classes = list(_closure_classes(g).items())
+    rows = [0] * len(classes)
+    for i, (mask_i, members_i) in enumerate(classes):
+        for j in range(i, len(classes)):
+            mask_j, members_j = classes[j]
+            if mask_i & mask_j:
+                rows[i] |= members_j
+                rows[j] |= members_i
+    adj = [0] * g.n
+    for row, (_, members) in zip(rows, classes):
+        for x in _bits(members):
+            adj[x] = row & ~(1 << x)
+    return Graph(g.n, tuple(adj))
 
 
 def degree_sequence(graph: Graph) -> list[int]:
@@ -348,15 +381,22 @@ def graph_isomorphic(a: Graph, b: Graph) -> bool:
     return assign(0)
 
 
-def graph_to_json(graph: Graph) -> str:
-    return json.dumps({"n": graph.n, "edges": [[u, v] for u, v in graph.edges()]})
+def graph_to_json(graph: Graph):
+    """Yield, in chunks of rows, the JSON text {"n": n, "edges": [[u, v], ...]}
+    as json.dumps writes it, edges sorted with u < v; no trailing newline."""
+    yield f'{{"n": {graph.n}, "edges": ['
+    sep = ""
+    for us, vs in _edge_blocks(graph):
+        if us:
+            yield sep + ", ".join(f"[{u}, {v}]" for u, v in zip(us, vs))
+            sep = ", "
+    yield "]}"
 
 
-def graph_to_dot(graph: Graph) -> str:
-    lines = ["graph G {"]
-    for v in range(graph.n):
-        lines.append(f"  {v};")
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def graph_to_dot(graph: Graph):
+    """Yield, in chunks of rows, Graphviz text: every vertex, then every
+    edge u -- v with u < v."""
+    yield "graph G {\n" + "".join(f"  {v};\n" for v in range(graph.n))
+    for us, vs in _edge_blocks(graph):
+        yield "".join(f"  {u} -- {v};\n" for u, v in zip(us, vs))
+    yield "}\n"

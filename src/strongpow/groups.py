@@ -159,9 +159,9 @@ def make_from_table(table) -> FiniteGroup:
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"table order {n} exceeds bound {MAX_TABLE_ORDER}")
     for i, row in enumerate(rows):
-        for v in row:
-            if not 0 <= v < n:
-                raise NotLatinSquareError(f"row {i} has out-of-range entry {v}")
+        if row and not (min(row) >= 0 and max(row) < n):
+            v = next(v for v in row if not 0 <= v < n)
+            raise NotLatinSquareError(f"row {i} has out-of-range entry {v}")
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
@@ -185,22 +185,20 @@ def make_dihedral(k: int) -> FiniteGroup:
         raise InvalidOrderError(f"dihedral parameter must be >= 1, got {k}")
     if 2 * k > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"dihedral order {2 * k} exceeds bound {MAX_TABLE_ORDER}")
+    # r^i * r^j = r^(i+j), r^i * s*r^j = s*r^(j-i), s*r^i * r^j = s*r^(i+j)
+    # and s*r^i * s*r^j = r^(j-i): b's rotation counts against a's when b is
+    # a reflection, and the product is a reflection when exactly one is.
+    r = np.arange(2 * k) % k
+    s = np.arange(2 * k) >= k
+    rot = np.where(s[None, :], r[None, :] - r[:, None], r[:, None] + r[None, :]) % k
+    return make_from_table((rot + k * (s[:, None] ^ s[None, :])).tolist())
 
-    def mul(a: int, b: int) -> int:
-        ra, sa = a % k, a >= k
-        rb, sb = b % k, b >= k
-        # s*r^i * s*r^j = r^(j-i); r^i * s*r^j = s*r^(j-i); s*r^i * r^j = s*r^(i+j)
-        if not sa and not sb:
-            return (ra + rb) % k
-        if not sa and sb:
-            return k + (rb - ra) % k
-        if sa and not sb:
-            return k + (ra + rb) % k
-        return (rb - ra) % k
 
-    return make_from_table(
-        tuple(tuple(mul(a, b) for b in range(2 * k)) for a in range(2 * k))
-    )
+def _table_array(g: FiniteGroup) -> np.ndarray:
+    """The n x n multiplication table of g as an array."""
+    if g.table is None:
+        return np.add.outer(np.arange(g.n), np.arange(g.n)) % g.n
+    return np.array(g.table, dtype=np.intp)
 
 
 def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -208,16 +206,10 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.n * b.n
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"product order {n} exceeds bound {MAX_TABLE_ORDER}")
-    bn = b.n
-    table = []
-    for x in range(n):
-        xa, xb = divmod(x, bn)
-        row = []
-        for y in range(n):
-            ya, yb = divmod(y, bn)
-            row.append(a.op(xa, ya) * bn + b.op(xb, yb))
-        table.append(tuple(row))
-    return make_from_table(tuple(table))
+    # [xa, xb, ya, yb] holds (xa * ya) * b.n + (xb * yb)
+    ta, tb = _table_array(a), _table_array(b)
+    table = ta[:, None, :, None] * b.n + tb[None, :, None, :]
+    return make_from_table(table.reshape(n, n).tolist())
 
 
 def make_symmetric(k: int) -> FiniteGroup:

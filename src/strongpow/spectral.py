@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SizeGuardError
-from .graphs import Graph, _bit_matrix
+from .graphs import _BLOCK_ROWS, Graph, _bit_matrix
 from .groups import euler_phi
 
 CHAR_POLY_LIMIT = 256
@@ -41,7 +41,7 @@ class IntMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if not (given and a.dtype == object):
             limit = np.iinfo(np.int64).max // max(len(a), 1)
-            fits = bool(((a >= -limit) & (a <= limit)).all())
+            fits = a.size == 0 or bool(a.min() >= -limit and a.max() <= limit)
             a = a.astype(np.int64 if fits else object, copy=False)
         a.flags.writeable = False
         self.array = a
@@ -449,17 +449,25 @@ def laplacian_energy_closed_form(n: int, cyclic: bool) -> Fraction:
 # --- exports ---------------------------------------------------------------
 
 
-def to_matrix_market(m: IntMatrix) -> str:
-    """Matrix Market coordinate text (integer field, 1-based indices); emits
-    the lower triangle with the 'symmetric' qualifier when applicable."""
+def to_matrix_market(m: IntMatrix):
+    """Yield Matrix Market coordinate text (integer field, 1-based indices)
+    in chunks of rows; emits the lower triangle with the 'symmetric'
+    qualifier when applicable."""
     a = m.array
     symmetric = m.is_symmetric()
-    nonzero = a != 0
-    rows, cols = np.nonzero(np.tril(nonzero) if symmetric else nonzero)
-    kind = "symmetric" if symmetric else "general"
-    lines = [f"%%MatrixMarket matrix coordinate integer {kind}",
-             f"{m.n} {m.n} {len(rows)}"]
-    entries = zip((rows + 1).tolist(), (cols + 1).tolist(), a[rows, cols].tolist())
-    lines.extend(f"{i} {j} {v}" for i, j, v in entries)
-    return "\n".join(lines) + "\n"
 
+    def written(lo: int) -> np.ndarray:
+        # rows lo.. of the entries written; row i keeps j <= lo + i if symmetric
+        nonzero = a[lo:lo + _BLOCK_ROWS] != 0
+        return np.tril(nonzero, k=lo) if symmetric else nonzero
+
+    starts = range(0, m.n, _BLOCK_ROWS)
+    count = sum(np.count_nonzero(written(lo)) for lo in starts)
+    kind = "symmetric" if symmetric else "general"
+    yield f"%%MatrixMarket matrix coordinate integer {kind}\n{m.n} {m.n} {count}\n"
+    for lo in starts:
+        rows, cols = np.nonzero(written(lo))
+        rows += lo
+        # one "i j v" line per entry; %d writes an int as str() does
+        entries = np.column_stack((rows + 1, cols + 1, a[rows, cols])).ravel().tolist()
+        yield "%d %d %d\n" * len(rows) % tuple(entries)

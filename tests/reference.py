@@ -94,6 +94,48 @@ def graph_from_json(text: str) -> Graph:
     return graph_from_edges(n, edges)
 
 
+# --- export texts -------------------------------------------------------------
+#
+# Each builds the whole text at once by probing every entry or vertex pair,
+# as the exporters did before they streamed; the streamed chunks must join to
+# exactly these strings.
+
+
+def matrix_market_text(m: IntMatrix) -> str:
+    """Matrix Market coordinate text: the lower triangle under 'symmetric'
+    when m equals its transpose, else every nonzero under 'general'."""
+    rows = m.rows
+    n = len(rows)
+    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+    entries = [
+        (i, j, rows[i][j])
+        for i in range(n)
+        for j in range(i + 1 if symmetric else n)
+        if rows[i][j] != 0
+    ]
+    kind = "symmetric" if symmetric else "general"
+    lines = [f"%%MatrixMarket matrix coordinate integer {kind}", f"{n} {n} {len(entries)}"]
+    lines += [f"{i + 1} {j + 1} {v}" for i, j, v in entries]
+    return "\n".join(lines) + "\n"
+
+
+def _probed_edges(graph: Graph) -> list[tuple[int, int]]:
+    n = graph.n
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if (graph.adj[u] >> v) & 1]
+
+
+def graph_json_text(graph: Graph) -> str:
+    return json.dumps({"n": graph.n, "edges": [[u, v] for u, v in _probed_edges(graph)]})
+
+
+def graph_dot_text(graph: Graph) -> str:
+    lines = ["graph G {"]
+    lines += [f"  {v};" for v in range(graph.n)]
+    lines += [f"  {u} -- {v};" for u, v in _probed_edges(graph)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # --- construction, determinant, permanent and connectivity oracles -----------
 
 

@@ -69,6 +69,19 @@ def test_build_out_file(tmp_path, capsys):
     assert len(payload["edges"]) == 6
 
 
+def test_build_out_file_matches_stdout(tmp_path, capsys):
+    # 40 vertices: the streamed output spans several row blocks
+    for fmt in (["json"], ["dot"], ["mtx"], ["mtx", "--matrix", "adjacency"]):
+        for group in ("zn:40", "dihedral:20"):
+            argv = ["build", "--group", group, "--format", *fmt]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.endswith("\n")
+            path = tmp_path / "g.out"
+            code, to_file, _ = run(capsys, *argv, "--out", str(path))
+            assert code == 0 and to_file == ""
+            assert path.read_bytes() == out.encode()
+
+
 def test_invariants_table_cyclic_4(capsys):
     code, out, _ = run(capsys, "invariants", "--group", "zn:4")
     assert code == 0
@@ -213,11 +226,12 @@ def test_verify_unknown_check_exits_2(capsys):
 
 
 def test_verify_empty_check_list_exits_2(capsys):
-    code, out, err = run(
-        capsys, "verify", "--family", "cyclic", "--range", "1..3", "--checks", ","
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: empty check list")
+    for checks in (",", ""):
+        code, out, err = run(
+            capsys, "verify", "--family", "cyclic", "--range", "1..3", "--checks", checks
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: empty check list")
 
 
 def test_verify_out_file(tmp_path, capsys):
@@ -305,9 +319,10 @@ def test_sweep_unknown_column_exits_2(capsys):
 
 def test_sweep_empty_column_list_exits_2(capsys):
     # as `verify --checks ,` does, an empty list is an error, not the n column
-    code, out, err = run(capsys, "sweep", "--range", "2..4", "--columns", ",")
-    assert code == 2 and out == ""
-    assert err == f"error: empty column list; expected some of: {', '.join(cli.SWEEP_COLUMNS)}\n"
+    for columns in (",", ""):
+        code, out, err = run(capsys, "sweep", "--range", "2..4", "--columns", columns)
+        assert code == 2 and out == ""
+        assert err == f"error: empty column list; expected some of: {', '.join(cli.SWEEP_COLUMNS)}\n"
 
 
 def test_sweep_deterministic(capsys):

@@ -27,6 +27,7 @@ from strongpow.spectral import closed_form_spectrum
 from strongpow.structure import kappa_formula
 
 from reference import (
+    BRUTEFORCE_CONSTRUCTION_LIMIT,
     clique_plus_vertex_graph,
     disjoint_union,
     graph_from_json,
@@ -127,11 +128,9 @@ def test_strong_power_graph_noncyclic_is_complete():
 
 
 def test_strong_power_graph_matches_bruteforce():
-    for n in range(1, 13):
-        g = make_cyclic(n)
-        assert strong_power_graph(g).adj == strong_power_graph_bruteforce(g).adj
-    k = make_klein()
-    assert strong_power_graph(k).adj == strong_power_graph_bruteforce(k).adj
+    groups = [(f"zn:{n}", make_cyclic(n)) for n in range(1, BRUTEFORCE_CONSTRUCTION_LIMIT + 1)]
+    for spec, g in groups + noncyclic_corpus(24):
+        assert strong_power_graph(g).adj == strong_power_graph_bruteforce(g).adj, spec
 
 
 def test_bruteforce_guard():
@@ -316,8 +315,9 @@ def test_is_regular():
 
 def test_json_round_trip():
     g = strong_power_graph(make_cyclic(9))
-    assert graph_from_json(graph_to_json(g)).adj == g.adj
-    parsed = json.loads(graph_to_json(g))
+    text = "".join(graph_to_json(g))
+    assert graph_from_json(text).adj == g.adj
+    parsed = json.loads(text)
     assert parsed["n"] == 9
     assert all(u < v for u, v in parsed["edges"])
 
@@ -337,7 +337,7 @@ def test_graph_from_json_validation():
 
 def test_graph_to_dot():
     g = graph_from_edges(3, [(0, 1)])
-    text = graph_to_dot(g)
+    text = "".join(graph_to_dot(g))
     assert text.startswith("graph G {")
     assert "  0 -- 1;" in text
     assert "  2;" in text
@@ -355,7 +355,7 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_json_round_trip_property(g):
-    assert graph_from_json(graph_to_json(g)).adj == g.adj
+    assert graph_from_json("".join(graph_to_json(g))).adj == g.adj
 
 
 @settings(max_examples=40, deadline=None)
