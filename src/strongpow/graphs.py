@@ -3,13 +3,12 @@ Python-int bitmask per vertex. All operations are pure; Graph is immutable."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _closure_classes
 
 CHROMATIC_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
@@ -94,50 +93,6 @@ def graph_from_edges(n: int, edges) -> Graph:
 def complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def _closure_mask(g: FiniteGroup, x: int) -> int:
-    """Bitmask of the powers x^1, ..., x^(n-1)."""
-    n = g.n
-    if g.kind == "cyclic":
-        d = math.gcd(x, n)
-        if d == 1 and n > 1:
-            return ((1 << n) - 1) ^ 1
-        if d == n:  # identity (or n == 1)
-            return 1 if n > 1 else 0
-        mask = 0
-        for k in range(0, n, d):
-            mask |= 1 << k
-        return mask
-    mask = 0
-    y = x
-    for _ in range(n - 1):
-        mask |= 1 << y
-        y = g.table[y][x]
-        if y == x:  # the powers repeat from here on
-            break
-    return mask
-
-
-def _closure_classes(g: FiniteGroup) -> dict[int, int]:
-    """Each power-closure mask mapped to the bitmask of the elements that
-    have it. In Z_n the mask of x depends only on gcd(x, n), so there is one
-    class per divisor of n."""
-    n = g.n
-    if g.kind != "cyclic":
-        classes: dict[int, int] = {}
-        for x in range(n):
-            mask = _closure_mask(g, x)
-            classes[mask] = classes.get(mask, 0) | (1 << x)
-        return classes
-    gcds = np.gcd(np.arange(n), n)
-    return {
-        _closure_mask(g, d % n): int.from_bytes(
-            np.packbits(gcds == d, bitorder="little").tobytes(), "little"
-        )
-        for d in range(1, n + 1)
-        if n % d == 0
-    }
 
 
 def strong_power_graph(g: FiniteGroup) -> Graph:

@@ -1,13 +1,15 @@
-"""Finite groups with elements indexed 0..n-1.
+"""Finite groups with elements indexed 0..n-1, of order at most
+MAX_TABLE_ORDER.
 
-Two representations: cyclic groups use modular arithmetic implicitly (no
-table); every other group carries an explicit multiplication table, validated
-on construction. Every group has order at most MAX_TABLE_ORDER. Groups are
-immutable.
+Z_n is addition mod n and stores no table. Every other group stores one
+n x n integer array, validated on construction and then made read-only.
+This is the only module that reads that array: the power closures, element
+orders, inverses and quotients the other modules need are computed here.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,33 +50,29 @@ class GroupSpecError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group on element indices 0..n-1.
 
-    kind is "cyclic" (op = addition mod n, table is None) or "table"
-    (op = table lookup). identity is the index of the neutral element.
+    table is None for Z_n, whose operation is addition mod n; otherwise it
+    is the read-only n x n array with table[a, b] = a * b. identity is the
+    index of the neutral element. Groups compare and hash as objects.
     """
 
     n: int
-    kind: str
     identity: int
-    table: tuple[tuple[int, ...], ...] | None
+    table: np.ndarray | None
 
     def op(self, a: int, b: int) -> int:
         if self.table is None:
             return (a + b) % self.n
-        return self.table[a][b]
+        return int(self.table[a, b])
 
     def inverse(self, x: int) -> int:
         if self.table is None:
             return (-x) % self.n
-        e = self.identity
-        row = self.table[x]
-        for y in range(self.n):
-            if row[y] == e and self.table[y][x] == e:
-                return y
-        raise MissingInverseError(f"element {x} has no inverse")
+        # validation leaves one identity entry per row, at a two-sided inverse
+        return int(np.argmax(self.table[x] == self.identity))
 
     def elements(self) -> range:
         return range(self.n)
@@ -86,7 +84,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise InvalidOrderError(f"cyclic group order must be >= 1, got {n}")
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"cyclic order {n} exceeds bound {MAX_TABLE_ORDER}")
-    return FiniteGroup(n=n, kind="cyclic", identity=0, table=None)
+    return FiniteGroup(n=n, identity=0, table=None)
 
 
 def _check_latin(t: np.ndarray, n: int) -> None:
@@ -140,28 +138,36 @@ def _check_associativity(t: np.ndarray, n: int, e: int) -> None:
         gens.append(b)
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            products = np.unique(t[np.ix_(frontier, gens)])
-            frontier = products[~reached[products]]
-            reached[frontier] = True
+            hit = np.zeros(n, dtype=bool)
+            hit[t[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
 
 
 def make_from_table(table) -> FiniteGroup:
-    """Group from an explicit n x n multiplication table.
+    """Group from an explicit n x n multiplication table, given as rows of
+    integers or as an array; the group keeps a read-only copy of it.
 
-    Validates: Latin square, two-sided identity, two-sided inverses, and
-    associativity, exactly at every order (Light's test over a generating
-    set, see _check_associativity).
+    Validates: entries in 0..n-1, rows of length n, Latin square, two-sided
+    identity, two-sided inverses, and associativity, exactly at every order
+    (Light's test over a generating set, see _check_associativity). Rows are
+    read one at a time, so a ragged row or an entry past the machine integer
+    range is reported by name rather than raised by numpy.
     """
-    rows = tuple(tuple(map(int, row)) for row in table)
+    rows = list(table)
     n = len(rows)
     if n < 1:
         raise InvalidOrderError("table must have at least one row")
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"table order {n} exceeds bound {MAX_TABLE_ORDER}")
     for i, row in enumerate(rows):
-        if row and not (min(row) >= 0 and max(row) < n):
-            v = next(v for v in row if not 0 <= v < n)
-            raise NotLatinSquareError(f"row {i} has out-of-range entry {v}")
+        try:
+            rows[i] = np.asarray(row, dtype=np.intp)
+        except OverflowError:
+            rows[i] = np.array([int(v) for v in row], dtype=object)
+        bad = np.flatnonzero((rows[i] < 0) | (rows[i] >= n))
+        if bad.size:
+            raise NotLatinSquareError(f"row {i} has out-of-range entry {rows[i][bad[0]]}")
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
@@ -170,7 +176,8 @@ def make_from_table(table) -> FiniteGroup:
     e = _find_identity(t, n)
     _check_inverses(t, n, e)
     _check_associativity(t, n, e)
-    return FiniteGroup(n=n, kind="table", identity=e, table=rows)
+    t.flags.writeable = False
+    return FiniteGroup(n=n, identity=e, table=t)
 
 
 def make_klein() -> FiniteGroup:
@@ -190,15 +197,16 @@ def make_dihedral(k: int) -> FiniteGroup:
     # a reflection, and the product is a reflection when exactly one is.
     r = np.arange(2 * k) % k
     s = np.arange(2 * k) >= k
-    rot = np.where(s[None, :], r[None, :] - r[:, None], r[:, None] + r[None, :]) % k
-    return make_from_table((rot + k * (s[:, None] ^ s[None, :])).tolist())
+    table = np.where(s[None, :], r[None, :] - r[:, None], r[:, None] + r[None, :]) % k
+    table += k * (s[:, None] ^ s[None, :])
+    return make_from_table(table)
 
 
 def _table_array(g: FiniteGroup) -> np.ndarray:
-    """The n x n multiplication table of g as an array."""
+    """The n x n multiplication table of g, built for Z_n."""
     if g.table is None:
         return np.add.outer(np.arange(g.n), np.arange(g.n)) % g.n
-    return np.array(g.table, dtype=np.intp)
+    return g.table
 
 
 def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -209,7 +217,7 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     # [xa, xb, ya, yb] holds (xa * ya) * b.n + (xb * yb)
     ta, tb = _table_array(a), _table_array(b)
     table = ta[:, None, :, None] * b.n + tb[None, :, None, :]
-    return make_from_table(table.reshape(n, n).tolist())
+    return make_from_table(table.reshape(n, n))
 
 
 def make_symmetric(k: int) -> FiniteGroup:
@@ -217,35 +225,73 @@ def make_symmetric(k: int) -> FiniteGroup:
     range(k) in lexicographic order, composed right-to-left."""
     if not 1 <= k <= 5:
         raise InvalidOrderError(f"symmetric group parameter must be in [1, 5], got {k}")
-    import itertools
-
-    perms = list(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(k))] for q in perms) for p in perms
-    )
-    return make_from_table(table)
+    perms = np.array(list(itertools.permutations(range(k))))
+    # perms[:, perms][p, q, i] is p[q[i]]; read as base-k numbers the
+    # permutations are sorted, so searchsorted finds each product's index
+    weights = k ** np.arange(k - 1, -1, -1)
+    return make_from_table(np.searchsorted(perms @ weights, perms[:, perms] @ weights))
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
     """Least m >= 1 with x^m = identity."""
     if not 0 <= x < g.n:
         raise ValueError(f"element index {x} out of range for order {g.n}")
-    if g.kind == "cyclic":
+    if g.table is None:
         return g.n // math.gcd(g.n, x)
+    times_x = g.table[:, x].tolist()
     y = x
     m = 1
     while y != g.identity:
-        y = g.table[y][x]
+        y = times_x[y]
         m += 1
     return m
 
 
 def is_cyclic(g: FiniteGroup) -> bool:
-    """True when some element generates the whole group."""
-    if g.kind == "cyclic":
+    """True when some element generates the whole group, that is when some
+    element's power closure is every element but the identity."""
+    if g.table is None:
         return True
-    return any(element_order(g, x) == g.n for x in range(g.n))
+    return ((1 << g.n) - 1) ^ (1 << g.identity) in _closure_classes(g)
+
+
+def _closure_classes(g: FiniteGroup) -> dict[int, int]:
+    """Each power-closure mask, the bitmask of x^1, ..., x^(n-1), mapped to
+    the bitmask of the elements that have it. The closure of x is <x>, less
+    the identity when x generates the whole group. In Z_n, <x> is the
+    multiples of gcd(x, n); a table group walks the powers of all its
+    elements at once. Equal closures are found by their packed bytes."""
+    n = g.n
+    ar = np.arange(n)
+    hit = np.zeros((n, n), dtype=bool)  # hit[x, y]: y is one of x^1, ..., x^(n-1)
+    if g.table is None:
+        gcds = np.gcd(ar, n)
+        for d in set(gcds.tolist()):
+            hit[gcds == d] = ar % d == 0
+        hit[gcds == 1, 0] = False  # a generator's powers stop short of x^n = e
+    else:
+        xs = ys = ar  # the elements still walking and their powers x^m
+        for _ in range(n - 1):
+            hit[xs, ys] = True
+            live = ys != g.identity  # once x^m = e, the powers of x repeat
+            if not live.any():
+                break
+            xs = xs[live]
+            ys = g.table[ys[live], xs]
+    members: dict[bytes, list[int]] = {}
+    for x, row in enumerate(np.packbits(hit, axis=1, bitorder="little")):
+        members.setdefault(row.tobytes(), []).append(x)
+    return {
+        int.from_bytes(key, "little"): sum(1 << x for x in elements)
+        for key, elements in members.items()
+    }
+
+
+def _quotient_table(g: FiniteGroup) -> np.ndarray:
+    """The n x n array whose [x, y] entry is x * y^(-1)."""
+    t = _table_array(g)
+    inverses = np.argmax(t == g.identity, axis=1)
+    return t[:, inverses]
 
 
 def euler_phi(n: int) -> int:

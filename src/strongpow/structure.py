@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .graphs import Graph, _bits, graph_from_edges
-from .groups import FiniteGroup, euler_phi, is_cyclic
+from .groups import FiniteGroup, _quotient_table, euler_phi, is_cyclic
 
 def _is_clique(adj, mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in _bits(mask))
@@ -161,17 +163,12 @@ def cayley_graph(g: FiniteGroup, s: ConnectionSet) -> Graph:
     """The Cayley graph C(G, S): distinct x, y adjacent iff x * y^{-1} lies
     in S. Inverse closure of S makes the relation symmetric; the result is
     |S|-regular."""
-    if s.group is not g and s.group != g:
+    if s.group is not g:
         raise ValueError("connection set belongs to a different group")
-    members = s.elements
-    inv = [g.inverse(y) for y in range(g.n)]
-    adj = [0] * g.n
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if g.op(x, inv[y]) in members:
-                adj[x] |= 1 << y
-                adj[y] |= 1 << x
-    return Graph(g.n, tuple(adj))
+    member = np.zeros(g.n, dtype=bool)
+    member[list(s.elements)] = True
+    rows = np.packbits(member[_quotient_table(g)], axis=1, bitorder="little")
+    return Graph(g.n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
 
 def cayley_classification(g: FiniteGroup) -> bool:
     """True iff the strong power graph of g is a Cayley graph of some group,

@@ -13,7 +13,7 @@ from strongpow.graphs import (
     is_regular,
     strong_power_graph,
 )
-from strongpow.groups import make_cyclic, noncyclic_corpus
+from strongpow.groups import make_cyclic, noncyclic_corpus, parse_group_spec
 from strongpow.permanents import (
     CliqueParams,
     clique_plus_vertex_adjacency_permanent,
@@ -263,7 +263,11 @@ def test_criterion_7_permanents(criteria_log):
 
 def test_criterion_8_construction_equivalence(criteria_log):
     failures = []
-    for spec, g, _ in all_groups(24) + [("zn:1", make_cyclic(1), True)]:
+    # cyclic groups given as tables, so the power walk meets generators
+    tables = [
+        (spec, parse_group_spec(spec), True) for spec in ("product:zn:2+zn:3", "product:zn:3+zn:5")
+    ]
+    for spec, g, _ in all_groups(24) + [("zn:1", make_cyclic(1), True)] + tables:
         fast = strong_power_graph(g)
         slow = strong_power_graph_bruteforce(g)
         if fast.adj != slow.adj:

@@ -9,7 +9,6 @@ import strongpow.graphs as graphs_module
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import (
     Graph,
-    _closure_mask,
     chromatic_number_exact,
     complete_graph,
     degree_sequence,
@@ -22,7 +21,15 @@ from strongpow.graphs import (
     strong_power_graph,
     vertex_connectivity,
 )
-from strongpow.groups import euler_phi, make_cyclic, make_klein, noncyclic_corpus
+from strongpow.groups import (
+    _closure_classes,
+    euler_phi,
+    make_cyclic,
+    make_from_table,
+    make_klein,
+    noncyclic_corpus,
+    parse_group_spec,
+)
 from strongpow.spectral import closed_form_spectrum
 from strongpow.structure import kappa_formula
 
@@ -88,21 +95,34 @@ def test_builders():
     assert induced_subgraph(cv, range(5)).edge_count() == 10
 
 
+def cyclic_as_table(n):
+    """Z_n given by its addition table, so that it takes the table path."""
+    return make_from_table([[(a + b) % n for b in range(n)] for a in range(n)])
+
+
+def closure_mask(g, x):
+    """The power-closure mask of the class that holds x."""
+    masks = [mask for mask, members in _closure_classes(g).items() if members >> x & 1]
+    assert len(masks) == 1
+    return masks[0]
+
+
 def test_power_closure_cyclic_6():
-    # the closure {x^m : 1 <= m <= n - 1} as a bitmask over the elements
-    g = make_cyclic(6)
-    assert _closure_mask(g, 0) == 0b000001
-    # exponents stop at n - 1, so a generator's closure misses the identity
-    assert _closure_mask(g, 1) == 0b111110
-    assert _closure_mask(g, 2) == 0b010101
-    assert _closure_mask(g, 3) == 0b001001
+    # the closure {x^m : 1 <= m <= n - 1} as a bitmask over the elements,
+    # from the gcd classes of Z_6 and from the power walk over its table
+    for g in (make_cyclic(6), cyclic_as_table(6)):
+        assert closure_mask(g, 0) == 0b000001
+        # exponents stop at n - 1, so a generator's closure misses the identity
+        assert closure_mask(g, 1) == 0b111110
+        assert closure_mask(g, 2) == 0b010101
+        assert closure_mask(g, 3) == 0b001001
 
 
 def test_power_closure_klein_and_trivial():
     k = make_klein()
-    assert _closure_mask(k, 1) == 0b11
-    g1 = make_cyclic(1)
-    assert _closure_mask(g1, 0) == 0
+    assert closure_mask(k, 1) == 0b11
+    for g1 in (make_cyclic(1), cyclic_as_table(1)):
+        assert closure_mask(g1, 0) == 0
 
 
 def test_strong_power_graph_cyclic_4():
@@ -128,7 +148,13 @@ def test_strong_power_graph_noncyclic_is_complete():
 
 
 def test_strong_power_graph_matches_bruteforce():
-    groups = [(f"zn:{n}", make_cyclic(n)) for n in range(1, BRUTEFORCE_CONSTRUCTION_LIMIT + 1)]
+    limit = BRUTEFORCE_CONSTRUCTION_LIMIT
+    groups = [(f"zn:{n}", make_cyclic(n)) for n in range(1, limit + 1)]
+    # cyclic groups given as tables, whose generators' closures miss the identity
+    groups += [(f"table Z_{n}", cyclic_as_table(n)) for n in range(1, limit + 1)]
+    groups += [
+        (spec, parse_group_spec(spec)) for spec in ("product:zn:2+zn:3", "product:zn:3+zn:5")
+    ]
     for spec, g in groups + noncyclic_corpus(24):
         assert strong_power_graph(g).adj == strong_power_graph_bruteforce(g).adj, spec
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,8 @@ def test_make_from_table_rejects_non_latin():
         ([[0, 1], [1, 1]], "row 1 is not a permutation of 0..1"),
         ([[0, 5], [5, 0]], "row 0 has out-of-range entry 5"),
         ([[0, 1, -1], [1, 2, 0], [2, 0, 1]], "row 0 has out-of-range entry -1"),
+        # past the machine integer range, as a CSV cell can be
+        ([[0, 2**64], [1, 0]], "row 0 has out-of-range entry 18446744073709551616"),
         ([[0, 1], [1]], "row 1 has length 1, expected 2"),
         ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation of 0..2"),
         ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "column 1 is not a permutation of 0..2"),
@@ -255,16 +258,23 @@ def test_associativity_check_matches_all_triples():
 
 def test_every_group_table_is_accepted():
     for spec, g in noncyclic_corpus(24):
-        assert make_from_table(g.table).table == g.table, spec
+        assert isinstance(g.table, np.ndarray), spec
+        for table in (g.table, g.table.tolist()):
+            assert np.array_equal(make_from_table(table).table, g.table), spec
     for k in range(1, 101):
         assert make_dihedral(k).n == 2 * k
 
 
 def test_frozen_group_is_hashable_and_immutable():
-    g = make_cyclic(3)
-    assert isinstance(g, FiniteGroup)
-    with pytest.raises(AttributeError):
-        g.n = 4
+    klein = make_klein()
+    for g in (make_cyclic(3), klein):
+        assert isinstance(g, FiniteGroup)
+        assert {g: g.n}[g] == g.n  # hashes
+        with pytest.raises(AttributeError):
+            g.n = 4
+    with pytest.raises(ValueError):  # the table is read-only
+        klein.table[0, 0] = 1
+    assert klein.op(0, 0) == 0
 
 
 def test_parse_group_spec_valid():
@@ -300,7 +310,7 @@ def test_load_cayley_table_csv(tmp_path):
     assert g.n == 3
     assert is_cyclic(g)
     spec_g = parse_group_spec(f"table:{path}")
-    assert spec_g.table == g.table
+    assert np.array_equal(spec_g.table, g.table)
 
 
 def test_load_cayley_table_csv_rejects_bad_cell(tmp_path):
