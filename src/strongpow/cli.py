@@ -2,7 +2,8 @@
 run formula-vs-oracle verification sweeps, and export per-order CSV tables.
 
 Exit codes: 0 success (verify: all agree or documented disagreements only),
-1 undocumented disagreement from verify, 2 usage or input errors.
+1 undocumented disagreement from verify, 2 usage or input errors. A reader
+that closes stdout early ends the output quietly, with the same exit code.
 """
 
 from __future__ import annotations
@@ -10,23 +11,23 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import SizeGuardError
 from .groups import GroupError, GroupSpecError, parse_group_spec
 from .graphs import degree_sequence, graph_to_dot, graph_to_json, strong_power_graph
 from .spectral import ExactSpectrum, adjacency, laplacian, to_matrix_market
-from .permanents import RYSER_LIMIT, permanent_ryser
+from .permanents import permanent_ryser  # noqa: F401 (unused; perfbench's tracer test patches it)
 from .verify import (
     CHECK_NAMES,
     GroupCase,
     closed_forms,
     load_known_discrepancies,
     run_verify,
+    _text,
 )
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
@@ -44,138 +45,83 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class InvariantBundle:
-    """Every invariant the library computes for one group, with formula and
-    oracle values side by side where both exist. Fields whose oracle exceeds
-    its size guard hold None."""
-
-    group: str
-    n: int
-    cyclic: bool
-    phi: int
-    edges: int
-    degrees: tuple[int, ...]
-    spectrum: ExactSpectrum
-    algebraic_connectivity: int
-    spanning_trees: int
-    le_definition: Fraction
-    le_closed_form: Optional[Fraction]
-    kappa: int
-    kappa_oracle: Optional[int]
-    chi: int
-    line_graph: bool
-    cayley: bool
-    per_adj_formula: Optional[int]
-    per_adj_ryser: Optional[int]
-    per_lap_formula: Optional[int]
-    per_lap_ryser: Optional[int]
-
-    def __post_init__(self):
-        if self.spectrum.n != self.n:
-            raise ValueError("spectrum multiplicities must sum to the order")
-
-
-def compute_invariant_bundle(spec: str) -> InvariantBundle:
+def compute_invariant_bundle(spec: str) -> dict[str, object]:
+    """Every invariant the library computes for one group, in JSON field
+    order, with formula and oracle values side by side where both exist. A
+    closed form below its least order, or an oracle past its size guard,
+    is None."""
     case = GroupCase.of(parse_group_spec(spec))
-    n, graph = case.n, case.graph
-    forms = closed_forms(n, case.cyclic)
-    # Past RYSER_LIMIT Ryser would refuse the matrices; skip building them.
-    per_adj_ryser = per_lap_ryser = None
-    if n <= RYSER_LIMIT:
-        per_adj_ryser = permanent_ryser(case.adj_matrix)
-        per_lap_ryser = permanent_ryser(case.lap_matrix)
-    return InvariantBundle(
-        group=spec,
-        n=n,
-        cyclic=case.cyclic,
-        phi=forms["phi"],
-        edges=graph.edge_count(),
-        degrees=tuple(degree_sequence(graph)),
-        spectrum=forms["spectrum"],
-        algebraic_connectivity=forms["a"],
-        spanning_trees=forms["tau"],
-        le_definition=forms["le"],
-        le_closed_form=case.formula("le"),
-        kappa=forms["kappa"],
-        kappa_oracle=case.oracle("kappa"),
-        chi=forms["chi"],
-        line_graph=case.oracle("linegraph"),
-        cayley=case.formula("cayley"),
-        per_adj_formula=case.formula("perm_adj"),
-        per_adj_ryser=per_adj_ryser,
-        per_lap_formula=case.formula("perm_lap"),
-        per_lap_ryser=per_lap_ryser,
-    )
-
-
-def _bundle_rows(b: InvariantBundle) -> list[tuple[str, str]]:
-    def opt(v) -> str:
-        return "skipped" if v is None else str(v)
-
-    return [
-        ("group", b.group),
-        ("order", str(b.n)),
-        ("cyclic", "true" if b.cyclic else "false"),
-        ("phi", str(b.phi)),
-        ("edges", str(b.edges)),
-        ("degrees", " ".join(map(str, b.degrees))),
-        ("spectrum", str(b.spectrum)),
-        ("algebraic_connectivity", str(b.algebraic_connectivity)),
-        ("spanning_trees", str(b.spanning_trees)),
-        ("laplacian_energy", str(b.le_definition)),
-        ("laplacian_energy_closed_form", opt(b.le_closed_form)),
-        ("kappa", str(b.kappa)),
-        ("kappa_oracle", opt(b.kappa_oracle)),
-        ("chi", str(b.chi)),
-        ("line_graph", "true" if b.line_graph else "false"),
-        ("cayley", "true" if b.cayley else "false"),
-        ("per_adj_formula", opt(b.per_adj_formula)),
-        ("per_adj_ryser", opt(b.per_adj_ryser)),
-        ("per_lap_formula", opt(b.per_lap_formula)),
-        ("per_lap_ryser", opt(b.per_lap_ryser)),
-    ]
-
-
-def bundle_to_table(b: InvariantBundle) -> str:
-    rows = _bundle_rows(b)
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
-
-
-def bundle_to_json(b: InvariantBundle) -> str:
-    payload = {
-        "group": b.group,
-        "n": b.n,
-        "cyclic": b.cyclic,
-        "phi": b.phi,
-        "edges": b.edges,
-        "degrees": list(b.degrees),
-        "spectrum": [[v, m] for v, m in b.spectrum.pairs],
-        "algebraic_connectivity": b.algebraic_connectivity,
-        "spanning_trees": b.spanning_trees,
-        "laplacian_energy": str(b.le_definition),
-        "laplacian_energy_closed_form": (
-            None if b.le_closed_form is None else str(b.le_closed_form)
-        ),
-        "kappa": b.kappa,
-        "kappa_oracle": b.kappa_oracle,
-        "chi": b.chi,
-        "line_graph": b.line_graph,
-        "cayley": b.cayley,
-        "per_adj": {"formula": b.per_adj_formula, "ryser": b.per_adj_ryser},
-        "per_lap": {"formula": b.per_lap_formula, "ryser": b.per_lap_ryser},
+    forms = closed_forms(case.n, case.cyclic)
+    return {
+        "group": spec,
+        "n": case.n,
+        "cyclic": case.cyclic,
+        "phi": forms["phi"],
+        "edges": case.graph.edge_count(),
+        "degrees": tuple(degree_sequence(case.graph)),
+        "spectrum": forms["spectrum"],
+        "algebraic_connectivity": forms["a"],
+        "spanning_trees": forms["tau"],
+        "laplacian_energy": forms["le"],
+        "laplacian_energy_closed_form": case.formula("le"),
+        "kappa": forms["kappa"],
+        "kappa_oracle": case.oracle("kappa"),
+        "chi": forms["chi"],
+        "line_graph": case.oracle("linegraph"),
+        "cayley": case.formula("cayley"),
+        "per_adj": {"formula": case.formula("perm_adj"), "ryser": case.oracle("perm_adj")},
+        "per_lap": {"formula": case.formula("perm_lap"), "ryser": case.oracle("perm_lap")},
     }
-    return json.dumps(payload, indent=2) + "\n"
 
 
-def _write_output(chunks, out: Optional[str]) -> None:
-    """Write each text chunk as it arrives, to stdout or to the file out."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
+def _cell(value) -> str:
+    """A bundle or sweep value as text: skipped for None, a tuple
+    space-joined, anything else as a verify record prints it."""
+    if value is None:
+        return "skipped"
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    return _text(value)
+
+
+def bundle_to_table(bundle: dict[str, object]) -> str:
+    """One aligned `name  value` row per field; n prints as order, and
+    per_adj and per_lap flatten to per_adj_formula, per_adj_ryser, ..."""
+    rows = []
+    for key, value in bundle.items():
+        if isinstance(value, dict):
+            rows.extend((f"{key}_{k}", v) for k, v in value.items())
+        else:
+            rows.append(("order" if key == "n" else key, value))
+    width = max(len(k) for k, _ in rows)
+    return "".join(f"{k:<{width}}  {_cell(v)}\n" for k, v in rows)
+
+
+def _json_default(value):
+    if isinstance(value, ExactSpectrum):
+        return value.pairs
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def bundle_to_json(bundle: dict[str, object]) -> str:
+    return json.dumps(bundle, indent=2, default=_json_default) + "\n"
+
+
+def _write_output(chunks, out: str | None) -> None:
+    """Write each text chunk as it arrives, to stdout or to the file out.
+    A reader that closes stdout ends the output quietly."""
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's unwritten buffer is flushed again at exit; send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_build(args) -> int:
@@ -194,10 +140,8 @@ def cmd_build(args) -> int:
 
 def cmd_invariants(args) -> int:
     bundle = compute_invariant_bundle(args.group)
-    if args.format == "json":
-        sys.stdout.write(bundle_to_json(bundle))
-    else:
-        sys.stdout.write(bundle_to_table(bundle))
+    render = bundle_to_json if args.format == "json" else bundle_to_table
+    _write_output([render(bundle)], None)
     return 0
 
 
@@ -220,12 +164,6 @@ def cmd_verify(args) -> int:
     return report.exit_code(known)
 
 
-def _sweep_row(n: int) -> dict[str, str]:
-    row = {"n": n, **closed_forms(n, cyclic=True)}
-    row["linegraph"] = "true" if row["linegraph"] else "false"
-    return {k: str(v) for k, v in row.items()}
-
-
 def cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.range)
     if args.columns is not None:
@@ -238,10 +176,9 @@ def cmd_sweep(args) -> int:
         columns = [c for c in SWEEP_COLUMNS if c == "n" or c in requested]
     else:
         columns = list(SWEEP_COLUMNS)
-    lines = [",".join(columns)]
-    for row in map(_sweep_row, range(lo, hi + 1)):
-        lines.append(",".join(row[c] for c in columns))
-    _write_output(["\n".join(lines) + "\n"], args.out)
+    forms = ({"n": n, **closed_forms(n, cyclic=True)} for n in range(lo, hi + 1))
+    rows = (",".join(_cell(row[c]) for c in columns) + "\n" for row in forms)
+    _write_output(itertools.chain([",".join(columns) + "\n"], rows), args.out)
     return 0
 
 

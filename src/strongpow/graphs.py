@@ -98,21 +98,25 @@ def complete_graph(n: int) -> Graph:
 def strong_power_graph(g: FiniteGroup) -> Graph:
     """Distinct a, b are adjacent iff a^{m1} = b^{m2} for some
     1 <= m1, m2 < n, that is iff their power-closure masks intersect.
-    Elements with equal masks form a class; adjacency is decided once per
-    pair of classes, and each vertex's row is the union of the classes
-    adjacent to its own."""
-    classes = list(_closure_classes(g).items())
-    rows = [0] * len(classes)
-    for i, (mask_i, members_i) in enumerate(classes):
-        for j in range(i, len(classes)):
-            mask_j, members_j = classes[j]
+    Elements with equal masks form a class, and each vertex's row is the
+    union of the classes adjacent to its own. Closures that hold the
+    identity all meet, so their classes join in one step; adjacency is
+    decided pair by pair only for a class whose closure lacks it."""
+    classes = _closure_classes(g)
+    e = 1 << g.identity
+    block = sum(members for mask, members in classes.items() if mask & e)
+    rows = {mask: block if mask & e else 0 for mask in classes}
+    for mask_i, members_i in classes.items():
+        if mask_i & e:
+            continue
+        for mask_j, members_j in classes.items():
             if mask_i & mask_j:
-                rows[i] |= members_j
-                rows[j] |= members_i
+                rows[mask_i] |= members_j
+                rows[mask_j] |= members_i
     adj = [0] * g.n
-    for row, (_, members) in zip(rows, classes):
+    for mask, members in classes.items():
         for x in _bits(members):
-            adj[x] = row & ~(1 << x)
+            adj[x] = rows[mask] & ~(1 << x)
     return Graph(g.n, tuple(adj))
 
 

@@ -9,6 +9,7 @@ orders, inverses and quotients the other modules need are computed here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -255,12 +256,15 @@ def is_cyclic(g: FiniteGroup) -> bool:
     return ((1 << g.n) - 1) ^ (1 << g.identity) in _closure_classes(g)
 
 
+@functools.lru_cache(maxsize=1)
 def _closure_classes(g: FiniteGroup) -> dict[int, int]:
     """Each power-closure mask, the bitmask of x^1, ..., x^(n-1), mapped to
     the bitmask of the elements that have it. The closure of x is <x>, less
     the identity when x generates the whole group. In Z_n, <x> is the
     multiples of gcd(x, n); a table group walks the powers of all its
-    elements at once. Equal closures are found by their packed bytes."""
+    elements at once. Equal closures are found by their packed bytes. The
+    last group's result is cached for is_cyclic and strong_power_graph to
+    share (groups hash by identity); callers must not change it."""
     n = g.n
     ar = np.arange(n)
     hit = np.zeros((n, n), dtype=bool)  # hit[x, y]: y is one of x^1, ..., x^(n-1)

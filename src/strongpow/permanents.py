@@ -30,6 +30,13 @@ def _comb(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def _ryser_guard(n: int) -> None:
+    """Ryser's size guard; callers that build a matrix only for Ryser run it
+    first, so a matrix past RYSER_LIMIT is never built."""
+    if n > RYSER_LIMIT:
+        raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
+
+
 def permanent_ryser(m: IntMatrix) -> int:
     """Exact permanent by Ryser's inclusion-exclusion over column subsets,
 
@@ -45,8 +52,7 @@ def permanent_ryser(m: IntMatrix) -> int:
     order 24.
     Results are memoized per process on the matrix entries."""
     n = m.n
-    if n > RYSER_LIMIT:
-        raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
+    _ryser_guard(n)
     if n == 0:
         return 1
     nonzero = m.array != 0

@@ -49,6 +49,7 @@ from .permanents import (
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
     permanent_ryser,
+    _ryser_guard,
 )
 from .structure import (
     cayley_classification,
@@ -236,6 +237,12 @@ def _judge_cayley(case, claimed, oracle):
     return _agreement(case, claimed, False, "graph is non-regular")
 
 
+def _ryser(n: int, matrix: Callable[[], IntMatrix]) -> int:
+    """Ryser's permanent of matrix(), built only if order n passes the guard."""
+    _ryser_guard(n)
+    return permanent_ryser(matrix())
+
+
 @dataclass(frozen=True)
 class Invariant:
     """One closed form paired with its oracle. Both take a GroupCase; the
@@ -281,13 +288,13 @@ INVARIANTS: dict[str, Invariant] = {
         _judge_cayley),
     "perm_adj": Invariant(
         2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: permanent_ryser(c.adj_matrix)),
+        lambda c: _ryser(c.n, lambda: c.adj_matrix)),
     "perm_lap": Invariant(
         2, lambda c: clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: permanent_ryser(c.lap_matrix)),
+        lambda c: _ryser(c.n, lambda: c.lap_matrix)),
     "perm_complete": Invariant(
         1, lambda c: complete_graph_laplacian_permanent(c.n),
-        lambda c: permanent_ryser(laplacian(complete_graph(c.n))),
+        lambda c: _ryser(c.n, lambda: laplacian(complete_graph(c.n))),
         lambda c, f, o: _agreement(c, f, o, f"complete graph K_{c.n}")),
 }
 

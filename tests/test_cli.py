@@ -1,14 +1,34 @@
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import strongpow.cli as cli
 from strongpow.cli import main
 from strongpow.spectral import spanning_tree_count_formula
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def spawn(*argv):
+    """A fresh `python -m strongpow` process with piped stdout and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.Popen(
+        [sys.executable, "-m", "strongpow", *argv],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
 
 
 def test_build_json_cyclic_6(capsys):
@@ -339,3 +359,71 @@ def test_sweep_past_int_str_digit_limit(capsys):
     header, row = out.strip().split("\n")
     tau = row.split(",")[header.split(",").index("tau")]
     assert tau == str(spanning_tree_count_formula(1500, True))
+
+
+def _as_text(key, value):
+    """A JSON bundle value as the table prints it."""
+    if value is None:
+        return "skipped"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if key == "spectrum":
+        return " ".join(f"{v}^{m}" for v, m in value)
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("spec", ["zn:4", "klein", "zn:42", "sym:4"])
+def test_invariants_table_rows_are_the_flattened_json(capsys, spec):
+    code, table, _ = run(capsys, "invariants", "--group", spec)
+    assert code == 0
+    code, text, _ = run(capsys, "invariants", "--group", spec, "--format", "json")
+    assert code == 0
+    fields = []
+    for key, value in json.loads(text).items():
+        if isinstance(value, dict):
+            fields.extend((f"{key}_{k}", _as_text(k, v)) for k, v in value.items())
+        else:
+            fields.append(("order" if key == "n" else key, _as_text(key, value)))
+    rows = [tuple(line.split(None, 1)) for line in table.splitlines()]
+    assert rows == fields
+    assert len(rows) == 20
+
+
+def test_sweep_streams_rows_before_the_range_ends():
+    with spawn("sweep", "--range", "1..99999999999999999999") as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no output within 60 s"
+            lines = [proc.stdout.readline() for _ in range(3)]
+        finally:
+            proc.kill()
+    assert lines[0] == (",".join(cli.SWEEP_COLUMNS) + "\n").encode()
+    assert [line.split(b",", 1)[0] for line in lines[1:]] == [b"1", b"2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--group", "zn:1024", "--format", "dot"),
+    ("sweep", "--range", "1..99999999999999999999"),
+])
+def test_closed_stdout_ends_the_command_quietly(argv):
+    with spawn(*argv) as proc:
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no output within 60 s"
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+    assert err == b""
+    assert code == 0
+
+
+def test_out_write_failure_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "rows.csv"
+    code, out, err = run(capsys, "sweep", "--range", "1..3", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2]")

@@ -5,6 +5,7 @@ import pytest
 
 import strongpow.verify as verify
 from strongpow.cli import compute_invariant_bundle, main
+from strongpow.groups import _closure_classes
 from strongpow.verify import (
     AGREE,
     CHECK_NAMES,
@@ -152,18 +153,18 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
             for spec, rec in recs.items():
                 b = bundles[spec] = compute_invariant_bundle(spec)
                 if n >= 2:
-                    assert str(b.spanning_trees) == rec["tau"].formula_value
-                    assert str(b.le_closed_form) == rec["le"].formula_value
+                    assert str(b["spanning_trees"]) == rec["tau"].formula_value
+                    assert str(b["laplacian_energy_closed_form"]) == rec["le"].formula_value
                 else:
-                    assert b.le_closed_form is None and rec["le"].status == SKIPPED
+                    assert b["laplacian_energy_closed_form"] is None
+                    assert rec["le"].status == SKIPPED
                 # the kappa oracle has no guard, so it is computed at every order
                 assert rec["kappa"].status == AGREE
-                assert str(b.kappa) == rec["kappa"].formula_value
-                assert str(b.kappa_oracle) == rec["kappa"].oracle_value
-                assert str(b.line_graph).lower() == rec["linegraph"].oracle_value
+                assert str(b["kappa"]) == rec["kappa"].formula_value
+                assert str(b["kappa_oracle"]) == rec["kappa"].oracle_value
+                assert str(b["line_graph"]).lower() == rec["linegraph"].oracle_value
                 for field, check in (("per_adj", "perm_adj"), ("per_lap", "perm_lap")):
-                    formula = getattr(b, f"{field}_formula")
-                    ryser = getattr(b, f"{field}_ryser")
+                    formula, ryser = b[field]["formula"], b[field]["ryser"]
                     if rec[check].status == SKIPPED:
                         # below the least order, or past Ryser's guard
                         assert formula is None or ryser is None
@@ -179,15 +180,15 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
         row = dict(zip(header, line.split(",")))
         b = bundles[f"zn:{row['n']}"]
         assert row == {
-            "n": str(b.n),
-            "phi": str(b.phi),
-            "spectrum": str(b.spectrum),
-            "a": str(b.algebraic_connectivity),
-            "tau": str(b.spanning_trees),
-            "le": str(b.le_definition),
-            "kappa": str(b.kappa),
-            "chi": str(b.chi),
-            "linegraph": str(b.line_graph).lower(),
+            "n": str(b["n"]),
+            "phi": str(b["phi"]),
+            "spectrum": str(b["spectrum"]),
+            "a": str(b["algebraic_connectivity"]),
+            "tau": str(b["spanning_trees"]),
+            "le": str(b["laplacian_energy"]),
+            "kappa": str(b["kappa"]),
+            "chi": str(b["chi"]),
+            "linegraph": str(b["line_graph"]).lower(),
         }
 
 
@@ -208,3 +209,26 @@ def test_each_matrix_is_built_once_per_group(monkeypatch):
     assert len(calls["laplacian"]) <= 2 * groups
     assert len(calls["adjacency"]) <= groups
     assert len(calls["eigenvalues_numeric"]) <= groups
+    # Past Ryser's bound no matrix is built only to be refused: not A, not
+    # L, not the Laplacian of K_25.
+    for log in calls.values():
+        log.clear()
+    for spec in ("zn:25", "product:zn:5+zn:5"):
+        b = compute_invariant_bundle(spec)
+        assert b["per_adj"]["ryser"] is None and b["per_lap"]["ryser"] is None
+    report = run_verify("cyclic", 25, 25, checks=("perm_adj", "perm_lap", "perm_complete"))
+    assert [(r.status, r.note) for r in report.records] == [
+        (SKIPPED, "permanent_ryser is bounded at order 24, got 25")
+    ] * 3
+    assert calls["laplacian"] == calls["adjacency"] == []
+
+
+def test_power_closures_are_computed_once_per_table_group(capsys):
+    # is_cyclic and strong_power_graph each ask for every table group's classes
+    _closure_classes.cache_clear()
+    assert main(["invariants", "--group", "dihedral:8"]) == 0
+    capsys.readouterr()
+    assert _closure_classes.cache_info().misses == 1
+    _closure_classes.cache_clear()
+    report = run_verify("corpus", 4, 12, checks=("kappa", "cayley"))
+    assert _closure_classes.cache_info().misses == len({r.spec for r in report.records})
