@@ -62,6 +62,7 @@ from .spectral import (
     spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
     to_matrix_market,
+    twin_classes,
 )
 from .permanents import (
     CliqueParams,

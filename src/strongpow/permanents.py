@@ -10,13 +10,14 @@ oracle. Nothing here "fixes" a closed form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeGuardError
-from .spectral import IntMatrix, _crt_lift, _primes_above
+from .spectral import IntMatrix, _crt_lift, _primes_above, _twin_quotient, twin_classes
 from .groups import euler_phi
 
 RYSER_LIMIT = 24
@@ -49,7 +50,8 @@ def permanent_ryser(m: IntMatrix) -> int:
     of the low k columns form one table, and each subset of the other n - k
     columns adds its row sums to the whole table at once, k chosen so that
     a block holds about 2^15 words. O(2^n * n) per modulus; bounded at
-    order 24.
+    order 24. A matrix with few twin classes (see twin_classes) takes the
+    exact sum grouped over them instead, when that costs less.
     Results are memoized per process on the matrix entries."""
     n = m.n
     _ryser_guard(n)
@@ -66,17 +68,57 @@ def permanent_ryser(m: IntMatrix) -> int:
 # covers enough elements to hide its fixed cost.
 _BLOCK_ELEMENTS = 1 << 15
 _WORD = 1 << 64
+# The grouped Ryser sum costs about 2 us per term and class in Python, the
+# numpy kernel about 13 ns per subset and row over all its moduli (2-vCPU
+# x86 host, n = 12..20), so a term and class weigh about 128 subset rows.
+_GROUPED_COST = 128
 
 
 @functools.lru_cache(maxsize=64)
 def _permanent(m: IntMatrix) -> int:
-    """Permanent of a matrix with no zero row or column, from its residues
-    modulo 2^64 and enough primes that their product exceeds twice the
-    row-sum bound on its absolute value."""
-    bound = 2 * math.prod(np.abs(m.array).sum(axis=1).tolist())
+    """Permanent of a matrix with no zero row or column: Ryser's sum over
+    twin classes when its terms cost less than the numpy kernel's 2^n
+    subsets, else the numpy kernel."""
+    n = m.n
+    classes = twin_classes(m)
+    terms = math.prod(len(cls) + 1 for cls in classes)
+    if terms * len(classes) * _GROUPED_COST <= n << n:
+        return _ryser_grouped(*_twin_quotient(m, classes))
+    return _ryser_numpy(m.array)
+
+
+def _ryser_numpy(a: np.ndarray) -> int:
+    """Ryser's sum over all 2^n column subsets, from its residues modulo
+    2^64 and enough primes that their product exceeds twice the row-sum
+    bound on its absolute value."""
+    bound = 2 * math.prod(np.abs(a).sum(axis=1).tolist())
     moduli = [_WORD, *_primes_above(bound >> 64)]
-    residues = [_ryser_mod(m.array, q) for q in moduli]
+    residues = [_ryser_mod(a, q) for q in moduli]
     return _crt_lift([[r] for r in residues], moduli)[0]
+
+
+def _ryser_grouped(sizes: np.ndarray, c: np.ndarray, diag: np.ndarray) -> int:
+    """Ryser's sum with the subsets grouped by how many columns r_a they
+    take from each twin class a (Ryser 1963): a row of class a sums to
+    R_a = sum_b c_ab r_b when its own column is left out and to R_a + d_a,
+    d_a = M_ii - c_aa, when it is taken, so
+
+        per(M) = (-1)^n sum_r (-1)^(sum r) prod_a C(m_a, r_a)
+                     (R_a + d_a)^(r_a) R_a^(m_a - r_a),
+
+    in exact integers over the prod_a (m_a + 1) vectors r."""
+    sizes, c, diag = sizes.tolist(), c.tolist(), diag.tolist()
+    shifts = [m_ii - row[a] for a, (m_ii, row) in enumerate(zip(diag, c))]
+    total = 0
+    for r in itertools.product(*(range(size + 1) for size in sizes)):
+        term = 1
+        for row, size, shift, taken in zip(c, sizes, shifts, r):
+            sums = sum(c_ab * r_b for c_ab, r_b in zip(row, r))
+            term *= math.comb(size, taken) * (sums + shift) ** taken * sums ** (size - taken)
+            if not term:
+                break
+        total += -term if sum(r) & 1 else term
+    return -total if sum(sizes) & 1 else total
 
 
 def _subset_sums(cols: np.ndarray, q: int) -> tuple[np.ndarray, int]:

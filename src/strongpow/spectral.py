@@ -71,6 +71,72 @@ class IntMatrix:
         return f"IntMatrix({self.array.tolist()!r})"
 
 
+def twin_classes(m: IntMatrix) -> list[list[int]]:
+    """The indices split into classes of twins, each class ascending and
+    the classes in the order of their least index. Indices i and j are twins
+    when M_ii = M_jj, M_ij = M_ji, and their rows and their columns agree
+    outside {i, j}. Twinship is an equivalence, and a class holds one value
+    c_aa off its diagonal and one value c_ab towards each other class b
+    (an equitable partition). Any partition into classes of twins, all
+    singletons included, gives the exact char poly and permanent; an
+    object array, whose entries have no fixed-width bytes, is left as
+    singletons."""
+    a = m.array
+    n = len(a)
+    if a.dtype == object:
+        return [[i] for i in range(n)]
+    # Twins share their diagonal entry, and each one's row (and column) is
+    # the other's with two entries swapped, so their sorted rows and sorted
+    # columns agree: group by those first.
+    sorted_rows = np.sort(a, axis=1), np.sort(a.T, axis=1)
+    coarse = _equal_rows(np.column_stack((a.diagonal(), *sorted_rows)), range(n))
+    classes = []
+    for group in coarse:
+        # i and j are twins with M_ij = v exactly when their rows, and their
+        # columns, are equal once both diagonal entries are set to v; v is
+        # in row i, and so in every row of the group
+        left = group
+        for v in sorted(set(a[group[0]].tolist())):
+            if len(left) < 2:
+                break
+            at = (np.arange(len(left)), left)
+            row_v, col_v = a[left], a.T[left]
+            row_v[at] = col_v[at] = v
+            fine = _equal_rows(np.column_stack((row_v, col_v)), left)
+            classes += [f for f in fine if len(f) > 1]
+            left = [f[0] for f in fine if len(f) == 1]
+        classes += [[i] for i in left]
+    return sorted(classes)
+
+
+def _equal_rows(rows: np.ndarray, labels) -> list[list[int]]:
+    """The labels of a 2-D array's rows, grouped by equal rows, through the
+    rows' bytes in a dict."""
+    data = rows.tobytes()
+    width = rows.shape[1] * rows.itemsize
+    groups: dict[bytes, list[int]] = {}
+    for k, label in enumerate(labels):
+        groups.setdefault(data[k * width:(k + 1) * width], []).append(label)
+    return list(groups.values())
+
+
+def _twin_quotient(m: IntMatrix, classes: list[list[int]]):
+    """(sizes, c, diag) for a partition of m's indices into classes of
+    twins: the class sizes m_a; the k x k array c of the value each class a
+    holds towards class b, with c_aa its value off the diagonal (for a
+    singleton, its diagonal entry); and each class's diagonal entry M_ii.
+    The arrays keep m's dtype. Eigenvectors that sum to zero on one class
+    have the eigenvalue d_a = M_ii - c_aa (m_a - 1 of them per class), and
+    class-constant vectors see the quotient c_ab m_b, whose diagonal is
+    M_ii + c_aa (m_a - 1)."""
+    a = m.array
+    firsts = [cls[0] for cls in classes]
+    c = a[np.ix_(firsts, firsts)]
+    c[np.diag_indices(len(classes))] = a[firsts, [cls[-1] for cls in classes]]
+    sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
+    return sizes, c, a[firsts, firsts]
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic integer polynomial; coeffs[k] is the coefficient of x^k."""
@@ -302,8 +368,9 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
 
 def char_poly_exact(m: IntMatrix) -> CharPoly:
     """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients. Bounded at order 256. Results are memoized per process on
-    the matrix entries."""
+    coefficients, evaluated over the twin classes of M (see twin_classes).
+    Bounded at order 256. Results are memoized per process on the matrix
+    entries."""
     n = m.n
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
@@ -314,12 +381,31 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
 
 @functools.lru_cache(maxsize=8)
 def _char_poly(m: IntMatrix) -> CharPoly:
-    """Characteristic polynomial from its residues modulo enough primes that
-    their product exceeds twice a bound on its coefficients, the primes
-    taken in blocks of about _BLOCK_WORDS words."""
-    n, a = m.n, m.array
-    if n == 0:
+    """Characteristic polynomial over twin classes (see _twin_quotient):
+    det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q), where Q is the
+    quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic Graph Theory,
+    9.3). With every class a singleton, Q is M and the product is empty."""
+    if m.n == 0:
         return CharPoly((1,))
+    sizes, c, diag = _twin_quotient(m, twin_classes(m))
+    q = c * sizes
+    np.fill_diagonal(q, diag + c.diagonal() * (sizes - 1))
+    coeffs = np.array(_char_poly_crt(q), dtype=object)
+    for c_aa, m_ii, size in zip(c.diagonal().tolist(), diag.tolist(), sizes.tolist()):
+        # times (x - d)^e, expanded by the binomial theorem
+        d, e = m_ii - c_aa, size - 1
+        power = [math.comb(e, k) * (-d) ** (e - k) for k in range(e + 1)]
+        coeffs = np.convolve(coeffs, np.array(power, dtype=object))
+    assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
+    return CharPoly(tuple(coeffs.tolist()))
+
+
+def _char_poly_crt(a: np.ndarray) -> list[int]:
+    """Ascending coefficients of det(xI - A) from its residues modulo enough
+    primes that their product exceeds twice a bound on its coefficients,
+    the primes taken in blocks of about _BLOCK_WORDS words. No row's
+    absolute sum may overflow A's dtype."""
+    n = len(a)
     # |coeff of x^(n-k)| <= C(n,k) * rho^k with rho >= spectral radius.
     rho = int(np.abs(a).sum(axis=1).max())
     bits = n * max(rho, 2).bit_length() + n + 4
@@ -331,9 +417,7 @@ def _char_poly(m: IntMatrix) -> CharPoly:
         # an object array's residues are Python ints below 2^27
         stack = (a % block[:, None, None]).astype(np.int64, copy=False)
         residues.extend(_char_poly_mod(stack, block).tolist())
-    coeffs = _crt_lift(residues, primes)
-    assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
-    return CharPoly(tuple(coeffs))
+    return _crt_lift(residues, primes)
 
 
 # --- closed forms ----------------------------------------------------------

@@ -219,8 +219,10 @@ def char_poly_in_blocks(m, primes_per_block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_char_poly_mod", spy)
         if primes_per_block is not None:
-            # the kernel takes _BLOCK_WORDS // n^2 primes at a time
-            mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * m.n * m.n)
+            # the kernel takes _BLOCK_WORDS // k^2 primes at a time, for the
+            # order k of the quotient over m's twin classes
+            k = len(spectral.twin_classes(m))
+            mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * k * k)
         spectral._char_poly.cache_clear()
         poly = char_poly_exact(m)
         spectral._char_poly.cache_clear()
