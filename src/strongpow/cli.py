@@ -4,6 +4,8 @@ run formula-vs-oracle verification sweeps, and export per-order CSV tables.
 Exit codes: 0 success (verify: all agree or documented disagreements only),
 1 undocumented disagreement from verify, 2 usage or input errors. A reader
 that closes stdout early ends the output quietly, with the same exit code.
+Each command imports the modules it runs, so `sweep`, `--help` and usage
+errors start without numpy.
 """
 
 from __future__ import annotations
@@ -16,21 +18,14 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import SizeGuardError
-from .groups import GroupError, GroupSpecError, parse_group_spec
-from .graphs import degree_sequence, graph_to_dot, graph_to_json, strong_power_graph
-from .spectral import ExactSpectrum, adjacency, laplacian, to_matrix_market
-from .permanents import permanent_ryser  # noqa: F401 (unused; perfbench's tracer test patches it)
-from .verify import (
-    CHECK_NAMES,
-    GroupCase,
-    closed_forms,
-    load_known_discrepancies,
-    run_verify,
-    _text,
-)
+from .formulas import CHECK_NAMES, ExactSpectrum, _text, closed_forms
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+# OpenBLAS reads its thread count once, when numpy loads. Only eigvalsh uses
+# float BLAS, and up to order 256 one thread is as fast as the pool, whose
+# threads spin at start-up; verify past that order keeps the default pool.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_ONE_BLAS_THREAD_TOP = 256
 
 SWEEP_COLUMNS = ("n", "phi", "spectrum", "a", "tau", "le", "kappa", "chi", "linegraph")
 
@@ -50,7 +45,11 @@ def compute_invariant_bundle(spec: str) -> dict[str, object]:
     order, with formula and oracle values side by side where both exist. A
     closed form below its least order, or an oracle past its size guard,
     is None."""
-    case = GroupCase.of(parse_group_spec(spec))
+    from .graphs import degree_sequence
+    from .groups import parse_group_spec
+    from .verify import GroupCase
+
+    case = GroupCase(parse_group_spec(spec))
     forms = closed_forms(case.n, case.cyclic)
     return {
         "group": spec,
@@ -125,6 +124,10 @@ def _write_output(chunks, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
+    from .graphs import graph_to_dot, graph_to_json, strong_power_graph
+    from .groups import parse_group_spec
+    from .spectral import adjacency, laplacian, to_matrix_market
+
     group = parse_group_spec(args.group)
     graph = strong_power_graph(group)
     if args.format == "json":
@@ -146,6 +149,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import load_known_discrepancies, run_verify
+
     lo, hi = _parse_range(args.range)
     if args.checks is not None:
         requested = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -230,6 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_blas_threads(args) -> None:
+    """One OpenBLAS thread for this process, unless the user chose a count
+    in one of _BLAS_VARS or the command is verify past order 256."""
+    if any(var in os.environ for var in _BLAS_VARS):
+        return
+    if args.command == "verify":
+        m = _RANGE_RE.match(args.range)
+        if m and int(m.group(2)) > _ONE_BLAS_THREAD_TOP:
+            return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv=None) -> int:
     # Spanning-tree counts and permanents pass 4300 decimal digits from
     # about order 1400; lift CPython's int-to-str limit (3.10.7+, 3.11+).
@@ -237,11 +254,21 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
+    _set_blas_threads(args)
     try:
         return args.func(args)
-    except (GroupSpecError, GroupError, SizeGuardError, ValueError, OSError) as e:
+    # group spec, group and size guard errors are all ValueErrors
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+
+
+def __getattr__(name):
+    # perfbench's tracer test reads strongpow.cli.permanent_ryser
+    if name == "permanent_ryser":
+        from .permanents import permanent_ryser
+        return permanent_ryser
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

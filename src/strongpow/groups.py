@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_TABLE_ORDER = 4096
+# Holds every index below MAX_TABLE_ORDER: a table group's array, and the
+# gathers that validate it, are a quarter of their int64 size.
+_INDEX_DTYPE = np.int16
 
 
 class GroupError(ValueError):
@@ -56,8 +59,8 @@ class FiniteGroup:
     """A finite group on element indices 0..n-1.
 
     table is None for Z_n, whose operation is addition mod n; otherwise it
-    is the read-only n x n array with table[a, b] = a * b. identity is the
-    index of the neutral element. Groups compare and hash as objects.
+    is the read-only n x n int16 array with table[a, b] = a * b. identity is
+    the index of the neutral element. Groups compare and hash as objects.
     """
 
     n: int
@@ -89,7 +92,7 @@ def make_cyclic(n: int) -> FiniteGroup:
 
 
 def _check_latin(t: np.ndarray, n: int) -> None:
-    full = np.arange(n)
+    full = np.arange(n, dtype=t.dtype)
     rows = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
     if rows.size:
         raise NotLatinSquareError(f"row {rows[0]} is not a permutation of 0..{n - 1}")
@@ -163,16 +166,18 @@ def make_from_table(table) -> FiniteGroup:
         raise InvalidOrderError(f"table order {n} exceeds bound {MAX_TABLE_ORDER}")
     for i, row in enumerate(rows):
         try:
-            rows[i] = np.asarray(row, dtype=np.intp)
+            row = np.asarray(row, dtype=np.intp)
         except OverflowError:
-            rows[i] = np.array([int(v) for v in row], dtype=object)
-        bad = np.flatnonzero((rows[i] < 0) | (rows[i] >= n))
+            row = np.array([int(v) for v in row], dtype=object)
+        bad = np.flatnonzero((row < 0) | (row >= n))
         if bad.size:
-            raise NotLatinSquareError(f"row {i} has out-of-range entry {rows[i][bad[0]]}")
+            raise NotLatinSquareError(f"row {i} has out-of-range entry {row[bad[0]]}")
+        rows[i] = row.astype(_INDEX_DTYPE)
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-    t = np.array(rows, dtype=np.intp)
+    t = np.array(rows, dtype=_INDEX_DTYPE)
+    del rows  # free the row copies before the validating gathers
     _check_latin(t, n)
     e = _find_identity(t, n)
     _check_inverses(t, n, e)
@@ -196,10 +201,10 @@ def make_dihedral(k: int) -> FiniteGroup:
     # r^i * r^j = r^(i+j), r^i * s*r^j = s*r^(j-i), s*r^i * r^j = s*r^(i+j)
     # and s*r^i * s*r^j = r^(j-i): b's rotation counts against a's when b is
     # a reflection, and the product is a reflection when exactly one is.
-    r = np.arange(2 * k) % k
+    r = np.arange(2 * k, dtype=_INDEX_DTYPE) % k
     s = np.arange(2 * k) >= k
     table = np.where(s[None, :], r[None, :] - r[:, None], r[:, None] + r[None, :]) % k
-    table += k * (s[:, None] ^ s[None, :])
+    table[s[:, None] ^ s[None, :]] += k
     return make_from_table(table)
 
 
@@ -296,24 +301,6 @@ def _quotient_table(g: FiniteGroup) -> np.ndarray:
     t = _table_array(g)
     inverses = np.argmax(t == g.identity, axis=1)
     return t[:, inverses]
-
-
-def euler_phi(n: int) -> int:
-    """Euler totient; multiplicative, computed from the prime factorization."""
-    if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def load_cayley_table_csv(path: str) -> FiniteGroup:

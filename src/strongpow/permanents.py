@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError
+from .formulas import euler_phi
 from .spectral import IntMatrix, _crt_lift, _primes_above, _twin_quotient, twin_classes
-from .groups import euler_phi
 
 RYSER_LIMIT = 24
 

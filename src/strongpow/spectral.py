@@ -1,24 +1,19 @@
-"""Laplacian assembly, exact characteristic polynomials, closed-form spectra,
-and the derived invariants: algebraic connectivity, spanning-tree counts, and
-Laplacian energy.
-
-Closed-form values and definition-based oracle values are deliberately kept in
-separate functions (never substituted for one another); the verify harness
-compares them.
+"""Laplacian and adjacency assembly, and the spectral oracles: exact
+characteristic polynomials, spanning-tree counts read off them, and the
+numeric eigensolver. Their closed-form counterparts live in `formulas`, and
+the verify harness compares the two; neither is substituted for the other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import SizeGuardError
+from .formulas import CharPoly
 from .graphs import _BLOCK_ROWS, Graph, _bit_matrix
-from .groups import euler_phi
 
 CHAR_POLY_LIMIT = 256
 
@@ -135,89 +130,6 @@ def _twin_quotient(m: IntMatrix, classes: list[list[int]]):
     c[np.diag_indices(len(classes))] = a[firsts, [cls[-1] for cls in classes]]
     sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
     return sizes, c, a[firsts, firsts]
-
-
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic integer polynomial; coeffs[k] is the coefficient of x^k."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == 1 else f"{mag}{xs}"
-            terms.append(("-" if c < 0 else "+", body))
-        if not terms:
-            return "0"
-        sign, body = terms[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
-
-
-@dataclass(frozen=True)
-class ExactSpectrum:
-    """Integer eigenvalues with multiplicities, strictly decreasing."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for value, mult in self.pairs:
-            if mult < 1:
-                raise ValueError(f"multiplicity of {value} must be >= 1")
-        values = [value for value, _ in self.pairs]
-        if any(later >= earlier for later, earlier in zip(values[1:], values)):
-            raise ValueError("eigenvalues must be strictly decreasing")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "ExactSpectrum":
-        """Merge duplicate eigenvalues, drop zero multiplicities, sort."""
-        acc: dict[int, int] = {}
-        for value, mult in pairs:
-            if mult:
-                acc[value] = acc.get(value, 0) + mult
-        return cls(tuple(sorted(acc.items(), reverse=True)))
-
-    @property
-    def n(self) -> int:
-        return sum(mult for _, mult in self.pairs)
-
-    def eigenvalues_desc(self) -> list[int]:
-        out = []
-        for value, mult in self.pairs:
-            out.extend([value] * mult)
-        return out
-
-    def trace(self) -> int:
-        return sum(value * mult for value, mult in self.pairs)
-
-    def __str__(self) -> str:
-        """Space-separated value^multiplicity, eigenvalues descending."""
-        return " ".join(f"{value}^{mult}" for value, mult in self.pairs)
 
 
 def laplacian(graph: Graph) -> IntMatrix:
@@ -420,39 +332,6 @@ def _char_poly_crt(a: np.ndarray) -> list[int]:
     return _crt_lift(residues, primes)
 
 
-# --- closed forms ----------------------------------------------------------
-
-
-def closed_form_spectrum(n: int, cyclic: bool) -> ExactSpectrum:
-    """Exact Laplacian spectrum of the strong power graph of a group of
-    order n: cyclic gives {0^1, n^{n-phi-1}, (n-phi-1)^1, (n-1)^{phi-1}},
-    noncyclic gives {0^1, n^{n-1}}. Collisions are merged (prime n)."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return ExactSpectrum(((0, 1),))
-    if not cyclic:
-        return ExactSpectrum.from_pairs([(0, 1), (n, n - 1)])
-    phi = euler_phi(n)
-    return ExactSpectrum.from_pairs(
-        [(0, 1), (n, n - phi - 1), (n - phi - 1, 1), (n - 1, phi - 1)]
-    )
-
-
-def char_poly_from_spectrum(s: ExactSpectrum) -> CharPoly:
-    """Monic polynomial whose roots are the spectrum's eigenvalues with
-    multiplicity, ascending coefficients. On closed_form_spectrum(n, True)
-    this is the closed form x(x-n)^{n-phi-1} (x-(n-phi-1)) (x-(n-1))^{phi-1}."""
-    coeffs = [1]
-    for value, mult in s.pairs:
-        for _ in range(mult):
-            coeffs = [0] + coeffs
-            if value:
-                for k in range(len(coeffs) - 1):
-                    coeffs[k] -= value * coeffs[k + 1]
-    return CharPoly(tuple(coeffs))
-
-
 def eigenvalues_numeric(m: IntMatrix) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending, via a dense
     symmetric eigensolver (LAPACK)."""
@@ -461,33 +340,6 @@ def eigenvalues_numeric(m: IntMatrix) -> list[float]:
     if m.n == 0:
         return []
     return np.linalg.eigvalsh(m.array.astype(np.float64)).tolist()
-
-
-def algebraic_connectivity(s: ExactSpectrum) -> int:
-    """Second-smallest Laplacian eigenvalue counting multiplicity (0 for a
-    one-vertex spectrum by convention)."""
-    if not s.pairs:
-        raise ValueError("empty spectrum")
-    if s.n == 1:
-        return 0
-    smallest_value, smallest_mult = s.pairs[-1]
-    if smallest_mult >= 2:
-        return smallest_value
-    return s.pairs[-2][0]
-
-
-def spanning_tree_count_formula(n: int, cyclic: bool) -> int:
-    """Closed-form spanning-tree count: n^{n-phi-2} (n-phi-1) (n-1)^{phi-1}
-    for cyclic orders, n^{n-2} for noncyclic. n >= 2."""
-    if n < 2:
-        raise ValueError(f"spanning_tree_count_formula requires n >= 2, got {n}")
-    if not cyclic:
-        return n ** (n - 2)
-    phi = euler_phi(n)
-    if n - phi - 1 == 0:
-        # disconnected (prime n or n = 2); avoids the negative exponent
-        return 0
-    return n ** (n - phi - 2) * (n - phi - 1) * (n - 1) ** (phi - 1)
 
 
 def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
@@ -505,29 +357,6 @@ def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
     tau, rest = divmod((-1) ** (n - 1) * c1, n)
     assert rest == 0, f"x-coefficient {c1} of the Laplacian is not a multiple of {n}"
     return tau
-
-
-def laplacian_energy_from_spectrum(s: ExactSpectrum, edge_count: int, n: int) -> Fraction:
-    """Definition-based Laplacian energy sum(|lambda_i - 2m/n|) in exact
-    rational arithmetic."""
-    if s.n != n:
-        raise ValueError(f"spectrum has {s.n} eigenvalues, expected {n}")
-    mean = Fraction(2 * edge_count, n)
-    return sum((abs(Fraction(value) - mean) * mult for value, mult in s.pairs),
-               Fraction(0))
-
-
-def laplacian_energy_closed_form(n: int, cyclic: bool) -> Fraction:
-    """Closed-form Laplacian energy: 2(n-1) - 4 phi(n)/n for cyclic orders,
-    2(n-1) for noncyclic. Implemented verbatim; the cyclic branch is known to
-    disagree with the definition-based oracle for n >= 3 (see the shipped
-    known-discrepancy list), and the verify harness records that rather than
-    patching it."""
-    if n < 2:
-        raise ValueError(f"laplacian_energy_closed_form requires n >= 2, got {n}")
-    if not cyclic:
-        return Fraction(2 * (n - 1))
-    return Fraction(2 * (n - 1)) - Fraction(4 * euler_phi(n), n)
 
 
 # --- exports ---------------------------------------------------------------

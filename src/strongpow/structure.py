@@ -1,8 +1,7 @@
 """Structural classification of strong power graphs: line-graph recognition
 by root-graph reconstruction (Roussopoulos 1973; Lehot 1974), which returns
-the root and the edge map that certify each "yes"; Cayley-graph
-construction and classification; and the connectivity and chromatic-number
-closed forms.
+the root and the edge map that certify each "yes"; and Cayley-graph
+construction and classification.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph, _bits, graph_from_edges
-from .groups import FiniteGroup, _quotient_table, euler_phi, is_cyclic
+from .groups import FiniteGroup, _quotient_table, is_cyclic
 
 def _is_clique(adj, mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in _bits(mask))
@@ -128,14 +127,6 @@ def is_line_graph(g: Graph) -> bool:
     with no size guard."""
     return line_graph_root(g) is not None
 
-def cyclic_line_graph_classification(n: int) -> bool:
-    """True iff the strong power graph of Z_n is a line graph, which happens
-    exactly for n = 1 (the one-vertex graph is L(K_2)), n = 4, n = 9, and
-    prime n."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    return n in (1, 4, 9) or euler_phi(n) == n - 1
-
 @dataclass(frozen=True)
 class ConnectionSet:
     """A connection set for a Cayley graph: excludes the identity and is
@@ -176,25 +167,3 @@ def cayley_classification(g: FiniteGroup) -> bool:
     C(G, G without identity) = K_n). Cyclic groups of order >= 3 yield a
     non-regular graph, which no Cayley graph is."""
     return not is_cyclic(g)
-
-def kappa_formula(n: int, cyclic: bool) -> int:
-    """Vertex connectivity of the strong power graph: n - phi(n) - 1 for
-    cyclic groups (0 when n is prime or 1), n - 1 otherwise."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return 0
-    if cyclic:
-        return n - euler_phi(n) - 1
-    return n - 1
-
-def chi_formula(n: int, cyclic: bool) -> int:
-    """Chromatic number of the strong power graph: n - 1 for cyclic groups
-    of order >= 2, n otherwise."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    if cyclic:
-        return n - 1
-    return n

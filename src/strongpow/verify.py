@@ -1,8 +1,8 @@
 """Formula-vs-oracle verification harness.
 
-Every closed form in the library is paired here with an independent
-computation on the constructed graph, in one table, INVARIANTS, which the
-verify, invariants and sweep commands all read. Each (check, group) pair
+Every closed form in the library (see `formulas`) is paired here with an
+independent computation on the constructed graph, in one table, INVARIANTS,
+which the verify and invariants commands read. Each (check, group) pair
 yields one record with status agree, disagree, or skipped; checks whose
 oracle exceeds its size guard auto-skip rather than fail. Disagreements are
 compared against the shipped known-discrepancy list so documented formula
@@ -19,7 +19,18 @@ from importlib import resources
 from typing import Callable, Optional
 
 from .errors import SizeGuardError
-from .groups import FiniteGroup, euler_phi, is_cyclic, make_cyclic, noncyclic_corpus
+from .formulas import (
+    CHECK_NAMES,
+    _text,
+    char_poly_from_spectrum,
+    chi_formula,
+    closed_form_spectrum,
+    cyclic_line_graph_classification,
+    kappa_formula,
+    laplacian_energy_closed_form,
+    spanning_tree_count_formula,
+)
+from .groups import FiniteGroup, is_cyclic, make_cyclic, noncyclic_corpus
 from .graphs import (
     Graph,
     chromatic_number_exact,
@@ -32,15 +43,9 @@ from .graphs import (
 from .spectral import (
     IntMatrix,
     adjacency,
-    algebraic_connectivity,
     char_poly_exact,
-    char_poly_from_spectrum,
-    closed_form_spectrum,
     eigenvalues_numeric,
     laplacian,
-    laplacian_energy_closed_form,
-    laplacian_energy_from_spectrum,
-    spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
 )
 from .permanents import (
@@ -54,11 +59,8 @@ from .permanents import (
 from .structure import (
     cayley_classification,
     cayley_graph,
-    chi_formula,
-    cyclic_line_graph_classification,
     full_connection_set,
     is_line_graph,
-    kappa_formula,
 )
 
 FAMILIES = ("cyclic", "corpus")
@@ -125,25 +127,14 @@ def load_known_discrepancies() -> tuple[KnownDiscrepancy, ...]:
     )
 
 
-def _text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 class GroupCase:
     """One group under check: its order, whether it is cyclic, and its strong
     power graph. The graph, its Laplacian, its adjacency matrix and the
     numeric Laplacian spectrum are built on first use, at most once each, and
-    shared by every check of the group. A case without a group serves the
-    closed forms other than cayley's, which read only n and cyclicity."""
+    shared by every check of the group."""
 
-    def __init__(self, group: Optional[FiniteGroup], n: int, cyclic: bool):
-        self.group, self.n, self.cyclic = group, n, cyclic
-
-    @classmethod
-    def of(cls, group: FiniteGroup) -> "GroupCase":
-        return cls(group, group.n, is_cyclic(group))
+    def __init__(self, group: FiniteGroup):
+        self.group, self.n, self.cyclic = group, group.n, is_cyclic(group)
 
     @cached_property
     def graph(self) -> Graph:
@@ -255,9 +246,10 @@ class Invariant:
     judge: Callable[[GroupCase, object, object], tuple[str, str, str, str]] = _agreement
 
 
-# Every check in canonical record order. Closed forms and oracles are
-# lambdas, so each call looks its function up in this module when it runs
-# and a function patched onto the module after import is the one called.
+# Every check, in the canonical record order of CHECK_NAMES. Closed forms
+# and oracles are lambdas, so each call looks its function up in this module
+# when it runs and a function patched onto the module after import is the
+# one called.
 INVARIANTS: dict[str, Invariant] = {
     "spectrum": Invariant(
         1, lambda c: closed_form_spectrum(c.n, c.cyclic),
@@ -277,9 +269,8 @@ INVARIANTS: dict[str, Invariant] = {
     "chi": Invariant(
         1, lambda c: chi_formula(c.n, c.cyclic),
         lambda c: chromatic_number_exact(c.graph)),
-    # Complete graphs, the noncyclic case, are line graphs of stars.
     "linegraph": Invariant(
-        1, lambda c: cyclic_line_graph_classification(c.n) if c.cyclic else True,
+        1, lambda c: cyclic_line_graph_classification(c.n, c.cyclic),
         lambda c: is_line_graph(c.graph)),
     "cayley": Invariant(
         1, lambda c: cayley_classification(c.group),
@@ -297,30 +288,6 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: _ryser(c.n, lambda: laplacian(complete_graph(c.n))),
         lambda c, f, o: _agreement(c, f, o, f"complete graph K_{c.n}")),
 }
-
-CHECK_NAMES = tuple(INVARIANTS)
-
-
-def closed_forms(n: int, cyclic: bool) -> dict[str, object]:
-    """The closed-form invariants `invariants` and `sweep` print for a group
-    of order n: phi, the Laplacian spectrum, its algebraic connectivity
-    ("a"), tau, the Laplacian energy by definition from that spectrum
-    ("le"), kappa, chi and line-graph membership."""
-    case = GroupCase(None, n, cyclic)
-    spectrum = case.formula("spectrum")
-    tau = case.formula("tau")
-    return {
-        "phi": euler_phi(n),
-        "spectrum": spectrum,
-        "a": algebraic_connectivity(spectrum),
-        # the one-vertex graph is its own spanning tree
-        "tau": 1 if tau is None else tau,
-        # the Laplacian trace is the degree sum, 2m
-        "le": laplacian_energy_from_spectrum(spectrum, spectrum.trace() // 2, n),
-        "kappa": case.formula("kappa"),
-        "chi": case.formula("chi"),
-        "linegraph": case.formula("linegraph"),
-    }
 
 
 def run_one_check(check: str, family: str, spec: str, case: GroupCase) -> CheckRecord:
@@ -422,7 +389,7 @@ def run_verify(
     ordered_checks = tuple(c for c in CHECK_NAMES if c in checks)
     records = []
     for spec, grp in members:
-        case = GroupCase.of(grp)
+        case = GroupCase(grp)
         for check in ordered_checks:
             records.append(run_one_check(check, family, spec, case))
     return VerifyReport(family, n_lo, n_hi, records)

@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from strongpow.errors import SizeGuardError
+from strongpow.formulas import cyclic_line_graph_classification
 from strongpow.graphs import (
     Graph,
     _bits,
@@ -22,7 +23,6 @@ from strongpow.graphs import (
 )
 from strongpow.groups import FiniteGroup
 from strongpow.spectral import IntMatrix
-from strongpow.structure import cyclic_line_graph_classification
 
 CONNECTIVITY_ORACLE_LIMIT = 14
 BRUTEFORCE_CONSTRUCTION_LIMIT = 32

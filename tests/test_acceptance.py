@@ -6,6 +6,15 @@ and only then asserts. The terminal summary therefore always shows one line
 per criterion, even on failure.
 """
 
+from strongpow.formulas import (
+    char_poly_from_spectrum,
+    chi_formula,
+    closed_form_spectrum,
+    cyclic_line_graph_classification,
+    kappa_formula,
+    laplacian_energy_from_spectrum,
+    spanning_tree_count_formula,
+)
 from strongpow.graphs import (
     complete_graph,
     chromatic_number_exact,
@@ -24,22 +33,11 @@ from strongpow.permanents import (
 from strongpow.spectral import (
     adjacency,
     char_poly_exact,
-    char_poly_from_spectrum,
-    closed_form_spectrum,
     eigenvalues_numeric,
     laplacian,
-    laplacian_energy_from_spectrum,
-    spanning_tree_count_formula,
     spanning_tree_count_kirchhoff,
 )
-from strongpow.structure import (
-    cayley_graph,
-    chi_formula,
-    cyclic_line_graph_classification,
-    full_connection_set,
-    is_line_graph,
-    kappa_formula,
-)
+from strongpow.structure import cayley_graph, full_connection_set, is_line_graph
 from strongpow.verify import CheckRecord, load_known_discrepancies, run_verify
 
 from reference import (

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import strongpow.cli as cli
+import strongpow.verify
 from strongpow.cli import main
-from strongpow.spectral import spanning_tree_count_formula
+from strongpow.formulas import spanning_tree_count_formula
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -216,7 +217,7 @@ def test_verify_le_known_disagreement(capsys):
 
 
 def test_verify_exit_1_when_discrepancy_not_documented(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "load_known_discrepancies", lambda: ())
+    monkeypatch.setattr(strongpow.verify, "load_known_discrepancies", lambda: ())
     code, out, err = run(
         capsys,
         "verify", "--family", "cyclic", "--range", "4..4", "--checks", "le",
@@ -427,3 +428,36 @@ def test_out_write_failure_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "sweep", "--range", "1..3", "--out", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: [Errno 2]")
+
+
+def _blas_threads_seen(monkeypatch, argv) -> list:
+    """OPENBLAS_NUM_THREADS as the command's function sees it inside main."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(
+        os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
+    assert main(argv) == 0
+    return seen
+
+
+@pytest.mark.parametrize("argv, threads", [
+    (["invariants", "--group", "zn:4"], "1"),
+    (["build", "--group", "zn:4"], "1"),
+    (["sweep", "--range", "2..3"], "1"),
+    (["verify", "--family", "cyclic", "--range", "2..256"], "1"),
+    (["verify", "--family", "cyclic", "--range", "250..300"], None),
+])
+def test_one_blas_thread_below_large_eigensolves(monkeypatch, argv, threads):
+    for var in cli._BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert _blas_threads_seen(monkeypatch, argv) == [threads]
+
+
+@pytest.mark.parametrize("var", cli._BLAS_VARS)
+def test_a_blas_thread_count_the_user_set_is_kept(monkeypatch, var):
+    for other in cli._BLAS_VARS:
+        monkeypatch.delenv(other, raising=False)
+    monkeypatch.setenv(var, "3")
+    kept = "3" if var == "OPENBLAS_NUM_THREADS" else None
+    for argv in (["sweep", "--range", "2..3"], ["verify", "--family", "cyclic", "--range", "2..4"]):
+        assert _blas_threads_seen(monkeypatch, argv) == [kept]
+        assert os.environ[var] == "3"

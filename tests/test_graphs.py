@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import strongpow.graphs as graphs_module
 from strongpow.errors import SizeGuardError
+from strongpow.formulas import closed_form_spectrum, euler_phi, kappa_formula
 from strongpow.graphs import (
     Graph,
     chromatic_number_exact,
@@ -23,15 +24,12 @@ from strongpow.graphs import (
 )
 from strongpow.groups import (
     _closure_classes,
-    euler_phi,
     make_cyclic,
     make_from_table,
     make_klein,
     noncyclic_corpus,
     parse_group_spec,
 )
-from strongpow.spectral import closed_form_spectrum
-from strongpow.structure import kappa_formula
 
 from reference import (
     BRUTEFORCE_CONSTRUCTION_LIMIT,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongpow.formulas import euler_phi
 from strongpow.groups import (
     MAX_TABLE_ORDER,
     FiniteGroup,
@@ -16,7 +17,6 @@ from strongpow.groups import (
     NotAssociativeError,
     NotLatinSquareError,
     element_order,
-    euler_phi,
     is_cyclic,
     load_cayley_table_csv,
     make_cyclic,

@@ -1,5 +1,6 @@
-"""The package's top level: what `import strongpow` loads, and the README's
-Library example run as written."""
+"""The package's top level: what `import strongpow` and a command load at
+start-up, the names it exports, and the README's Library example run as
+written."""
 
 import ast
 import os
@@ -9,20 +10,78 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_does_not_load_the_cli():
-    # a fresh interpreter, so no other test has imported strongpow.cli already
+# Every name the package exported when it imported all its modules eagerly.
+_PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderError
+    MissingInverseError NoIdentityError NotAssociativeError NotLatinSquareError
+    element_order euler_phi is_cyclic load_cayley_table_csv make_cyclic
+    make_dihedral make_direct_product make_from_table make_klein make_symmetric
+    noncyclic_corpus parse_group_spec Graph chromatic_number_exact complete_graph
+    degree_sequence graph_from_edges graph_isomorphic graph_to_dot graph_to_json
+    is_complete is_regular strong_power_graph vertex_connectivity CharPoly
+    ExactSpectrum IntMatrix adjacency algebraic_connectivity char_poly_exact
+    char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
+    laplacian_energy_closed_form laplacian_energy_from_spectrum
+    spanning_tree_count_formula spanning_tree_count_kirchhoff to_matrix_market
+    twin_classes CliqueParams clique_plus_vertex_adjacency_permanent
+    clique_plus_vertex_laplacian_permanent complete_graph_laplacian_permanent
+    permanent_ryser ConnectionSet cayley_classification cayley_graph chi_formula
+    cyclic_line_graph_classification full_connection_set is_line_graph
+    kappa_formula line_graph_root CHECK_NAMES CheckRecord KnownDiscrepancy
+    VerifyReport load_known_discrepancies run_verify __version__""".split()
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, where no test has imported anything."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    code = "import sys, strongpow; print(sorted(m for m in sys.modules if m.startswith('strongpow')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True,
+        text=True, timeout=60,
     )
+
+
+def test_import_does_not_load_the_cli():
+    proc = _fresh_python("import sys, strongpow; print(sorted(sys.modules))")
     assert proc.returncode == 0, proc.stderr
-    assert "strongpow.cli" not in proc.stdout
-    assert "'strongpow.verify'" in proc.stdout
+    assert "'numpy'" not in proc.stdout
+    assert "'strongpow.cli'" not in proc.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep", "--range", "2..5"], 0),
+    (["--help"], 0),
+    (["sweep", "--range", "5"], 2),
+])
+def test_commands_without_numeric_work_start_without_numpy(argv, code):
+    # runs `python -m strongpow ARGV`, then reports whether numpy was loaded
+    run_main = (
+        "import runpy, sys\n"
+        "sys.argv[0] = 'strongpow'\n"
+        "try:\n"
+        "    runpy.run_module('strongpow', run_name='__main__')\n"
+        "finally:\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = _fresh_python(run_main, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_every_public_name_still_resolves():
+    import strongpow
+    import strongpow.cli
+
+    for name in _PUBLIC:
+        assert getattr(strongpow, name) is not None, name
+    assert set(_PUBLIC) <= set(dir(strongpow))
+    assert strongpow.cli.permanent_ryser is strongpow.permanent_ryser
+    with pytest.raises(AttributeError):
+        strongpow.no_such_name
 
 
 def test_readme_library_block_runs_as_written():

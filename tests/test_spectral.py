@@ -8,23 +8,26 @@ from hypothesis import strategies as st
 
 from strongpow import permanents, spectral
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
-from strongpow.groups import euler_phi, make_cyclic, noncyclic_corpus
-from strongpow.permanents import permanent_ryser
-from strongpow.spectral import (
+from strongpow.formulas import (
     CharPoly,
     ExactSpectrum,
-    IntMatrix,
-    adjacency,
     algebraic_connectivity,
-    char_poly_exact,
     char_poly_from_spectrum,
     closed_form_spectrum,
-    eigenvalues_numeric,
-    laplacian,
+    euler_phi,
     laplacian_energy_closed_form,
     laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
+)
+from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
+from strongpow.groups import make_cyclic, noncyclic_corpus
+from strongpow.permanents import permanent_ryser
+from strongpow.spectral import (
+    IntMatrix,
+    adjacency,
+    char_poly_exact,
+    eigenvalues_numeric,
+    laplacian,
     spanning_tree_count_kirchhoff,
     to_matrix_market,
 )

@@ -5,6 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongpow.errors import SizeGuardError
+from strongpow.formulas import (
+    chi_formula,
+    cyclic_line_graph_classification,
+    euler_phi,
+    kappa_formula,
+)
 from strongpow.graphs import (
     Graph,
     chromatic_number_exact,
@@ -15,7 +21,6 @@ from strongpow.graphs import (
     strong_power_graph,
 )
 from strongpow.groups import (
-    euler_phi,
     make_cyclic,
     make_klein,
     make_symmetric,
@@ -25,11 +30,8 @@ from strongpow.structure import (
     ConnectionSet,
     cayley_classification,
     cayley_graph,
-    chi_formula,
-    cyclic_line_graph_classification,
     full_connection_set,
     is_line_graph,
-    kappa_formula,
     line_graph_root,
 )
 

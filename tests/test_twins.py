@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 
 from strongpow import permanents, spectral
 from strongpow.errors import SizeGuardError
+from strongpow.formulas import (
+    CharPoly,
+    char_poly_from_spectrum,
+    closed_form_spectrum,
+    euler_phi,
+)
 from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
-from strongpow.groups import euler_phi, make_cyclic
+from strongpow.groups import make_cyclic
 from strongpow.permanents import (
     CliqueParams,
     clique_plus_vertex_laplacian_permanent,
@@ -19,12 +25,9 @@ from strongpow.permanents import (
     permanent_ryser,
 )
 from strongpow.spectral import (
-    CharPoly,
     IntMatrix,
     adjacency,
     char_poly_exact,
-    char_poly_from_spectrum,
-    closed_form_spectrum,
     laplacian,
     twin_classes,
 )

@@ -25,6 +25,8 @@ def find(report, check, n):
 
 
 def test_check_names():
+    # the registry holds every check, in record order
+    assert tuple(verify.INVARIANTS) == CHECK_NAMES
     assert len(CHECK_NAMES) == 11
     assert len(set(CHECK_NAMES)) == 11
     for name in ("spectrum", "tau", "le", "kappa", "chi", "linegraph", "cayley"):
