@@ -5,9 +5,9 @@ classification, with every closed form paired against an independent oracle.
 The strong power graph of a finite group G of order n joins distinct
 elements a and b whenever a^i = b^j for some exponents 1 <= i, j <= n-1.
 
-The names below are the package's public API. Each is imported from its
-module on first use (PEP 562), so `import strongpow` loads neither numpy nor
-the command line, `strongpow.cli`.
+The names below are the package's public API. Each name, and each module
+that holds them, is imported on first use (PEP 562), so `import strongpow`
+loads neither numpy nor the command line, `strongpow.cli`.
 """
 
 import importlib
@@ -40,10 +40,13 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
+__all__ = [*_MODULE_OF, "__version__"]
 __version__ = "0.1.0"
 
 
 def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     # read from the module each time, so a name patched there is the one seen
     module = _MODULE_OF.get(name)
     if module is None:

@@ -21,11 +21,6 @@ from fractions import Fraction
 from .formulas import CHECK_NAMES, ExactSpectrum, _text, closed_forms
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
-# OpenBLAS reads its thread count once, when numpy loads. Only eigvalsh uses
-# float BLAS, and up to order 256 one thread is as fast as the pool, whose
-# threads spin at start-up; verify past that order keeps the default pool.
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_ONE_BLAS_THREAD_TOP = 256
 
 SWEEP_COLUMNS = ("n", "phi", "spectrum", "a", "tau", "le", "kappa", "chi", "linegraph")
 
@@ -235,18 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _set_blas_threads(args) -> None:
-    """One OpenBLAS thread for this process, unless the user chose a count
-    in one of _BLAS_VARS or the command is verify past order 256."""
-    if any(var in os.environ for var in _BLAS_VARS):
-        return
-    if args.command == "verify":
-        m = _RANGE_RE.match(args.range)
-        if m and int(m.group(2)) > _ONE_BLAS_THREAD_TOP:
-            return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-
 def main(argv=None) -> int:
     # Spanning-tree counts and permanents pass 4300 decimal digits from
     # about order 1400; lift CPython's int-to-str limit (3.10.7+, 3.11+).
@@ -254,7 +237,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
-    _set_blas_threads(args)
     try:
         return args.func(args)
     # group spec, group and size guard errors are all ValueErrors

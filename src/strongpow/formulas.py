@@ -168,9 +168,12 @@ def algebraic_connectivity(s: ExactSpectrum) -> int:
 
 def spanning_tree_count_formula(n: int, cyclic: bool) -> int:
     """Closed-form spanning-tree count: n^{n-phi-2} (n-phi-1) (n-1)^{phi-1}
-    for cyclic orders, n^{n-2} for noncyclic. n >= 2."""
-    if n < 2:
-        raise ValueError(f"spanning_tree_count_formula requires n >= 2, got {n}")
+    for cyclic orders, n^{n-2} for noncyclic; 1 for n = 1, since the
+    one-vertex graph is its own spanning tree."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if n == 1:
+        return 1
     if not cyclic:
         return n ** (n - 2)
     phi = euler_phi(n)
@@ -247,8 +250,7 @@ def closed_forms(n: int, cyclic: bool) -> dict[str, object]:
         "phi": euler_phi(n),
         "spectrum": spectrum,
         "a": algebraic_connectivity(spectrum),
-        # the one-vertex graph is its own spanning tree
-        "tau": spanning_tree_count_formula(n, cyclic) if n >= 2 else 1,
+        "tau": spanning_tree_count_formula(n, cyclic),
         # the Laplacian trace is the degree sum, 2m
         "le": laplacian_energy_from_spectrum(spectrum, spectrum.trace() // 2, n),
         "kappa": kappa_formula(n, cyclic),

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 _criteria_lines = []
@@ -11,18 +9,6 @@ def criteria_log():
         _criteria_lines.append(f"{label}: {'PASS' if passed else 'FAIL'}")
 
     return record
-
-
-@pytest.fixture(autouse=True)
-def _keep_blas_threads():
-    """cli.main sets OPENBLAS_NUM_THREADS for its process; give the variable
-    back as each test found it, so in-process runs do not reach subprocesses."""
-    saved = os.environ.get("OPENBLAS_NUM_THREADS")
-    yield
-    if saved is None:
-        os.environ.pop("OPENBLAS_NUM_THREADS", None)
-    else:
-        os.environ["OPENBLAS_NUM_THREADS"] = saved
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -429,35 +429,3 @@ def test_out_write_failure_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: [Errno 2]")
 
-
-def _blas_threads_seen(monkeypatch, argv) -> list:
-    """OPENBLAS_NUM_THREADS as the command's function sees it inside main."""
-    seen = []
-    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(
-        os.environ.get("OPENBLAS_NUM_THREADS")) or 0)
-    assert main(argv) == 0
-    return seen
-
-
-@pytest.mark.parametrize("argv, threads", [
-    (["invariants", "--group", "zn:4"], "1"),
-    (["build", "--group", "zn:4"], "1"),
-    (["sweep", "--range", "2..3"], "1"),
-    (["verify", "--family", "cyclic", "--range", "2..256"], "1"),
-    (["verify", "--family", "cyclic", "--range", "250..300"], None),
-])
-def test_one_blas_thread_below_large_eigensolves(monkeypatch, argv, threads):
-    for var in cli._BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    assert _blas_threads_seen(monkeypatch, argv) == [threads]
-
-
-@pytest.mark.parametrize("var", cli._BLAS_VARS)
-def test_a_blas_thread_count_the_user_set_is_kept(monkeypatch, var):
-    for other in cli._BLAS_VARS:
-        monkeypatch.delenv(other, raising=False)
-    monkeypatch.setenv(var, "3")
-    kept = "3" if var == "OPENBLAS_NUM_THREADS" else None
-    for argv in (["sweep", "--range", "2..3"], ["verify", "--family", "cyclic", "--range", "2..4"]):
-        assert _blas_threads_seen(monkeypatch, argv) == [kept]
-        assert os.environ[var] == "3"

@@ -82,6 +82,12 @@ def test_every_public_name_still_resolves():
     assert strongpow.cli.permanent_ryser is strongpow.permanent_ryser
     with pytest.raises(AttributeError):
         strongpow.no_such_name
+    star = {}
+    exec("from strongpow import *", star)
+    assert set(_PUBLIC) <= set(star)
+    # a module that holds public names is an attribute before it is imported
+    proc = _fresh_python("import strongpow; print(strongpow.verify.run_verify.__name__)")
+    assert proc.stdout == "run_verify\n", proc.stderr
 
 
 def test_readme_library_block_runs_as_written():

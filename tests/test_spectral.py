@@ -393,6 +393,7 @@ def test_spanning_tree_count():
     assert spanning_tree_count_formula(9, True) == 589824
     assert spanning_tree_count_formula(5, True) == 0
     assert spanning_tree_count_formula(4, False) == 16
+    assert spanning_tree_count_formula(1, True) == spanning_tree_count_formula(1, False) == 1
     for n in range(2, 17):
         g = strong_power_graph(make_cyclic(n))
         assert spanning_tree_count_formula(n, True) == spanning_tree_count_kirchhoff(laplacian(g))
@@ -525,6 +526,6 @@ def test_closed_form_input_validation():
     with pytest.raises(ValueError):
         closed_form_spectrum(0, True)
     with pytest.raises(ValueError):
-        spanning_tree_count_formula(1, True)
+        spanning_tree_count_formula(0, True)
     with pytest.raises(ValueError):
         laplacian_energy_closed_form(1, True)
