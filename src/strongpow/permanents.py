@@ -20,7 +20,17 @@ from .errors import SizeGuardError
 from .formulas import euler_phi
 from .spectral import IntMatrix, _crt_lift, _primes_above, _twin_quotient, twin_classes
 
-RYSER_LIMIT = 24
+# No permanent is computed past this order, whatever its twin classes, so a
+# caller can refuse before it builds a matrix. The grouped sum for L(K_1024),
+# one class, takes 0.1-0.25 s, for L(K_4096) about 5.6 s (2-vCPU host).
+RYSER_LIMIT = 1024
+# The numpy kernel sums all 2^n column subsets, about 6 s at this order.
+_SUBSET_LIMIT = 24
+# Past _SUBSET_LIMIT the grouped sum runs for at most this many terms
+# prod_a (m_a + 1). Z_N's three classes give 2 (phi + 1) (N - phi) terms:
+# at most 33,024 up to N = 256 (at N = 256), while Z_320's 49,536 take
+# 0.6-0.9 s per permanent on a 2-vCPU host.
+_TERM_BUDGET = 40_000
 
 
 def _comb(a: int, b: int) -> int:
@@ -32,8 +42,8 @@ def _comb(a: int, b: int) -> int:
 
 
 def _ryser_guard(n: int) -> None:
-    """Ryser's size guard; callers that build a matrix only for Ryser run it
-    first, so a matrix past RYSER_LIMIT is never built."""
+    """The order cap on Ryser's permanent; callers that build a matrix only
+    for Ryser run it first, so a matrix past RYSER_LIMIT is never built."""
     if n > RYSER_LIMIT:
         raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
 
@@ -49,10 +59,14 @@ def permanent_ryser(m: IntMatrix) -> int:
     before any summation, so arbitrary Python ints stay exact. The subsets
     of the low k columns form one table, and each subset of the other n - k
     columns adds its row sums to the whole table at once, k chosen so that
-    a block holds about 2^15 words. O(2^n * n) per modulus; bounded at
-    order 24. A matrix with few twin classes (see twin_classes) takes the
-    exact sum grouped over them instead, when that costs less.
-    Results are memoized per process on the matrix entries."""
+    a block holds about 2^15 words. O(2^n * n) per modulus, so it runs up
+    to order 24. A matrix with few twin classes (see twin_classes) takes
+    the exact sum grouped over them instead, when that costs less; past
+    order 24 that sum runs when it has at most 40,000 terms, and a matrix
+    that fits neither kernel, or lies past order RYSER_LIMIT, raises
+    SizeGuardError. A zero row or column gives 0 at any order up to
+    RYSER_LIMIT. Results up to order 24 are memoized per process on the
+    matrix entries."""
     n = m.n
     _ryser_guard(n)
     if n == 0:
@@ -60,7 +74,9 @@ def permanent_ryser(m: IntMatrix) -> int:
     nonzero = m.array != 0
     if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
         return 0
-    return _permanent(m)
+    # the memo holds its matrices, so those past the numpy kernel's order,
+    # up to 8 MB each, are not kept
+    return (_permanent if n <= _SUBSET_LIMIT else _permanent.__wrapped__)(m)
 
 
 # 2^15 eight-byte words: the table, a block and its scratch stay cache-sized
@@ -78,13 +94,21 @@ _GROUPED_COST = 128
 def _permanent(m: IntMatrix) -> int:
     """Permanent of a matrix with no zero row or column: Ryser's sum over
     twin classes when its terms cost less than the numpy kernel's 2^n
-    subsets, else the numpy kernel."""
+    subsets, or when n is past the numpy kernel's bound and the terms fit
+    their budget; else the numpy kernel."""
     n = m.n
     classes = twin_classes(m)
     terms = math.prod(len(cls) + 1 for cls in classes)
-    if terms * len(classes) * _GROUPED_COST <= n << n:
-        return _ryser_grouped(*_twin_quotient(m, classes))
-    return _ryser_numpy(m.array)
+    if n > _SUBSET_LIMIT:
+        if terms > _TERM_BUDGET:
+            raise SizeGuardError(
+                f"permanent_ryser: order {n} is past the all-subsets bound of "
+                f"{_SUBSET_LIMIT}, and its {len(classes)} twin classes give "
+                f"{terms} grouped terms, past the budget of {_TERM_BUDGET}"
+            )
+    elif terms * len(classes) * _GROUPED_COST > n << n:
+        return _ryser_numpy(m.array)
+    return _ryser_grouped(*_twin_quotient(m, classes))
 
 
 def _ryser_numpy(a: np.ndarray) -> int:

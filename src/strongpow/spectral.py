@@ -60,10 +60,28 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.array.ravel().tolist()))
+        a = self.array
+        if a.dtype == object:
+            try:
+                a = a.astype(np.int64)
+            except OverflowError:
+                return hash(tuple(a.ravel().tolist()))
+        return hash((a.shape, _narrowest(a).tobytes()))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.array.tolist()!r})"
+
+
+def _narrowest(a: np.ndarray) -> np.ndarray:
+    """An int64 array in the narrowest signed integer dtype that holds its
+    entries, so equal values give equal bytes; a Laplacian of up to 32767
+    vertices fits int16, a quarter of the bytes to sort, hash and compare."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return a.astype(dtype)
+    return a
 
 
 def twin_classes(m: IntMatrix) -> list[list[int]]:
@@ -80,6 +98,7 @@ def twin_classes(m: IntMatrix) -> list[list[int]]:
     n = len(a)
     if a.dtype == object:
         return [[i] for i in range(n)]
+    a = _narrowest(a)
     # Twins share their diagonal entry, and each one's row (and column) is
     # the other's with two entries swapped, so their sorted rows and sorted
     # columns agree: group by those first.
@@ -281,8 +300,8 @@ def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
 def char_poly_exact(m: IntMatrix) -> CharPoly:
     """Monic characteristic polynomial det(xI - M) with exact integer
     coefficients, evaluated over the twin classes of M (see twin_classes).
-    Bounded at order 256. Results are memoized per process on the matrix
-    entries."""
+    Bounded at order 256, where the polynomial already takes about 93 KB
+    of text. Results are memoized per process on the matrix entries."""
     n = m.n
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
@@ -293,23 +312,41 @@ def char_poly_exact(m: IntMatrix) -> CharPoly:
 
 @functools.lru_cache(maxsize=8)
 def _char_poly(m: IntMatrix) -> CharPoly:
-    """Characteristic polynomial over twin classes (see _twin_quotient):
-    det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q), where Q is the
-    quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic Graph Theory,
-    9.3). With every class a singleton, Q is M and the product is empty."""
+    """The factors of _twin_factors, multiplied out."""
     if m.n == 0:
         return CharPoly((1,))
-    sizes, c, diag = _twin_quotient(m, twin_classes(m))
-    q = c * sizes
-    np.fill_diagonal(q, diag + c.diagonal() * (sizes - 1))
-    coeffs = np.array(_char_poly_crt(q), dtype=object)
-    for c_aa, m_ii, size in zip(c.diagonal().tolist(), diag.tolist(), sizes.tolist()):
+    shifts, quotient = _twin_factors(m)
+    coeffs = np.array(quotient, dtype=object)
+    for d, e in shifts:
         # times (x - d)^e, expanded by the binomial theorem
-        d, e = m_ii - c_aa, size - 1
         power = [math.comb(e, k) * (-d) ** (e - k) for k in range(e + 1)]
         coeffs = np.convolve(coeffs, np.array(power, dtype=object))
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
     return CharPoly(tuple(coeffs.tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _twin_factors(m: IntMatrix) -> tuple[list[tuple[int, int]], list[int]]:
+    """The characteristic polynomial factored over twin classes (see
+    _twin_quotient): det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q),
+    where Q is the quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic
+    Graph Theory, 9.3). Returns the pairs (d_a, m_a - 1) and the ascending
+    coefficients of det(xI - Q). With every class a singleton, Q is M and
+    the product is empty. The quotient is bounded at order 256; only
+    spanning_tree_count_kirchhoff can pass it, since char_poly_exact stops
+    at order 256, so the guard is named after it."""
+    classes = twin_classes(m)
+    if len(classes) > CHAR_POLY_LIMIT:
+        raise SizeGuardError(
+            f"spanning_tree_count_kirchhoff is bounded at {CHAR_POLY_LIMIT} "
+            f"twin classes, got {len(classes)}"
+        )
+    sizes, c, diag = _twin_quotient(m, classes)
+    q = c * sizes
+    np.fill_diagonal(q, diag + c.diagonal() * (sizes - 1))
+    shifts = [(m_ii - c_aa, size - 1) for c_aa, m_ii, size
+              in zip(c.diagonal().tolist(), diag.tolist(), sizes.tolist())]
+    return shifts, _char_poly_crt(q)
 
 
 def _char_poly_crt(a: np.ndarray) -> list[int]:
@@ -346,14 +383,23 @@ def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
     """Spanning trees of a graph from its Laplacian L, by the all-minors
     matrix-tree theorem: the coefficient of x in det(xI - L) is (-1)^(n-1)
     times the sum of the n principal (n-1)-minors of L, each of which
-    equals the count, so c_1 = (-1)^(n-1) n tau. Read off char_poly_exact(L),
-    which is memoized, so this shares its bound of 256 vertices."""
+    equals the count, so c_1 = (-1)^(n-1) n tau. c_1 is read off the
+    memoized twin-class factors that char_poly_exact multiplies out, as the
+    x-coefficient of det(xI - Q) times the constant terms of the others, so
+    this is bounded at 256 twin classes rather than 256 vertices."""
     n = lap.n
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
     if not lap.is_symmetric() or lap.array.sum(axis=1).any():
         raise ValueError("expected a Laplacian: symmetric, with rows summing to zero")
-    c1 = char_poly_exact(lap).coeffs[1]
+    # the memo holds its matrices, so only those char_poly_exact can share
+    # it for are kept
+    factors = _twin_factors if n <= CHAR_POLY_LIMIT else _twin_factors.__wrapped__
+    shifts, quotient = factors(lap)
+    # Q's rows sum to zero as L's do, so det(xI - Q) vanishes at 0 and the
+    # x-coefficient of the product is its own times prod_a (-d_a)^(m_a - 1)
+    assert quotient[0] == 0, "the quotient of a Laplacian must be singular"
+    c1 = quotient[1] * math.prod((-d) ** e for d, e in shifts)
     tau, rest = divmod((-1) ** (n - 1) * c1, n)
     assert rest == 0, f"x-coefficient {c1} of the Laplacian is not a multiple of {n}"
     return tau

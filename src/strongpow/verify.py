@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from .errors import SizeGuardError
 from .formulas import (
     CHECK_NAMES,
+    ExactSpectrum,
     _text,
     char_poly_from_spectrum,
     chi_formula,
@@ -28,6 +29,7 @@ from .formulas import (
     cyclic_line_graph_classification,
     kappa_formula,
     laplacian_energy_closed_form,
+    laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
 )
 from .groups import FiniteGroup, is_cyclic, make_cyclic, noncyclic_corpus
@@ -202,8 +204,10 @@ def _judge_le(case, formula, numeric):
                 "definition-based recomputation expected an integer spectrum",
             )
         snapped.append(k)
-    mean = Fraction(2 * case.graph.edge_count(), case.n)
-    oracle = sum((abs(Fraction(k) - mean) for k in snapped), Fraction(0))
+    edges = case.graph.edge_count()
+    spectrum = ExactSpectrum.from_pairs((k, 1) for k in snapped)
+    oracle = laplacian_energy_from_spectrum(spectrum, edges, case.n)
+    mean = Fraction(2 * edges, case.n)
     numeric_le = sum(abs(lam - float(mean)) for lam in numeric)
     drift = abs(numeric_le - float(oracle))
     note = f"float recomputation drift {drift:.2e}"
@@ -229,7 +233,8 @@ def _judge_cayley(case, claimed, oracle):
 
 
 def _ryser(n: int, matrix: Callable[[], IntMatrix]) -> int:
-    """Ryser's permanent of matrix(), built only if order n passes the guard."""
+    """Ryser's permanent of matrix(), built only if order n passes
+    RYSER_LIMIT."""
     _ryser_guard(n)
     return permanent_ryser(matrix())
 
@@ -386,6 +391,12 @@ def run_verify(
         members = [
             (spec, grp) for spec, grp in noncyclic_corpus(n_hi) if grp.n >= n_lo
         ]
+        if not members:
+            orders = sorted({grp.n for _, grp in noncyclic_corpus()})
+            raise ValueError(
+                f"no corpus group has order in {n_lo}..{n_hi}; the corpus orders "
+                f"are {', '.join(map(str, orders))}"
+            )
     ordered_checks = tuple(c for c in CHECK_NAMES if c in checks)
     records = []
     for spec, grp in members:

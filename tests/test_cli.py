@@ -149,11 +149,12 @@ def test_invariants_json_cyclic_5(capsys):
 
 
 def test_invariants_json_past_every_guard(capsys):
-    # order 42 exceeds the Ryser bound; the kappa oracle has no bound
-    code, out, _ = run(capsys, "invariants", "--group", "zn:42", "--format", "json")
+    # Z_320's twin classes give 49,536 grouped Ryser terms, past the budget;
+    # the kappa oracle has no bound
+    code, out, _ = run(capsys, "invariants", "--group", "zn:320", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["kappa_oracle"] == payload["kappa"] == 29
+    assert payload["kappa_oracle"] == payload["kappa"] == 191
     assert payload["per_adj"]["ryser"] is None
     assert payload["per_lap"]["ryser"] is None
     assert payload["per_adj"]["formula"] is not None
@@ -165,6 +166,15 @@ def test_invariants_json_past_every_guard(capsys):
     payload = json.loads(out)
     assert payload["kappa_oracle"] == payload["kappa"] == 41
     assert payload["line_graph"] is True
+
+
+def test_invariants_json_ryser_past_order_24(capsys):
+    # dihedral:96's graph is K_192, one twin class: 193 grouped terms
+    code, out, _ = run(capsys, "invariants", "--group", "dihedral:96", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    for field in ("per_adj", "per_lap"):
+        assert payload[field]["ryser"] == payload[field]["formula"] is not None
 
 
 def test_invalid_group_spec_exits_2(capsys):
@@ -200,6 +210,12 @@ def test_invalid_range_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "sweep", "--range", "5")
     assert code == 2 and err.startswith("error:")
+    # a range that holds no corpus group names the orders the corpus has
+    for span in ("30..40", "5..5"):
+        code, out, err = run(capsys, "verify", "--family", "corpus", "--range", span)
+        assert code == 2 and out == ""
+        assert err == (f"error: no corpus group has order in {span}; the corpus orders "
+                       "are 4, 6, 8, 9, 10, 12, 14, 16, 18, 20, 22, 24\n")
 
 
 def test_verify_le_known_disagreement(capsys):

@@ -15,7 +15,7 @@ from strongpow.permanents import (
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
-from strongpow.spectral import IntMatrix, adjacency, laplacian
+from strongpow.spectral import IntMatrix, adjacency, laplacian, twin_classes
 
 from reference import clique_plus_vertex_graph, permanent_expansion
 
@@ -113,10 +113,34 @@ def test_permanent_ryser_repeat_is_cached():
 
 
 def test_permanent_guards():
-    with pytest.raises(SizeGuardError):
-        permanent_ryser(IntMatrix([[0] * 25 for _ in range(25)]))
+    # past order 24 only the grouped sum runs, and 25 singleton classes give
+    # 2^25 terms; a zero row still gives 0 there, and past RYSER_LIMIT
+    # nothing is computed
+    singletons = IntMatrix(np.arange(1, 626).reshape(25, 25))
+    assert len(twin_classes(singletons)) == 25
+    with pytest.raises(SizeGuardError, match=(
+            r"^permanent_ryser: order 25 is past the all-subsets bound of 24, and its "
+            r"25 twin classes give 33554432 grouped terms, past the budget of 40000$")):
+        permanent_ryser(singletons)
+    assert permanent_ryser(IntMatrix([[0] * 25 for _ in range(25)])) == 0
+    limit = permanents.RYSER_LIMIT
+    with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order {limit}, "
+                                             f"got {limit + 1}$"):
+        permanent_ryser(IntMatrix(np.zeros((limit + 1, limit + 1), dtype=np.int64)))
     with pytest.raises(SizeGuardError):
         permanent_expansion(IntMatrix([[0] * 11 for _ in range(11)]))
+
+
+def test_permanent_ryser_closed_forms_past_order_24():
+    for n in range(25, 65):
+        g = strong_power_graph(make_cyclic(n))
+        assert permanent_ryser(adjacency(g)) == cyclic_adjacency_permanent(n), n
+        assert permanent_ryser(laplacian(g)) == cyclic_laplacian_permanent(n), n
+    for n in range(25, 193):
+        g = complete_graph(n)
+        noncyclic = CliqueParams.for_group(n, False)
+        assert permanent_ryser(adjacency(g)) == clique_plus_vertex_adjacency_permanent(noncyclic)
+        assert permanent_ryser(laplacian(g)) == complete_graph_laplacian_permanent(n), n
 
 
 def test_clique_params_validation():

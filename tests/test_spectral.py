@@ -20,7 +20,7 @@ from strongpow.formulas import (
     spanning_tree_count_formula,
 )
 from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
-from strongpow.groups import make_cyclic, noncyclic_corpus
+from strongpow.groups import make_cyclic, make_dihedral, noncyclic_corpus
 from strongpow.permanents import permanent_ryser
 from strongpow.spectral import (
     IntMatrix,
@@ -114,6 +114,7 @@ def test_int_matrix_backings_agree():
         values = []
         for m in (a, b):
             spectral._char_poly.cache_clear()
+            spectral._twin_factors.cache_clear()
             permanents._permanent.cache_clear()
             values.append((char_poly_exact(m), permanent_ryser(m)))
         assert values[0] == values[1]
@@ -227,8 +228,10 @@ def char_poly_in_blocks(m, primes_per_block):
             k = len(spectral.twin_classes(m))
             mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * k * k)
         spectral._char_poly.cache_clear()
+        spectral._twin_factors.cache_clear()
         poly = char_poly_exact(m)
         spectral._char_poly.cache_clear()
+        spectral._twin_factors.cache_clear()
     if primes_per_block is not None:
         assert all(size <= primes_per_block for size in sizes)
     return poly
@@ -323,13 +326,24 @@ def test_char_poly_exact_evaluates_to_determinant_in_blocks(primes_per_block, m,
     assert poly.evaluate(t) == det_bareiss(shifted(m, t))
 
 
-def test_char_poly_exact_repeat_is_cached():
+def test_char_poly_exact_repeat_is_cached(monkeypatch):
+    spectral._char_poly.cache_clear()
+    spectral._twin_factors.cache_clear()
     m = laplacian(strong_power_graph(make_cyclic(20)))
     first = char_poly_exact(m)
     hits = spectral._char_poly.cache_info().hits
     assert char_poly_exact(IntMatrix(m.rows)) is first
     assert char_poly_exact(IntMatrix(np.array(m.rows, dtype=object))) is first
     assert spectral._char_poly.cache_info().hits == hits + 2
+
+    # tau reads the factors the char poly was multiplied out from
+    def refuse(a):
+        raise AssertionError("the quotient's char poly was computed again")
+
+    monkeypatch.setattr(spectral, "_char_poly_crt", refuse)
+    tau = spanning_tree_count_kirchhoff(m)
+    assert tau == spanning_tree_count_formula(20, True)
+    assert (-1) ** 19 * first.coeffs[1] == 20 * tau
 
 
 def test_char_poly_exact_guard():
@@ -401,12 +415,25 @@ def test_spanning_tree_count():
         g = strong_power_graph(grp)
         assert spanning_tree_count_formula(grp.n, False) == spanning_tree_count_kirchhoff(laplacian(g))
     assert spanning_tree_count_kirchhoff(laplacian(complete_graph(4))) == 16
-    with pytest.raises(SizeGuardError):
-        spanning_tree_count_kirchhoff(laplacian(complete_graph(257)))
+    # past 256 vertices tau is bounded by the number of twin classes: C_257
+    # has 257 singletons, K_257 one class
+    cycle = graph_from_edges(257, [(i, (i + 1) % 257) for i in range(257)])
+    with pytest.raises(SizeGuardError, match=(
+            "^spanning_tree_count_kirchhoff is bounded at 256 twin classes, got 257$")):
+        spanning_tree_count_kirchhoff(laplacian(cycle))
+    assert spanning_tree_count_kirchhoff(laplacian(complete_graph(257))) == 257 ** 255
     # not a Laplacian: rows that do not sum to zero, or not symmetric
     for m in ([[1, 0], [0, 1]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]):
         with pytest.raises(ValueError, match="expected a Laplacian"):
             spanning_tree_count_kirchhoff(IntMatrix(m))
+
+
+def test_spanning_tree_count_past_256_vertices():
+    for n in (257, 300, 1024):
+        lap = laplacian(strong_power_graph(make_cyclic(n)))
+        assert spanning_tree_count_kirchhoff(lap) == spanning_tree_count_formula(n, True), n
+    lap = laplacian(strong_power_graph(make_dihedral(200)))
+    assert spanning_tree_count_kirchhoff(lap) == spanning_tree_count_formula(400, False)
 
 
 def reduced_laplacian_determinant(graph):

@@ -204,8 +204,18 @@ def test_kernels_read_the_classes_off_the_entries():
     assert value == permanents._ryser_numpy(moved.array) == grouped_permanent(moved)
 
 
-def test_permanent_guard_holds_for_one_class():
-    # L(K_25) is a single twin class, whose grouped sum has 26 terms; the
-    # guard still refuses it
-    with pytest.raises(SizeGuardError):
-        permanent_ryser(laplacian(complete_graph(25)))
+def test_permanent_term_budget_bounds_the_grouped_sum():
+    # L(K_25) is a single twin class, whose grouped sum has 26 terms
+    assert permanent_ryser(laplacian(complete_graph(25))) == complete_graph_laplacian_permanent(25)
+    # Z_N's classes {0}, the units and the rest give 2 (phi + 1) (N - phi)
+    # terms: every N up to 256 fits the budget, Z_320's 49,536 do not
+    for n in range(3, 257):
+        phi = euler_phi(n)
+        assert 2 * (phi + 1) * (n - phi) <= permanents._TERM_BUDGET, n
+    for n, terms in ((256, 33024), (320, 49536)):
+        g = strong_power_graph(make_cyclic(n))
+        for m in (adjacency(g), laplacian(g)):
+            assert math.prod(len(cls) + 1 for cls in twin_classes(m)) == terms
+            if terms > permanents._TERM_BUDGET:
+                with pytest.raises(SizeGuardError, match="49536 grouped terms, past the budget"):
+                    permanent_ryser(m)

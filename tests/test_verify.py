@@ -5,7 +5,9 @@ import pytest
 
 import strongpow.verify as verify
 from strongpow.cli import compute_invariant_bundle, main
-from strongpow.groups import _closure_classes
+from strongpow.errors import SizeGuardError
+from strongpow.groups import _closure_classes, make_cyclic, noncyclic_corpus
+from strongpow.permanents import RYSER_LIMIT
 from strongpow.verify import (
     AGREE,
     CHECK_NAMES,
@@ -147,8 +149,9 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
     bundles = {}
     # One order at a time, so each bundle's Ryser permanents are the ones
     # verify has just computed and memoized.
-    for family, hi in (("cyclic", 40), ("corpus", 16)):
-        for n in range(1, hi + 1):
+    corpus_orders = sorted({grp.n for _, grp in noncyclic_corpus(16)})
+    for family, orders in (("cyclic", range(1, 41)), ("corpus", corpus_orders)):
+        for n in orders:
             recs = {}
             for r in run_verify(family, n, n, checks).records:
                 recs.setdefault(r.spec, {})[r.check] = r
@@ -211,17 +214,23 @@ def test_each_matrix_is_built_once_per_group(monkeypatch):
     assert len(calls["laplacian"]) <= 2 * groups
     assert len(calls["adjacency"]) <= groups
     assert len(calls["eigenvalues_numeric"]) <= groups
-    # Past Ryser's bound no matrix is built only to be refused: not A, not
-    # L, not the Laplacian of K_25.
-    for log in calls.values():
-        log.clear()
+    # Past order 24 the twin-class sum gives the permanents: K_25 is one
+    # class, Z_25 three
     for spec in ("zn:25", "product:zn:5+zn:5"):
         b = compute_invariant_bundle(spec)
-        assert b["per_adj"]["ryser"] is None and b["per_lap"]["ryser"] is None
+        for field in ("per_adj", "per_lap"):
+            assert b[field]["ryser"] == b[field]["formula"] is not None
     report = run_verify("cyclic", 25, 25, checks=("perm_adj", "perm_lap", "perm_complete"))
-    assert [(r.status, r.note) for r in report.records] == [
-        (SKIPPED, "permanent_ryser is bounded at order 24, got 25")
-    ] * 3
+    assert [r.status for r in report.records] == [AGREE] * 3
+    # Past RYSER_LIMIT no matrix is built only to be refused: not A, not L,
+    # not the Laplacian of K_n.
+    for log in calls.values():
+        log.clear()
+    case = verify.GroupCase(make_cyclic(RYSER_LIMIT + 1))
+    assert [case.oracle(c) for c in ("perm_adj", "perm_lap", "perm_complete")] == [None] * 3
+    with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order "
+                                             f"{RYSER_LIMIT}, got {RYSER_LIMIT + 1}$"):
+        verify.INVARIANTS["perm_complete"].oracle(case)
     assert calls["laplacian"] == calls["adjacency"] == []
 
 
