@@ -148,15 +148,31 @@ def _check_associativity(t: np.ndarray, n: int, e: int) -> None:
             reached |= hit
 
 
+def _integer_row(row, i: int) -> np.ndarray:
+    """Row i of a table as a flat integer array, of dtype object when an
+    entry is past the machine range; an entry that is not an integer, such
+    as a float, a string or a list, raises NotLatinSquareError naming the
+    row and the entry."""
+    a = np.asarray(row)
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return a
+    values = row.tolist() if isinstance(row, np.ndarray) else list(row)
+    for v in values:
+        if not isinstance(v, (int, np.integer)):
+            raise NotLatinSquareError(f"row {i} has non-integer entry {v!r}")
+    return np.array([int(v) for v in values], dtype=object)
+
+
 def make_from_table(table) -> FiniteGroup:
     """Group from an explicit n x n multiplication table, given as rows of
     integers or as an array; the group keeps a read-only copy of it.
 
-    Validates: entries in 0..n-1, rows of length n, Latin square, two-sided
-    identity, two-sided inverses, and associativity, exactly at every order
-    (Light's test over a generating set, see _check_associativity). Rows are
-    read one at a time, so a ragged row or an entry past the machine integer
-    range is reported by name rather than raised by numpy.
+    Validates: integer entries in 0..n-1, rows of length n, Latin square,
+    two-sided identity, two-sided inverses, and associativity, exactly at
+    every order (Light's test over a generating set, see
+    _check_associativity). Rows are read one at a time, so a ragged row, a
+    float or string entry, or an entry past the machine integer range is
+    reported by name rather than truncated, parsed or raised by numpy.
     """
     rows = list(table)
     n = len(rows)
@@ -165,10 +181,7 @@ def make_from_table(table) -> FiniteGroup:
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"table order {n} exceeds bound {MAX_TABLE_ORDER}")
     for i, row in enumerate(rows):
-        try:
-            row = np.asarray(row, dtype=np.intp)
-        except OverflowError:
-            row = np.array([int(v) for v in row], dtype=object)
+        row = _integer_row(row, i)
         bad = np.flatnonzero((row < 0) | (row >= n))
         if bad.size:
             raise NotLatinSquareError(f"row {i} has out-of-range entry {row[bad[0]]}")

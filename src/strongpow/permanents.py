@@ -14,23 +14,23 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SizeGuardError
 from .formulas import euler_phi
-from .spectral import IntMatrix, _crt_lift, _primes_above, _twin_quotient, twin_classes
+from .spectral import IntMatrix, _twin_quotient, twin_classes
 
 # No permanent is computed past this order, whatever its twin classes, so a
 # caller can refuse before it builds a matrix. The grouped sum for L(K_1024),
 # one class, takes 0.1-0.25 s, for L(K_4096) about 5.6 s (2-vCPU host).
 RYSER_LIMIT = 1024
-# The numpy kernel sums all 2^n column subsets, about 6 s at this order.
-_SUBSET_LIMIT = 24
-# Past _SUBSET_LIMIT the grouped sum runs for at most this many terms
-# prod_a (m_a + 1). Z_N's three classes give 2 (phi + 1) (N - phi) terms:
-# at most 33,024 up to N = 256 (at N = 256), while Z_320's 49,536 take
-# 0.6-0.9 s per permanent on a 2-vCPU host.
+# The grouped sum runs for at most this many terms prod_a (m_a + 1). Z_N's
+# three classes give 2 (phi + 1) (N - phi) terms: at most 33,024 up to
+# N = 256 (at N = 256), while Z_320's 49,536 take 0.6-0.9 s per permanent
+# on a 2-vCPU host. A matrix without twins fits up to order 15: 2^15 terms
+# in about 0.6-1.4 s.
 _TERM_BUDGET = 40_000
+# The memo holds its matrices, so only those up to this order, a few KB
+# each, are kept; past it one can take megabytes.
+_MEMO_ORDER = 24
 
 
 def _comb(a: int, b: int) -> int:
@@ -53,20 +53,13 @@ def permanent_ryser(m: IntMatrix) -> int:
 
         per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij,
 
-    evaluated in numpy modulo 2^64 (uint64 wraparound) and modulo as many
-    ~27-bit primes as the row-sum bound 2 * prod_i sum_j |a_ij| needs, then
-    recombined by CRT and lifted to the symmetric range. Entries are reduced
-    before any summation, so arbitrary Python ints stay exact. The subsets
-    of the low k columns form one table, and each subset of the other n - k
-    columns adds its row sums to the whole table at once, k chosen so that
-    a block holds about 2^15 words. O(2^n * n) per modulus, so it runs up
-    to order 24. A matrix with few twin classes (see twin_classes) takes
-    the exact sum grouped over them instead, when that costs less; past
-    order 24 that sum runs when it has at most 40,000 terms, and a matrix
-    that fits neither kernel, or lies past order RYSER_LIMIT, raises
-    SizeGuardError. A zero row or column gives 0 at any order up to
-    RYSER_LIMIT. Results up to order 24 are memoized per process on the
-    matrix entries."""
+    with the subsets grouped by how many columns they take from each twin
+    class (see twin_classes and _ryser_grouped), in Python integers, so
+    entries of any size stay exact. A matrix whose grouped sum has more
+    than 40,000 terms (without twins, one past order 15), or that lies past
+    order RYSER_LIMIT, raises SizeGuardError. A zero row or column gives 0
+    at any order up to RYSER_LIMIT. Results up to order 24 are memoized
+    per process on the matrix entries."""
     n = m.n
     _ryser_guard(n)
     if n == 0:
@@ -74,58 +67,29 @@ def permanent_ryser(m: IntMatrix) -> int:
     nonzero = m.array != 0
     if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
         return 0
-    # the memo holds its matrices, so those past the numpy kernel's order,
-    # up to 8 MB each, are not kept
-    return (_permanent if n <= _SUBSET_LIMIT else _permanent.__wrapped__)(m)
-
-
-# 2^15 eight-byte words: the table, a block and its scratch stay cache-sized
-# and add about 1 MB to a process's peak RSS, while each numpy call still
-# covers enough elements to hide its fixed cost.
-_BLOCK_ELEMENTS = 1 << 15
-_WORD = 1 << 64
-# The grouped Ryser sum costs about 2 us per term and class in Python, the
-# numpy kernel about 13 ns per subset and row over all its moduli (2-vCPU
-# x86 host, n = 12..20), so a term and class weigh about 128 subset rows.
-_GROUPED_COST = 128
+    return (_permanent if n <= _MEMO_ORDER else _permanent.__wrapped__)(m)
 
 
 @functools.lru_cache(maxsize=64)
 def _permanent(m: IntMatrix) -> int:
-    """Permanent of a matrix with no zero row or column: Ryser's sum over
-    twin classes when its terms cost less than the numpy kernel's 2^n
-    subsets, or when n is past the numpy kernel's bound and the terms fit
-    their budget; else the numpy kernel."""
-    n = m.n
+    """Permanent of a matrix with no zero row or column, by Ryser's sum
+    over its twin classes when that has at most _TERM_BUDGET terms."""
     classes = twin_classes(m)
     terms = math.prod(len(cls) + 1 for cls in classes)
-    if n > _SUBSET_LIMIT:
-        if terms > _TERM_BUDGET:
-            raise SizeGuardError(
-                f"permanent_ryser: order {n} is past the all-subsets bound of "
-                f"{_SUBSET_LIMIT}, and its {len(classes)} twin classes give "
-                f"{terms} grouped terms, past the budget of {_TERM_BUDGET}"
-            )
-    elif terms * len(classes) * _GROUPED_COST > n << n:
-        return _ryser_numpy(m.array)
+    if terms > _TERM_BUDGET:
+        raise SizeGuardError(
+            f"permanent_ryser: order {m.n} has {len(classes)} twin classes, which "
+            f"give {terms} grouped terms, past the budget of {_TERM_BUDGET}"
+        )
     return _ryser_grouped(*_twin_quotient(m, classes))
 
 
-def _ryser_numpy(a: np.ndarray) -> int:
-    """Ryser's sum over all 2^n column subsets, from its residues modulo
-    2^64 and enough primes that their product exceeds twice the row-sum
-    bound on its absolute value."""
-    bound = 2 * math.prod(np.abs(a).sum(axis=1).tolist())
-    moduli = [_WORD, *_primes_above(bound >> 64)]
-    residues = [_ryser_mod(a, q) for q in moduli]
-    return _crt_lift([[r] for r in residues], moduli)[0]
-
-
-def _ryser_grouped(sizes: np.ndarray, c: np.ndarray, diag: np.ndarray) -> int:
-    """Ryser's sum with the subsets grouped by how many columns r_a they
-    take from each twin class a (Ryser 1963): a row of class a sums to
-    R_a = sum_b c_ab r_b when its own column is left out and to R_a + d_a,
-    d_a = M_ii - c_aa, when it is taken, so
+def _ryser_grouped(sizes, c, diag) -> int:
+    """Ryser's sum over the arrays of _twin_quotient, with the subsets
+    grouped by how many columns r_a they take from each twin class a
+    (Ryser 1963): a row of class a sums to R_a = sum_b c_ab r_b when its
+    own column is left out and to R_a + d_a, d_a = M_ii - c_aa, when it is
+    taken, so
 
         per(M) = (-1)^n sum_r (-1)^(sum r) prod_a C(m_a, r_a)
                      (R_a + d_a)^(r_a) R_a^(m_a - r_a),
@@ -143,61 +107,6 @@ def _ryser_grouped(sizes: np.ndarray, c: np.ndarray, diag: np.ndarray) -> int:
                 break
         total += -term if sum(r) & 1 else term
     return -total if sum(sizes) & 1 else total
-
-
-def _subset_sums(cols: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """Row sums modulo q of every subset of the columns of `cols`, one
-    subset per column of the result, the even-sized subsets first. Returns
-    the table and the number of even-sized subsets."""
-    even = np.zeros((cols.shape[0], 1), dtype=cols.dtype)
-    odd = even[:, :0]
-    for j in range(cols.shape[1]):
-        col = cols[:, j:j + 1]
-        even, odd = (
-            np.concatenate([even, odd + col], axis=1),
-            np.concatenate([odd, even + col], axis=1),
-        )
-        if q != _WORD:
-            even %= q
-            odd %= q
-    return np.concatenate([even, odd], axis=1), even.shape[1]
-
-
-def _ryser_mod(entries: np.ndarray, q: int) -> int:
-    """Ryser's sum modulo q, which is 2^64 (wrapping uint64 arithmetic) or a
-    prime below 2^27 (int64). Table entries are below q, so a row sum is
-    below 2q < 2^28 and every product of two stays below 2^56."""
-    n = len(entries)
-    prime = q != _WORD
-    dtype = np.int64 if prime else np.uint64
-    # reduced as Python ints, where 2^64 and entries of any size are exact
-    a = (entries.astype(object) % q).astype(dtype)
-    k = min(n, (_BLOCK_ELEMENTS // n).bit_length() - 1)
-    low, low_even = _subset_sums(a[:, :k], q)
-    high, high_even = _subset_sums(a[:, k:], q)
-    block = np.empty_like(low)
-    scratch = np.empty_like(low[: n // 2])
-    total = 0
-    for index, sums in enumerate(high.T):
-        np.add(low, sums[:, None], out=block)
-        # multiply the rows together pairwise, halving the rows left each time
-        left = n
-        while left > 1:
-            half = left // 2
-            head = block[:half]
-            np.multiply(head, block[left - half:left], out=head)
-            if prime:
-                # head -= (head // q) * q: numpy divides by a scalar much
-                # faster than it takes a remainder
-                quot = scratch[:half]
-                np.floor_divide(head, q, out=quot)
-                quot *= q
-                head -= quot
-            left -= half
-        prods = block[0]
-        signed = int(prods[:low_even].sum()) - int(prods[low_even:].sum())
-        total += signed if index < high_even else -signed
-    return (-total if n % 2 else total) % q
 
 
 @dataclass(frozen=True)

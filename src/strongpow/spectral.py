@@ -163,145 +163,18 @@ def adjacency(graph: Graph) -> IntMatrix:
 
 
 # --- exact characteristic polynomial -------------------------------------
-#
-# Hessenberg reduction modulo a set of word-sized primes, recombined by CRT.
-# Per prime the matrix is brought to upper Hessenberg form by similarity
-# (O(n^3)), and the polynomial follows from the Hessenberg recurrence; the
-# result is exact because the product of the primes exceeds twice an
-# a-priori coefficient bound. Primes sit just below 2^27, so a product of two
-# residues is below 2^54 and a dot product of up to 512 such products stays
-# below 2^63 in int64; at order CHAR_POLY_LIMIT = 256 none has more than 256.
 
-_PRIME_HIGH = (1 << 27) - 1
-_prime_cache: list[int] = []
-
-
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.2e9
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes(count: int) -> list[int]:
-    candidate = _prime_cache[-1] - 2 if _prime_cache else _PRIME_HIGH
-    while len(_prime_cache) < count:
-        if _is_prime(candidate):
-            _prime_cache.append(candidate)
-        candidate -= 2
-    return _prime_cache[:count]
-
-
-def _crt_lift(residues: list[list[int]], moduli: list[int]) -> list[int]:
-    """For each position k, the x in (-M/2, M/2] with x = residues[i][k]
-    modulo moduli[i], where M is the product of the (coprime) moduli."""
-    prod = math.prod(moduli)
-    weights = [(prod // q) * pow(prod // q, -1, q) % prod for q in moduli]
-    lifted = []
-    for column in zip(*residues):
-        x = sum(r * w for r, w in zip(column, weights)) % prod
-        lifted.append(x - prod if x > prod // 2 else x)
-    return lifted
-
-
-def _primes_above(bound: int) -> list[int]:
-    """The fewest cached primes whose product exceeds bound. Each prime is
-    above 2^26, so bit_length // 26 + 1 of them always suffice."""
-    chosen = []
-    prod = 1
-    for p in _primes(bound.bit_length() // 26 + 1):
-        if prod > bound:
-            break
-        chosen.append(p)
-        prod *= p
-    return chosen
-
-
-# 2^18 eight-byte words per block of primes: a block's stack of reduced
-# matrices and its recurrence polynomials then add a few MB to peak RSS at
-# order 256, while each numpy call still covers every prime of the block.
-_BLOCK_WORDS = 1 << 18
-
-
-def _char_poly_mod(h: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Coefficients, ascending, of det(xI - M) modulo each of the primes, one
-    row per prime, for M given by its residues h[i] in [0, primes[i]), a
-    (P, n, n) int64 stack that is reduced in place: Hessenberg reduction by
-    similarity, then the Hessenberg recurrence (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9), each step taken for
-    every prime at once."""
-    count, n, _ = h.shape
-    p = primes[:, None]
-    moduli = primes.tolist()
-    for k in range(n - 2):
-        nonzero = h[:, k + 1:, k] != 0
-        if not nonzero.any():
-            continue  # column k is already reduced modulo every prime
-        # pivot per prime: the first nonzero below the subdiagonal, or row
-        # k+1 when column k is already reduced modulo that prime
-        first = nonzero.argmax(axis=1)
-        lanes = np.flatnonzero(first)
-        if lanes.size:
-            r = k + 1 + first[lanes]
-            h[lanes, k + 1], h[lanes, r] = h[lanes, r], h[lanes, k + 1]
-            h[lanes, :, k + 1], h[lanes, :, r] = h[lanes, :, r], h[lanes, :, k + 1]
-        # rows k+2.. -= u * row k+1, then column k+1 += columns k+2.. @ u;
-        # rows below k+1 are already zero left of column k. Where column k
-        # is reduced, u is zero and both updates leave h as it is.
-        inverse = [pow(a or 1, -1, q) for a, q in zip(h[:, k + 1, k].tolist(), moduli)]
-        u = h[:, k + 2:, k] * np.array(inverse, dtype=np.int64)[:, None] % p
-        h[:, k + 2:, k:] -= u[:, :, None] * h[:, k + 1, None, k:]
-        h[:, k + 2:, k:] %= p[:, :, None]
-        h[:, :, k + 1] += (h[:, :, k + 2:] @ u[:, :, None])[:, :, 0]
-        h[:, :, k + 1] %= p
-    # polys[:, k] is the char poly of the leading k x k block:
-    # p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_{i-1}
-    polys = np.zeros((count, n + 1, n + 1), dtype=np.int64)
-    polys[:, 0, 0] = 1
-    # prod_{j=i+1..k} h_{j,j-1} for lo <= i < k. It is zero for every i < lo:
-    # where a subdiagonal entry is zero modulo every prime, the sum restarts.
-    lo = 0
-    sub = np.zeros((count, 0), dtype=np.int64)
-    one = np.ones((count, 1), dtype=np.int64)
-    for k in range(1, n + 1):
-        prev = polys[:, k - 1]
-        cur = -h[:, k - 1, k - 1, None] * prev
-        cur[:, 1:] += prev[:, :-1]
-        if k > 1:
-            link = h[:, k - 1, k - 2, None]
-            if link.any():
-                sub = np.concatenate([sub, one], axis=1) * link % p
-            else:
-                lo, sub = k - 1, sub[:, :0]
-            w = h[:, lo : k - 1, k - 1] * sub % p
-            # p_{i-1} has degree i - 1 < k - 1
-            cur[:, : k - 1] -= (w[:, None, :] @ polys[:, lo : k - 1, : k - 1])[:, 0]
-        polys[:, k] = cur % p
-    return polys[:, n]
+# The quotient's polynomial takes O(k^4) Python integer products for k twin
+# classes: about 0.2 s at this bound, 2.4 s at 64 (2-vCPU host).
+TWIN_CLASS_LIMIT = 32
 
 
 def char_poly_exact(m: IntMatrix) -> CharPoly:
     """Monic characteristic polynomial det(xI - M) with exact integer
     coefficients, evaluated over the twin classes of M (see twin_classes).
     Bounded at order 256, where the polynomial already takes about 93 KB
-    of text. Results are memoized per process on the matrix entries."""
+    of text, and at TWIN_CLASS_LIMIT twin classes. Results are memoized
+    per process on the matrix entries."""
     n = m.n
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
@@ -332,41 +205,41 @@ def _twin_factors(m: IntMatrix) -> tuple[list[tuple[int, int]], list[int]]:
     where Q is the quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic
     Graph Theory, 9.3). Returns the pairs (d_a, m_a - 1) and the ascending
     coefficients of det(xI - Q). With every class a singleton, Q is M and
-    the product is empty. The quotient is bounded at order 256; only
-    spanning_tree_count_kirchhoff can pass it, since char_poly_exact stops
-    at order 256, so the guard is named after it."""
+    the product is empty. The quotient is bounded at TWIN_CLASS_LIMIT
+    classes, for char_poly_exact and spanning_tree_count_kirchhoff alike."""
     classes = twin_classes(m)
-    if len(classes) > CHAR_POLY_LIMIT:
+    if len(classes) > TWIN_CLASS_LIMIT:
         raise SizeGuardError(
-            f"spanning_tree_count_kirchhoff is bounded at {CHAR_POLY_LIMIT} "
-            f"twin classes, got {len(classes)}"
+            f"the exact char poly is bounded at {TWIN_CLASS_LIMIT} twin classes, "
+            f"got {len(classes)}"
         )
     sizes, c, diag = _twin_quotient(m, classes)
     q = c * sizes
     np.fill_diagonal(q, diag + c.diagonal() * (sizes - 1))
     shifts = [(m_ii - c_aa, size - 1) for c_aa, m_ii, size
               in zip(c.diagonal().tolist(), diag.tolist(), sizes.tolist())]
-    return shifts, _char_poly_crt(q)
+    return shifts, _char_poly_faddeev(q)
 
 
-def _char_poly_crt(a: np.ndarray) -> list[int]:
-    """Ascending coefficients of det(xI - A) from its residues modulo enough
-    primes that their product exceeds twice a bound on its coefficients,
-    the primes taken in blocks of about _BLOCK_WORDS words. No row's
-    absolute sum may overflow A's dtype."""
+def _char_poly_faddeev(a: np.ndarray) -> list[int]:
+    """Ascending coefficients c_j of det(xI - A) by Faddeev-LeVerrier, in
+    Python integers: M_1 = I, c_(n-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(n-k) I. Each M_k is an integer combination of
+    powers of A and each c_j an integer, so every division is exact."""
     n = len(a)
-    # |coeff of x^(n-k)| <= C(n,k) * rho^k with rho >= spectral radius.
-    rho = int(np.abs(a).sum(axis=1).max())
-    bits = n * max(rho, 2).bit_length() + n + 4
-    primes = _primes_above(1 << (bits + 1))
-    per_block = max(1, _BLOCK_WORDS // (n * n))
-    residues = []
-    for start in range(0, len(primes), per_block):
-        block = np.array(primes[start:start + per_block], dtype=np.int64)
-        # an object array's residues are Python ints below 2^27
-        stack = (a % block[:, None, None]).astype(np.int64, copy=False)
-        residues.extend(_char_poly_mod(stack, block).tolist())
-    return _crt_lift(residues, primes)
+    a = a.tolist()
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+        trace = sum(m[i][i] for i in range(n))
+        c, rest = divmod(-trace, k)
+        assert rest == 0, f"trace {trace} of A M_{k} is not a multiple of {k}"
+        coeffs[n - k] = c
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
 
 
 def eigenvalues_numeric(m: IntMatrix) -> list[float]:
@@ -386,7 +259,7 @@ def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
     equals the count, so c_1 = (-1)^(n-1) n tau. c_1 is read off the
     memoized twin-class factors that char_poly_exact multiplies out, as the
     x-coefficient of det(xI - Q) times the constant terms of the others, so
-    this is bounded at 256 twin classes rather than 256 vertices."""
+    this is bounded by TWIN_CLASS_LIMIT twin classes, not by the order."""
     n = lap.n
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")

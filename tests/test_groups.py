@@ -165,6 +165,14 @@ def test_make_from_table_rejects_non_latin():
         ([[0, 1, -1], [1, 2, 0], [2, 0, 1]], "row 0 has out-of-range entry -1"),
         # past the machine integer range, as a CSV cell can be
         ([[0, 2**64], [1, 0]], "row 0 has out-of-range entry 18446744073709551616"),
+        # floats, strings and lists are refused, not truncated, parsed or
+        # flattened into Z_2
+        ([[0, 1.5], [1.5, 0]], "row 0 has non-integer entry 1.5"),
+        ([[0, 1], [1.0, 0]], "row 1 has non-integer entry 1.0"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "row 0 has non-integer entry 0.0"),
+        ([["0", "1"], ["1", "0"]], "row 0 has non-integer entry '0'"),
+        ([[0, 1], [1, "0"]], "row 1 has non-integer entry '0'"),
+        ([[[0], [1]], [[1], [0]]], "row 0 has non-integer entry [0]"),
         ([[0, 1], [1]], "row 1 has length 1, expected 2"),
         ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation of 0..2"),
         ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "column 1 is not a permutation of 0..2"),

@@ -77,18 +77,6 @@ def test_permanent_ryser_matches_sympy():
             assert permanent_ryser(m) == sympy.Matrix(m.rows).per()
 
 
-def test_permanent_ryser_many_blocks(monkeypatch):
-    # at the default block size every n <= 11 is one block; a tiny block
-    # sends each of these matrices through many
-    monkeypatch.setattr(permanents, "_BLOCK_ELEMENTS", 16)
-    permanents._permanent.cache_clear()
-    rng = random.Random(23)
-    for n in range(2, 10):
-        for lo, hi in ((-3, 3), (-(10**30), 10**30)):
-            m = random_matrix(n, rng, lo, hi)
-            assert permanent_ryser(m) == permanent_expansion(m), m
-
-
 def test_permanent_ryser_cyclic_closed_forms_past_one_block():
     for n in (11, 15, 18):
         g = strong_power_graph(make_cyclic(n))
@@ -97,7 +85,7 @@ def test_permanent_ryser_cyclic_closed_forms_past_one_block():
 
 
 def test_permanent_ryser_past_two_to_the_64():
-    # per(L(K_20)) needs the residues modulo primes as well as modulo 2^64
+    # per(L(K_20)) needs more than a machine word
     expected = complete_graph_laplacian_permanent(20)
     assert expected.bit_length() > 64
     assert permanent_ryser(laplacian(complete_graph(20))) == expected
@@ -112,16 +100,23 @@ def test_permanent_ryser_repeat_is_cached():
     assert permanents._permanent.cache_info().hits == hits + 2
 
 
+def rank_one(n):
+    """u v^T for u_i = i + 1, v_j = j + 2: its diagonal entries differ, so
+    it has n singleton twin classes, and per(u v^T) = n! prod u_i prod v_j."""
+    return IntMatrix(np.outer(np.arange(1, n + 1), np.arange(2, n + 2)))
+
+
 def test_permanent_guards():
-    # past order 24 only the grouped sum runs, and 25 singleton classes give
-    # 2^25 terms; a zero row still gives 0 there, and past RYSER_LIMIT
-    # nothing is computed
-    singletons = IntMatrix(np.arange(1, 626).reshape(25, 25))
-    assert len(twin_classes(singletons)) == 25
+    # without twins the grouped sum has 2^n terms: 2^15 fit the budget,
+    # 2^16 do not; a zero row still gives 0 past that, and past
+    # RYSER_LIMIT nothing is computed
+    m = rank_one(15)
+    assert len(twin_classes(m)) == 15
+    assert permanent_ryser(m) == math.factorial(15) ** 2 * math.factorial(16)
     with pytest.raises(SizeGuardError, match=(
-            r"^permanent_ryser: order 25 is past the all-subsets bound of 24, and its "
-            r"25 twin classes give 33554432 grouped terms, past the budget of 40000$")):
-        permanent_ryser(singletons)
+            r"^permanent_ryser: order 16 has 16 twin classes, which give 65536 "
+            r"grouped terms, past the budget of 40000$")):
+        permanent_ryser(rank_one(16))
     assert permanent_ryser(IntMatrix([[0] * 25 for _ in range(25)])) == 0
     limit = permanents.RYSER_LIMIT
     with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order {limit}, "

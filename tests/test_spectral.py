@@ -181,9 +181,9 @@ def shifted(m, t):
     )
 
 
-def assert_char_poly_at_points(m, primes_per_block=None):
+def assert_char_poly_at_points(m):
     # n + 1 points pin down a degree-n polynomial
-    p = char_poly_in_blocks(m, primes_per_block)
+    p = char_poly_exact(m)
     assert p.degree == m.n
     for t in range(-(m.n // 2), m.n - m.n // 2 + 1):
         assert p.evaluate(t) == det_bareiss(shifted(m, t)), (m, t)
@@ -210,48 +210,19 @@ def test_char_poly_exact_matches_direct_determinant():
         assert det_bareiss(m) == (-1) ** m.n * char_poly_exact(m).evaluate(0)
 
 
-def char_poly_in_blocks(m, primes_per_block):
-    """char_poly_exact(m), computed afresh, with the CRT primes taken
-    primes_per_block at a time (None: the default block size)."""
-    sizes = []
-    kernel = spectral._char_poly_mod
-
-    def spy(stack, primes):
-        sizes.append(len(primes))
-        return kernel(stack, primes)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_char_poly_mod", spy)
-        if primes_per_block is not None:
-            # the kernel takes _BLOCK_WORDS // k^2 primes at a time, for the
-            # order k of the quotient over m's twin classes
-            k = len(spectral.twin_classes(m))
-            mp.setattr(spectral, "_BLOCK_WORDS", primes_per_block * k * k)
-        spectral._char_poly.cache_clear()
-        spectral._twin_factors.cache_clear()
-        poly = char_poly_exact(m)
-        spectral._char_poly.cache_clear()
-        spectral._twin_factors.cache_clear()
-    if primes_per_block is not None:
-        assert all(size <= primes_per_block for size in sizes)
-    return poly
-
-
-# one and two primes per block, so that each block has one pivot choice,
-# or two that may differ
-SMALL_BLOCKS = pytest.mark.parametrize("primes_per_block", [1, 2])
-
-
-def check_pivot_branches(primes_per_block):
-    p0, p1 = spectral._primes(2)
+def test_char_poly_exact_pivot_branches():
+    # structured inputs, each a pivot case for an elimination: zero and
+    # diagonal matrices, a permutation, blocks, a zero subdiagonal entry and
+    # large multiples of one value
+    big = 10**9 + 7
     cases = {
         "zero": IntMatrix([[0] * 5 for _ in range(5)]),
         "diagonal": IntMatrix([[(i - 2) * (i == j) for j in range(5)] for i in range(5)]),
-        # column 0's only nonzero is in the last row: swapped up
+        # column 0's only nonzero is in the last row
         "cyclic permutation": IntMatrix(
             [[int(j == (i + 1) % 6) for j in range(6)] for i in range(6)]
         ),
-        # column 1 has no nonzero below row 2: skipped
+        # column 1 has no nonzero below row 2
         "block diagonal": IntMatrix(
             [
                 [1, 2, 0, 0, 0],
@@ -261,38 +232,23 @@ def check_pivot_branches(primes_per_block):
                 [0, 0, 2, 3, 4],
             ]
         ),
-        # h[1,0] = 0 with h[2,0] != 0: rows and columns 1 and 2 swap
+        # a zero subdiagonal entry with a nonzero below it
         "zero subdiagonal": IntMatrix([[1, 2, 3, 4], [0, 4, 5, 6], [6, 7, 8, 9], [1, 0, 2, 5]]),
-        # column 0 has a pivot modulo every prime but p0
-        "multiples of a prime in one column": IntMatrix(
-            [[1, 2, 3, 4], [p0, 4, 5, 6], [-2 * p0, 7, 8, 9], [3 * p0, 0, 2, 5]]
+        "multiples of one value in one column": IntMatrix(
+            [[1, 2, 3, 4], [big, 4, 5, 6], [-2 * big, 7, 8, 9], [3 * big, 0, 2, 5]]
         ),
-        # h[1,0] is zero modulo p1 only and h[2,0] modulo p0 only: rows and
-        # columns 1 and 2 swap for p1 and for no other prime, and p1 shares
-        # a block with p0, whose row 2 would be no pivot
-        "subdiagonal zero modulo one prime": IntMatrix(
-            [[1, 2, 3, 4, 0], [p1, 4, 5, 6, 1], [p0, 7, 8, 9, 2], [1, 0, 2, 5, 3], [3, 1, 0, 2, 6]]
+        "large subdiagonal entries": IntMatrix(
+            [[1, 2, 3, 4, 0], [big + 4, 4, 5, 6, 1], [big, 7, 8, 9, 2], [1, 0, 2, 5, 3],
+             [3, 1, 0, 2, 6]]
         ),
-        # the zero matrix modulo p0 only
-        "multiples of a prime": IntMatrix(
-            [[p0 * ((3 * i + j) % 5 - 2) for j in range(5)] for i in range(5)]
+        "multiples of one value": IntMatrix(
+            [[big * ((3 * i + j) % 5 - 2) for j in range(5)] for i in range(5)]
         ),
     }
     for m in cases.values():
-        assert_char_poly_at_points(m, primes_per_block)
-    assert char_poly_in_blocks(cases["zero"], primes_per_block).coeffs == (0, 0, 0, 0, 0, 1)
-    assert char_poly_in_blocks(cases["cyclic permutation"], primes_per_block).coeffs == (
-        -1, 0, 0, 0, 0, 0, 1
-    )
-
-
-def test_char_poly_exact_pivot_branches():
-    check_pivot_branches(None)
-
-
-@SMALL_BLOCKS
-def test_char_poly_exact_pivot_branches_in_blocks(primes_per_block):
-    check_pivot_branches(primes_per_block)
+        assert_char_poly_at_points(m)
+    assert char_poly_exact(cases["zero"]).coeffs == (0, 0, 0, 0, 0, 1)
+    assert char_poly_exact(cases["cyclic permutation"]).coeffs == (-1, 0, 0, 0, 0, 0, 1)
 
 
 def test_char_poly_exact_matches_sympy():
@@ -318,14 +274,6 @@ def test_char_poly_exact_evaluates_to_determinant(m, t):
     assert char_poly_exact(m).evaluate(t) == det_bareiss(shifted(m, t))
 
 
-@SMALL_BLOCKS
-@settings(max_examples=80, deadline=None)
-@given(small_matrices(), st.integers(-30, 30))
-def test_char_poly_exact_evaluates_to_determinant_in_blocks(primes_per_block, m, t):
-    poly = char_poly_in_blocks(m, primes_per_block)
-    assert poly.evaluate(t) == det_bareiss(shifted(m, t))
-
-
 def test_char_poly_exact_repeat_is_cached(monkeypatch):
     spectral._char_poly.cache_clear()
     spectral._twin_factors.cache_clear()
@@ -340,15 +288,31 @@ def test_char_poly_exact_repeat_is_cached(monkeypatch):
     def refuse(a):
         raise AssertionError("the quotient's char poly was computed again")
 
-    monkeypatch.setattr(spectral, "_char_poly_crt", refuse)
+    monkeypatch.setattr(spectral, "_char_poly_faddeev", refuse)
     tau = spanning_tree_count_kirchhoff(m)
     assert tau == spanning_tree_count_formula(20, True)
     assert (-1) ** 19 * first.coeffs[1] == 20 * tau
 
 
+def cycle_laplacian(n):
+    """L(C_n): past n = 4 no two vertices are twins."""
+    return laplacian(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
 def test_char_poly_exact_guard():
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match="^char_poly_exact is bounded at order 256, got 257$"):
         char_poly_exact(IntMatrix([[0] * 257 for _ in range(257)]))
+    # the quotient is bounded at 32 twin classes, for tau as well
+    at_bound = cycle_laplacian(32)
+    assert len(spectral.twin_classes(at_bound)) == spectral.TWIN_CLASS_LIMIT == 32
+    poly = char_poly_exact(at_bound)
+    for t in (-1, 0, 1, 4):
+        assert poly.evaluate(t) == det_bareiss(shifted(at_bound, t))
+    assert spanning_tree_count_kirchhoff(at_bound) == 32
+    for oracle in (char_poly_exact, spanning_tree_count_kirchhoff):
+        with pytest.raises(SizeGuardError, match=(
+                "^the exact char poly is bounded at 32 twin classes, got 33$")):
+            oracle(cycle_laplacian(33))
 
 
 def test_closed_form_spectrum_examples():
@@ -415,12 +379,10 @@ def test_spanning_tree_count():
         g = strong_power_graph(grp)
         assert spanning_tree_count_formula(grp.n, False) == spanning_tree_count_kirchhoff(laplacian(g))
     assert spanning_tree_count_kirchhoff(laplacian(complete_graph(4))) == 16
-    # past 256 vertices tau is bounded by the number of twin classes: C_257
+    # tau is bounded by the number of twin classes, not by the order: C_257
     # has 257 singletons, K_257 one class
-    cycle = graph_from_edges(257, [(i, (i + 1) % 257) for i in range(257)])
-    with pytest.raises(SizeGuardError, match=(
-            "^spanning_tree_count_kirchhoff is bounded at 256 twin classes, got 257$")):
-        spanning_tree_count_kirchhoff(laplacian(cycle))
+    with pytest.raises(SizeGuardError, match="twin classes, got 257$"):
+        spanning_tree_count_kirchhoff(cycle_laplacian(257))
     assert spanning_tree_count_kirchhoff(laplacian(complete_graph(257))) == 257 ** 255
     # not a Laplacian: rows that do not sum to zero, or not symmetric
     for m in ([[1, 0], [0, 1]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]):

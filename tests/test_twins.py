@@ -17,7 +17,7 @@ from strongpow.formulas import (
     euler_phi,
 )
 from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
-from strongpow.groups import make_cyclic
+from strongpow.groups import make_cyclic, make_dihedral, noncyclic_corpus
 from strongpow.permanents import (
     CliqueParams,
     clique_plus_vertex_laplacian_permanent,
@@ -41,12 +41,19 @@ def shifted(m, t):
 
 
 def unreduced_char_poly(m):
-    """The Hessenberg kernel on M itself, every index its own class."""
-    return CharPoly(tuple(spectral._char_poly_crt(m.array)))
+    """The char poly kernel over the all-singleton partition, whose quotient
+    is M itself."""
+    return CharPoly(tuple(spectral._char_poly_faddeev(m.array)))
 
 
-def grouped_permanent(m):
-    return permanents._ryser_grouped(*spectral._twin_quotient(m, twin_classes(m)))
+def grouped_permanent(m, classes=None):
+    """Ryser's grouped sum over m's twin classes, or over the given ones."""
+    classes = twin_classes(m) if classes is None else classes
+    return permanents._ryser_grouped(*spectral._twin_quotient(m, classes))
+
+
+def unreduced_permanent(m):
+    return grouped_permanent(m, [[i] for i in range(m.n)])
 
 
 def test_twin_classes_of_cyclic_graphs():
@@ -67,10 +74,13 @@ def test_twin_classes_of_cyclic_graphs():
 
 
 def test_twin_classes_of_complete_graphs():
-    for n in range(1, 40):
-        g = complete_graph(n)
+    # a noncyclic group's strong power graph is complete
+    graphs = [complete_graph(n) for n in range(1, 40)]
+    graphs += [strong_power_graph(grp) for _, grp in noncyclic_corpus(24)]
+    graphs.append(strong_power_graph(make_dihedral(96)))
+    for g in graphs:
         for m in (adjacency(g), laplacian(g)):
-            assert twin_classes(m) == [list(range(n))]
+            assert twin_classes(m) == [list(range(g.n))]
 
 
 def test_twin_classes_of_twin_free_matrices():
@@ -150,7 +160,7 @@ def test_kernels_over_twin_classes_match_the_unreduced_ones(case):
         assert poly.evaluate(t) == det_bareiss(shifted(m, t)), (m, t)
     value = permanent_expansion(m)
     assert grouped_permanent(m) == value
-    assert permanents._ryser_numpy(m.array) == value
+    assert unreduced_permanent(m) == value
     assert permanent_ryser(m) == value
 
 
@@ -160,23 +170,19 @@ def test_kernels_over_twin_classes_match_sympy(case):
     sympy = pytest.importorskip("sympy")
     m, _ = case
     expected = sympy.Matrix(m.rows).charpoly().all_coeffs()[::-1]
-    assert char_poly_exact(m).coeffs == tuple(int(c) for c in expected)
-    assert grouped_permanent(m) == sympy.Matrix(m.rows).per()
+    assert char_poly_exact(m).coeffs == unreduced_char_poly(m).coeffs == tuple(
+        int(c) for c in expected)
+    per = sympy.Matrix(m.rows).per()
+    assert grouped_permanent(m) == unreduced_permanent(m) == per
 
 
-def test_cyclic_permanents_take_the_grouped_sum(monkeypatch):
-    # past order 12 the classes of Z_n make the grouped sum the cheaper one
-    def refuse(a, q):
-        raise AssertionError("the numpy kernel ran")
-
-    monkeypatch.setattr(permanents, "_ryser_mod", refuse)
-    permanents._permanent.cache_clear()
+def test_cyclic_permanents_take_the_grouped_sum():
+    # three classes for Z_n and one for K_n, at orders up to the memo's
     for n in (12, 20, 24):
         lap = laplacian(strong_power_graph(make_cyclic(n)))
         value = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
-        assert permanent_ryser(lap) == value
+        assert permanent_ryser(lap) == grouped_permanent(lap) == value
     assert permanent_ryser(laplacian(complete_graph(24))) == complete_graph_laplacian_permanent(24)
-    permanents._permanent.cache_clear()
 
 
 def test_kernels_read_the_classes_off_the_entries():
@@ -201,7 +207,7 @@ def test_kernels_read_the_classes_off_the_entries():
     assert poly.evaluate(0) == det_bareiss(moved)
     value = permanent_ryser(moved)
     assert value != closed_per
-    assert value == permanents._ryser_numpy(moved.array) == grouped_permanent(moved)
+    assert value == unreduced_permanent(moved) == grouped_permanent(moved)
 
 
 def test_permanent_term_budget_bounds_the_grouped_sum():
