@@ -4,8 +4,8 @@ run formula-vs-oracle verification sweeps, and export per-order CSV tables.
 Exit codes: 0 success (verify: all agree or documented disagreements only),
 1 undocumented disagreement from verify, 2 usage or input errors. A reader
 that closes stdout early ends the output quietly, with the same exit code.
-Each command imports the modules it runs, so `sweep`, `--help` and usage
-errors start without numpy.
+Each command imports the modules it runs; only the spectrum and le checks
+of `verify` load numpy, for their float eigensolve.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .formulas import CHECK_NAMES, ExactSpectrum, _text, closed_forms
+from .formulas import CHECK_NAMES, ExactSpectrum, _any_digits, _text, closed_forms
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
@@ -100,7 +100,8 @@ def _json_default(value):
 
 
 def bundle_to_json(bundle: dict[str, object]) -> str:
-    return json.dumps(bundle, indent=2, default=_json_default) + "\n"
+    text = _any_digits(lambda b: json.dumps(b, indent=2, default=_json_default), bundle)
+    return text + "\n"
 
 
 def _write_output(chunks, out: str | None) -> None:
@@ -231,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Spanning-tree counts and permanents pass 4300 decimal digits from
-    # about order 1400; lift CPython's int-to-str limit (3.10.7+, 3.11+).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

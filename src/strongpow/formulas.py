@@ -1,12 +1,13 @@
 """The paper's closed forms, which read only the order n, phi(n) and whether
 the group is cyclic: the Laplacian spectrum and its polynomial, algebraic
 connectivity, spanning trees, Laplacian energy, kappa, chi and line-graph
-membership. This module does not import numpy, so commands that print only
-closed forms (`sweep`) start without it.
+membership. Commands that print only closed forms (`sweep`) import this
+module alone.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,10 +35,26 @@ def euler_phi(n: int) -> int:
 
 
 def _text(value) -> str:
-    """A value as records and tables print it: booleans in lower case."""
+    """A value as records and tables print it: booleans in lower case, and
+    integers in full however many digits they have."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return _any_digits(str, value)
+
+
+def _any_digits(convert, value):
+    """convert(value) with CPython's limit on the digits of an int written
+    as text (4300 by default, 3.10.7+ and 3.11+) lifted, and restored
+    afterwards: spanning-tree counts and permanents pass it from about
+    order 1400."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is None:
+        return convert(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,17 @@ Python-int bitmask per vertex. All operations are pure; Graph is immutable."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 from .errors import SizeGuardError
-from .groups import FiniteGroup, _closure_classes
+from .groups import FiniteGroup, _closure_classes, _mask
 
 CHROMATIC_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
 # Rows per chunk of a streamed export.
 _BLOCK_ROWS = 16
+# Binary digits '0' and '1' to bytes 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,9 @@ class Graph:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        bits = _bit_matrix(self)
-        one_way = np.argwhere(bits > bits.T)
-        if one_way.size:
-            v, w = (int(i) for i in one_way[0])
+        if not _is_symmetric(self.adj):
+            v, w = next((v, w) for v, mask in enumerate(self.adj)
+                        for w in _bits(mask) if not self.adj[w] >> v & 1)
             raise ValueError(f"asymmetric edge ({v}, {w})")
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -49,26 +49,60 @@ class Graph:
         return [e for us, vs in _edge_blocks(self) for e in zip(us, vs)]
 
 
-def _bit_matrix(graph: Graph, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """The 0/1 uint8 matrix whose rows are the masks adj[lo:hi] unpacked to
-    n columns; all n rows by default."""
-    n = graph.n
-    rows = graph.adj[lo:hi]
-    width = (n + 7) // 8
-    raw = b"".join(m.to_bytes(width, "little") for m in rows)
-    return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width),
-        axis=1, count=n, bitorder="little",
-    )
+def _is_symmetric(adj: tuple[int, ...]) -> bool:
+    """Whether w in adj[v] exactly when v in adj[w], for loopless masks.
+    The vertices fall into classes of equal closed masks (true twins) or,
+    failing that, of equal open masks (false twins), so that every vertex
+    of a class sees each vertex outside it alike, and the members of a
+    class see each other alike both ways. The relation is then symmetric
+    exactly when each class A that sees some of a class B sees all of B,
+    and B all of A: one test per pair of adjacent classes, so a graph with
+    few classes, such as K_n, costs O(n) operations on n-bit masks."""
+    closed: dict[int, list[int]] = {}
+    for v, mask in enumerate(adj):
+        closed.setdefault(mask | 1 << v, []).append(v)
+    opened: dict[int, list[int]] = {}
+    classes = []
+    for members in closed.values():
+        if len(members) > 1:
+            classes.append(members)
+        else:
+            opened.setdefault(adj[members[0]], []).append(members[0])
+    classes += opened.values()
+    owner = [0] * len(adj)
+    for i, members in enumerate(classes):
+        for v in members:
+            owner[v] = i
+    masks = [_mask(members) for members in classes]
+    for members, mask in zip(classes, masks):
+        seen = adj[members[0]] & ~mask
+        while seen:
+            j = owner[(seen & -seen).bit_length() - 1]
+            if seen & masks[j] != masks[j] or adj[classes[j][0]] & mask != mask:
+                return False
+            seen ^= masks[j]
+    return True
+
+
+def _bit_bytes(mask: int, n: int) -> bytes:
+    """The bits of mask, which is below 2^n, as n bytes of 0 or 1, least
+    significant first."""
+    return f"{mask:0{n}b}"[::-1][:n].encode().translate(_DIGIT_BITS)
 
 
 def _edge_blocks(graph: Graph):
     """The edges (u, v), u < v, in lexicographic order: one pair of lists
     (the u's, the v's) per block of _BLOCK_ROWS rows, so that exports hold
     one block at a time."""
-    for lo in range(0, graph.n, _BLOCK_ROWS):
-        us, vs = np.nonzero(np.triu(_bit_matrix(graph, lo, lo + _BLOCK_ROWS), k=lo + 1))
-        yield (us + lo).tolist(), vs.tolist()
+    n = graph.n
+    for lo in range(0, n, _BLOCK_ROWS):
+        us: list[int] = []
+        vs: list[int] = []
+        for u in range(lo, min(lo + _BLOCK_ROWS, n)):
+            later = list(compress(range(u + 1, n), _bit_bytes(graph.adj[u] >> u + 1, n - u - 1)))
+            us += [u] * len(later)
+            vs += later
+        yield us, vs
 
 
 def _bits(mask: int):

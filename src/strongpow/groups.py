@@ -1,10 +1,12 @@
 """Finite groups with elements indexed 0..n-1, of order at most
 MAX_TABLE_ORDER.
 
-Z_n is addition mod n and stores no table. Every other group stores one
-n x n integer array, validated on construction and then made read-only.
-This is the only module that reads that array: the power closures, element
-orders, inverses and quotients the other modules need are computed here.
+Z_n is addition mod n and stores no table. Every other group stores its
+table as a tuple of n rows, each a tuple of n ints, validated on
+construction. All the entries are the int objects of one shared
+tuple(range(n)), so a row costs one pointer per entry. This is the only
+module that reads the table: the power closures, element orders and
+inverses the other modules need are computed here.
 """
 
 from __future__ import annotations
@@ -13,13 +15,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import index, itemgetter
 
 MAX_TABLE_ORDER = 4096
-# Holds every index below MAX_TABLE_ORDER: a table group's array, and the
-# gathers that validate it, are a quarter of their int64 size.
-_INDEX_DTYPE = np.int16
 
 
 class GroupError(ValueError):
@@ -54,29 +52,32 @@ class GroupSpecError(ValueError):
         self.pos = pos
 
 
+Table = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """A finite group on element indices 0..n-1.
 
     table is None for Z_n, whose operation is addition mod n; otherwise it
-    is the read-only n x n int16 array with table[a, b] = a * b. identity is
-    the index of the neutral element. Groups compare and hash as objects.
+    holds the rows of the table, table[a][b] = a * b. identity is the index
+    of the neutral element. Groups compare and hash as objects.
     """
 
     n: int
     identity: int
-    table: np.ndarray | None
+    table: Table | None
 
     def op(self, a: int, b: int) -> int:
         if self.table is None:
             return (a + b) % self.n
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     def inverse(self, x: int) -> int:
         if self.table is None:
             return (-x) % self.n
         # validation leaves one identity entry per row, at a two-sided inverse
-        return int(np.argmax(self.table[x] == self.identity))
+        return self.table[x].index(self.identity)
 
     def elements(self) -> range:
         return range(self.n)
@@ -91,117 +92,182 @@ def make_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(n=n, identity=0, table=None)
 
 
-def _check_latin(t: np.ndarray, n: int) -> None:
-    full = np.arange(n, dtype=t.dtype)
-    rows = np.flatnonzero((np.sort(t, axis=1) != full).any(axis=1))
-    if rows.size:
-        raise NotLatinSquareError(f"row {rows[0]} is not a permutation of 0..{n - 1}")
-    cols = np.flatnonzero((np.sort(t, axis=0) != full[:, None]).any(axis=0))
-    if cols.size:
-        raise NotLatinSquareError(f"column {cols[0]} is not a permutation of 0..{n - 1}")
+def _mask(indices) -> int:
+    """The bitmask with the given bits set."""
+    indices = list(indices)
+    bits = bytearray(max(indices, default=-1) // 8 + 1)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
-def _find_identity(t: np.ndarray, n: int) -> int:
-    full = np.arange(n)
-    found = np.flatnonzero((t == full).all(axis=1) & (t == full[:, None]).all(axis=0))
-    if not found.size:
-        raise NoIdentityError("no two-sided identity element")
-    return int(found[0])
+def _gather(seq: tuple, indices: tuple) -> tuple:
+    """seq[i] for each i in indices, in C: itemgetter gives a bare item
+    for one index, so that case is read apart."""
+    return itemgetter(*indices)(seq) if len(indices) > 1 else tuple(seq[i] for i in indices)
 
 
-def _check_inverses(t: np.ndarray, n: int, e: int) -> None:
-    left = t == e
-    bad = np.flatnonzero(~(left & left.T).any(axis=1))
-    if bad.size:
-        raise MissingInverseError(f"element {bad[0]} has no two-sided inverse")
+def _table_values(row, i: int) -> tuple:
+    """Row i of a table as a tuple; an array's row gives its Python values."""
+    try:
+        return tuple(row.tolist() if hasattr(row, "tolist") else row)
+    except TypeError:
+        raise NotLatinSquareError(f"row {i} is {row!r}, not a sequence of integers") from None
 
 
-def _check_associativity(t: np.ndarray, n: int, e: int) -> None:
-    """Light's associativity test over a generating set built greedily.
-
-    Call it after the Latin-square and identity checks. The elements b with
-    (ab)c = a(bc) for all a, c are closed under products: for two such b, b',
-    (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c). The identity
-    is one of them, so every element reached from it by right products with
-    checked generators is one too, and once those cover the table every b
-    passes. Each generator is the least element not yet reached, and it is
-    checked before it is used. The reached set is then a subgroup whose left
-    cosets split the table into equal parts, so each new generator at least
-    doubles it and at most log2(n) generators are checked, O(n^2) each.
-    """
-    reached = np.zeros(n, dtype=bool)
-    reached[e] = True
-    gens: list[int] = []
-    while not reached.all():
-        b = int(np.argmin(reached))
-        # [a, c] holds (a*b)*c on the left and a*(b*c) on the right
-        bad = t[t[:, b]] != t[:, t[b]]
-        if bad.any():
-            a, c = (int(i) for i in np.argwhere(bad)[0])
-            raise NotAssociativeError(f"(a*b)*c != a*(b*c) for a={a}, b={b}, c={c}")
-        gens.append(b)
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(n, dtype=bool)
-            hit[t[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached |= hit
-
-
-def _integer_row(row, i: int) -> np.ndarray:
-    """Row i of a table as a flat integer array, of dtype object when an
-    entry is past the machine range; an entry that is not an integer, such
-    as a float, a string or a list, raises NotLatinSquareError naming the
-    row and the entry."""
-    a = np.asarray(row)
-    if a.ndim == 1 and a.dtype.kind in "iu":
-        return a
-    values = row.tolist() if isinstance(row, np.ndarray) else list(row)
-    for v in values:
-        if not isinstance(v, (int, np.integer)):
-            raise NotLatinSquareError(f"row {i} has non-integer entry {v!r}")
-    return np.array([int(v) for v in values], dtype=object)
-
-
-def make_from_table(table) -> FiniteGroup:
-    """Group from an explicit n x n multiplication table, given as rows of
-    integers or as an array; the group keeps a read-only copy of it.
-
-    Validates: integer entries in 0..n-1, rows of length n, Latin square,
-    two-sided identity, two-sided inverses, and associativity, exactly at
-    every order (Light's test over a generating set, see
-    _check_associativity). Rows are read one at a time, so a ragged row, a
-    float or string entry, or an entry past the machine integer range is
-    reported by name rather than truncated, parsed or raised by numpy.
-    """
+def _table_rows(table) -> Table:
+    """The rows of a table, each entry replaced by the int of tuple(range(n))
+    that equals it. Each row is replaced as soon as it passes, so rows that
+    only the table holds are freed one at a time. A table that any check
+    below fails is passed to _first_entry_error, which names its first bad
+    entry, row length or row in that order."""
     rows = list(table)
     n = len(rows)
     if n < 1:
         raise InvalidOrderError("table must have at least one row")
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"table order {n} exceeds bound {MAX_TABLE_ORDER}")
+    rows = [_table_values(row, i) for i, row in enumerate(rows)]
+    full = tuple(range(n))
+    total = n * (n - 1) // 2
+    try:
+        # indexing full refuses a non-integer and an entry >= n, and turns an
+        # entry -n <= v < 0 into v + n; a row is then a permutation exactly
+        # when its entries are n distinct residues and sum to 0 + ... + n-1
+        for i, row in enumerate(rows):
+            shared = _gather(full, row)
+            if not len(shared) == n == len(set(shared)) or sum(row) != total:
+                break
+            rows[i] = shared
+        else:
+            return tuple(rows)
+    except (TypeError, IndexError):
+        pass
+    _first_entry_error(rows, n)
+    raise AssertionError("a table that failed its row checks passed them")
+
+
+def _first_entry_error(rows: list[tuple], n: int) -> None:
+    """Raise NotLatinSquareError for the first failure among: a non-integer
+    entry, an entry outside 0..n-1 (each row in turn), a row of the wrong
+    length, and a row that is not a permutation of 0..n-1."""
     for i, row in enumerate(rows):
-        row = _integer_row(row, i)
-        bad = np.flatnonzero((row < 0) | (row >= n))
-        if bad.size:
-            raise NotLatinSquareError(f"row {i} has out-of-range entry {row[bad[0]]}")
-        rows[i] = row.astype(_INDEX_DTYPE)
+        for v in row:
+            try:
+                index(v)
+            except TypeError:
+                raise NotLatinSquareError(f"row {i} has non-integer entry {v!r}") from None
+        for v in row:
+            if not 0 <= v < n:
+                raise NotLatinSquareError(f"row {i} has out-of-range entry {index(v)}")
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotLatinSquareError(f"row {i} has length {len(row)}, expected {n}")
-    t = np.array(rows, dtype=_INDEX_DTYPE)
-    del rows  # free the row copies before the validating gathers
-    _check_latin(t, n)
-    e = _find_identity(t, n)
-    _check_inverses(t, n, e)
-    _check_associativity(t, n, e)
-    t.flags.writeable = False
+    for i, row in enumerate(rows):
+        if len(set(row)) != n:
+            raise NotLatinSquareError(f"row {i} is not a permutation of 0..{n - 1}")
+
+
+def _check_columns(t: Table, n: int) -> None:
+    """Raise NotLatinSquareError naming the first column that is not a
+    permutation of 0..n-1; the columns are read in blocks of 256."""
+    for lo in range(0, n, 256):
+        for j, col in enumerate(zip(*(row[lo:lo + 256] for row in t)), lo):
+            if len(set(col)) != n:
+                raise NotLatinSquareError(f"column {j} is not a permutation of 0..{n - 1}")
+
+
+def _find_identity(t: Table, n: int) -> int:
+    full = tuple(range(n))
+    for e in range(n):
+        if t[e] == full and all(row[e] == x for x, row in enumerate(t)):
+            return e
+    raise NoIdentityError("no two-sided identity element")
+
+
+def _check_inverses(t: Table, n: int, e: int) -> None:
+    # each row holds e once, at x's one candidate for a two-sided inverse
+    for x, row in enumerate(t):
+        if t[row.index(e)][x] != e:
+            raise MissingInverseError(f"element {x} has no two-sided inverse")
+
+
+def _check_associativity(t: Table, n: int, e: int) -> None:
+    """Light's associativity test over a generating set built greedily.
+
+    Call it after the identity check. The elements b with
+    (ab)c = a(bc) for all a, c are closed under products: for two such b, b',
+    (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c). The identity
+    is one of them, so every element reached from it by right products with
+    checked generators is one too, and once those cover the table every b
+    passes. Each generator is the least element not yet reached, and it is
+    checked before it is used. In a group the reached set is a subgroup
+    whose left cosets split the table into equal parts, so each new
+    generator at least doubles it and at most log2(n) generators are
+    checked, O(n^2) each.
+    """
+    reached = bytearray(n)
+    reached[e] = 1
+    gens: list[int] = []
+    left = n - 1
+    while left:
+        b = reached.index(0)
+        # a*(b*c) for all c, read off row a through row b; n > 1 here
+        through_b = itemgetter(*t[b])
+        for a, row in enumerate(t):
+            if through_b(row) != t[row[b]]:
+                c = next(c for c in range(n) if t[row[b]][c] != row[t[b][c]])
+                raise NotAssociativeError(f"(a*b)*c != a*(b*c) for a={a}, b={b}, c={c}")
+        gens.append(b)
+        frontier = [x for x in range(n) if reached[x]]
+        while frontier:
+            found = []
+            for x in frontier:
+                row = t[x]
+                for g in gens:
+                    y = row[g]
+                    if not reached[y]:
+                        reached[y] = 1
+                        found.append(y)
+            left -= len(found)
+            frontier = found
+
+
+def make_from_table(table) -> FiniteGroup:
+    """Group from an explicit n x n multiplication table, given as rows of
+    integers (an array's rows are read as lists); the group keeps its own
+    copy of it, as a tuple of rows.
+
+    Validates: integer entries in 0..n-1, rows of length n, Latin square,
+    two-sided identity, two-sided inverses, and associativity, exactly at
+    every order (Light's test over a generating set, see
+    _check_associativity). A ragged row, a float or string entry, or an
+    entry past the machine integer range is reported by name. A table that
+    passes every other check is a group, and a group cancels on the right,
+    so its columns are permutations: they are read only to name a failure
+    in the order above.
+    """
+    t = _table_rows(table)
+    n = len(t)
+    try:
+        e = _find_identity(t, n)
+        _check_inverses(t, n, e)
+        _check_associativity(t, n, e)
+    except GroupError:
+        _check_columns(t, n)
+        raise
     return FiniteGroup(n=n, identity=e, table=t)
 
 
 def make_klein() -> FiniteGroup:
     """Klein four-group: xor on {0, 1, 2, 3}."""
     return make_from_table(tuple(tuple(a ^ b for b in range(4)) for a in range(4)))
+
+
+def _rotated(full: tuple, lo: int, hi: int, shift: int) -> tuple:
+    """full[lo:hi] rotated left by shift."""
+    cut = lo + shift % (hi - lo)
+    return full[cut:hi] + full[lo:cut]
 
 
 def make_dihedral(k: int) -> FiniteGroup:
@@ -212,19 +278,19 @@ def make_dihedral(k: int) -> FiniteGroup:
     if 2 * k > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"dihedral order {2 * k} exceeds bound {MAX_TABLE_ORDER}")
     # r^i * r^j = r^(i+j), r^i * s*r^j = s*r^(j-i), s*r^i * r^j = s*r^(i+j)
-    # and s*r^i * s*r^j = r^(j-i): b's rotation counts against a's when b is
-    # a reflection, and the product is a reflection when exactly one is.
-    r = np.arange(2 * k, dtype=_INDEX_DTYPE) % k
-    s = np.arange(2 * k) >= k
-    table = np.where(s[None, :], r[None, :] - r[:, None], r[:, None] + r[None, :]) % k
-    table[s[:, None] ^ s[None, :]] += k
-    return make_from_table(table)
+    # and s*r^i * s*r^j = r^(j-i): each half of a row is a rotation of the
+    # rotations or of the reflections.
+    full = tuple(range(2 * k))
+    rot = (_rotated(full, 0, k, i) + _rotated(full, k, 2 * k, -i) for i in range(k))
+    ref = (_rotated(full, k, 2 * k, i) + _rotated(full, 0, k, -i) for i in range(k))
+    return make_from_table(itertools.chain(rot, ref))
 
 
-def _table_array(g: FiniteGroup) -> np.ndarray:
-    """The n x n multiplication table of g, built for Z_n."""
+def _rows_of(g: FiniteGroup) -> Table:
+    """The rows of g's multiplication table, built for Z_n."""
     if g.table is None:
-        return np.add.outer(np.arange(g.n), np.arange(g.n)) % g.n
+        full = tuple(range(g.n))
+        return tuple(_rotated(full, 0, g.n, x) for x in full)
     return g.table
 
 
@@ -233,10 +299,17 @@ def make_direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     n = a.n * b.n
     if n > MAX_TABLE_ORDER:
         raise InvalidOrderError(f"product order {n} exceeds bound {MAX_TABLE_ORDER}")
-    # [xa, xb, ya, yb] holds (xa * ya) * b.n + (xb * yb)
-    ta, tb = _table_array(a), _table_array(b)
-    table = ta[:, None, :, None] * b.n + tb[None, :, None, :]
-    return make_from_table(table.reshape(n, n))
+    # Row (xa, xb) holds (xa * ya) * b.n + (xb * yb) at column ya * b.n + yb.
+    # With through_b[xb][z * b.n + yb] = z * b.n + xb * yb and
+    # through_a[ya * b.n + yb] = (xa * ya) * b.n + yb, it is through_b[xb]
+    # read at through_a.
+    full = tuple(range(n))
+    blocks = [full[z * b.n:(z + 1) * b.n] for z in range(a.n)]
+    through_b = [tuple(itertools.chain.from_iterable(_gather(block, row_b) for block in blocks))
+                 for row_b in _rows_of(b)]
+    through_a = (tuple(itertools.chain.from_iterable(_gather(blocks, row_a)))
+                 for row_a in _rows_of(a))
+    return make_from_table(_gather(row, ta) for ta in through_a for row in through_b)
 
 
 def make_symmetric(k: int) -> FiniteGroup:
@@ -244,11 +317,10 @@ def make_symmetric(k: int) -> FiniteGroup:
     range(k) in lexicographic order, composed right-to-left."""
     if not 1 <= k <= 5:
         raise InvalidOrderError(f"symmetric group parameter must be in [1, 5], got {k}")
-    perms = np.array(list(itertools.permutations(range(k))))
-    # perms[:, perms][p, q, i] is p[q[i]]; read as base-k numbers the
-    # permutations are sorted, so searchsorted finds each product's index
-    weights = k ** np.arange(k - 1, -1, -1)
-    return make_from_table(np.searchsorted(perms @ weights, perms[:, perms] @ weights))
+    perms = list(itertools.permutations(range(k)))
+    position = {p: i for i, p in enumerate(perms)}
+    # the product p*q maps i to p[q[i]]
+    return make_from_table([[position[tuple(p[j] for j in q)] for q in perms] for p in perms])
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
@@ -257,11 +329,10 @@ def element_order(g: FiniteGroup, x: int) -> int:
         raise ValueError(f"element index {x} out of range for order {g.n}")
     if g.table is None:
         return g.n // math.gcd(g.n, x)
-    times_x = g.table[:, x].tolist()
     y = x
     m = 1
     while y != g.identity:
-        y = times_x[y]
+        y = g.table[y][x]
         m += 1
     return m
 
@@ -278,42 +349,28 @@ def is_cyclic(g: FiniteGroup) -> bool:
 def _closure_classes(g: FiniteGroup) -> dict[int, int]:
     """Each power-closure mask, the bitmask of x^1, ..., x^(n-1), mapped to
     the bitmask of the elements that have it. The closure of x is <x>, less
-    the identity when x generates the whole group. In Z_n, <x> is the
-    multiples of gcd(x, n); a table group walks the powers of all its
-    elements at once. Equal closures are found by their packed bytes. The
-    last group's result is cached for is_cyclic and strong_power_graph to
-    share (groups hash by identity); callers must not change it."""
+    the identity when x generates the whole group. Each cyclic subgroup is
+    walked once, from its least element x: its generators x^k, gcd(k, m) = 1
+    for m the order of x, share x's closure, and no other element has it.
+    The classes come in the order of their least elements. The last group's
+    result is cached for is_cyclic and strong_power_graph to share (groups
+    hash by identity); callers must not change it."""
     n = g.n
-    ar = np.arange(n)
-    hit = np.zeros((n, n), dtype=bool)  # hit[x, y]: y is one of x^1, ..., x^(n-1)
-    if g.table is None:
-        gcds = np.gcd(ar, n)
-        for d in set(gcds.tolist()):
-            hit[gcds == d] = ar % d == 0
-        hit[gcds == 1, 0] = False  # a generator's powers stop short of x^n = e
-    else:
-        xs = ys = ar  # the elements still walking and their powers x^m
-        for _ in range(n - 1):
-            hit[xs, ys] = True
-            live = ys != g.identity  # once x^m = e, the powers of x repeat
-            if not live.any():
-                break
-            xs = xs[live]
-            ys = g.table[ys[live], xs]
-    members: dict[bytes, list[int]] = {}
-    for x, row in enumerate(np.packbits(hit, axis=1, bitorder="little")):
-        members.setdefault(row.tobytes(), []).append(x)
-    return {
-        int.from_bytes(key, "little"): sum(1 << x for x in elements)
-        for key, elements in members.items()
-    }
-
-
-def _quotient_table(g: FiniteGroup) -> np.ndarray:
-    """The n x n array whose [x, y] entry is x * y^(-1)."""
-    t = _table_array(g)
-    inverses = np.argmax(t == g.identity, axis=1)
-    return t[:, inverses]
+    done = bytearray(n)
+    classes: dict[int, int] = {}
+    for x in range(n):
+        if done[x]:
+            continue
+        powers = [x]  # x^1, ..., x^m = e
+        while powers[-1] != g.identity:
+            powers.append(g.op(powers[-1], x))
+        m = len(powers)
+        closure = _mask(powers) ^ (1 << g.identity if m == n else 0)
+        generators = [powers[k - 1] for k in range(1, m + 1) if math.gcd(k, m) == 1]
+        for y in generators:
+            done[y] = 1
+        classes[closure] = _mask(generators)
+    return classes
 
 
 def load_cayley_table_csv(path: str) -> FiniteGroup:

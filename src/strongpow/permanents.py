@@ -64,8 +64,7 @@ def permanent_ryser(m: IntMatrix) -> int:
     _ryser_guard(n)
     if n == 0:
         return 1
-    nonzero = m.array != 0
-    if not (nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
+    if not (all(map(any, m.rows)) and all(map(any, zip(*m.rows)))):
         return 0
     return (_permanent if n <= _MEMO_ORDER else _permanent.__wrapped__)(m)
 
@@ -85,7 +84,7 @@ def _permanent(m: IntMatrix) -> int:
 
 
 def _ryser_grouped(sizes, c, diag) -> int:
-    """Ryser's sum over the arrays of _twin_quotient, with the subsets
+    """Ryser's sum over the lists of _twin_quotient, with the subsets
     grouped by how many columns r_a they take from each twin class a
     (Ryser 1963): a row of class a sums to R_a = sum_b c_ab r_b when its
     own column is left out and to R_a + d_a, d_a = M_ii - c_aa, when it is
@@ -95,7 +94,6 @@ def _ryser_grouped(sizes, c, diag) -> int:
                      (R_a + d_a)^(r_a) R_a^(m_a - r_a),
 
     in exact integers over the prod_a (m_a + 1) vectors r."""
-    sizes, c, diag = sizes.tolist(), c.tolist(), diag.tolist()
     shifts = [m_ii - row[a] for a, (m_ii, row) in enumerate(zip(diag, c))]
     total = 0
     for r in itertools.product(*(range(size + 1) for size in sizes)):

@@ -8,80 +8,64 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+import struct
+from itertools import chain, compress, repeat
+from operator import index
 
 from .errors import SizeGuardError
 from .formulas import CharPoly
-from .graphs import _BLOCK_ROWS, Graph, _bit_matrix
+from .graphs import _BLOCK_ROWS, Graph, _bit_bytes
 
 CHAR_POLY_LIMIT = 256
 
 
 class IntMatrix:
-    """Square integer matrix in one read-only 2-D numpy array, `array`: int64
-    when every entry is at most (2^63 - 1) // n in size, so that no row's
-    absolute sum can overflow, else Python ints (dtype object). An array
-    passed in becomes the matrix's own, and an object array keeps its dtype.
-    Equality and hash go by value, whatever the dtype."""
+    """Square integer matrix, held as `rows`: a tuple of n rows, each a
+    tuple of n Python ints, so every entry is exact whatever its size.
+    Equality and hash go by value."""
 
-    __slots__ = ("array",)
+    __slots__ = ("rows", "_symmetric", "_hash")
 
     def __init__(self, rows):
-        given = isinstance(rows, np.ndarray)
-        a = rows if given else np.array(rows, dtype=object)
-        if len(a) == 0:
-            a = a.reshape(0, 0)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not (given and a.dtype == object):
-            limit = np.iinfo(np.int64).max // max(len(a), 1)
-            fits = a.size == 0 or bool(a.min() >= -limit and a.max() <= limit)
-            a = a.astype(np.int64 if fits else object, copy=False)
-        a.flags.writeable = False
-        self.array = a
+        rows = tuple(tuple(map(index, row)) for row in rows)
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ValueError(
+                    f"expected a square matrix, got row {i} of length {len(row)} "
+                    f"in {len(rows)} rows")
+        self.rows, self._symmetric, self._hash = rows, None, None
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The entries as tuples of Python ints, for the reference oracles."""
-        return tuple(map(tuple, self.array.tolist()))
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...], symmetric: bool | None = None):
+        """A matrix on rows that are already square tuples of ints."""
+        m = cls.__new__(cls)
+        m.rows, m._symmetric, m._hash = rows, symmetric, None
+        return m
 
     @property
     def n(self) -> int:
-        return len(self.array)
+        return len(self.rows)
 
     def trace(self) -> int:
-        return int(self.array.trace())
+        return sum(row[i] for i, row in enumerate(self.rows))
 
     def is_symmetric(self) -> bool:
-        return bool((self.array == self.array.T).all())
+        if self._symmetric is None:
+            # zip(*rows) yields the columns one at a time
+            self._symmetric = all(map(tuple.__eq__, self.rows, zip(*self.rows)))
+        return self._symmetric
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and np.array_equal(self.array, other.array)
+        return isinstance(other, IntMatrix) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        a = self.array
-        if a.dtype == object:
-            try:
-                a = a.astype(np.int64)
-            except OverflowError:
-                return hash(tuple(a.ravel().tolist()))
-        return hash((a.shape, _narrowest(a).tobytes()))
+        # the memos hash a matrix on every lookup
+        if self._hash is None:
+            self._hash = hash(self.rows)
+        return self._hash
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.array.tolist()!r})"
-
-
-def _narrowest(a: np.ndarray) -> np.ndarray:
-    """An int64 array in the narrowest signed integer dtype that holds its
-    entries, so equal values give equal bytes; a Laplacian of up to 32767
-    vertices fits int16, a quarter of the bytes to sort, hash and compare."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    for dtype in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dtype)
-        if info.min <= lo and hi <= info.max:
-            return a.astype(dtype)
-    return a
+        return f"IntMatrix({list(map(list, self.rows))!r})"
 
 
 def twin_classes(m: IntMatrix) -> list[list[int]]:
@@ -91,75 +75,71 @@ def twin_classes(m: IntMatrix) -> list[list[int]]:
     outside {i, j}. Twinship is an equivalence, and a class holds one value
     c_aa off its diagonal and one value c_ab towards each other class b
     (an equitable partition). Any partition into classes of twins, all
-    singletons included, gives the exact char poly and permanent; an
-    object array, whose entries have no fixed-width bytes, is left as
-    singletons."""
-    a = m.array
-    n = len(a)
-    if a.dtype == object:
-        return [[i] for i in range(n)]
-    a = _narrowest(a)
+    singletons included, gives the exact char poly and permanent."""
+    rows = m.rows
+    # the columns matter only where they are not the rows
+    lines = (rows,) if m.is_symmetric() else (rows, tuple(zip(*rows)))
     # Twins share their diagonal entry, and each one's row (and column) is
     # the other's with two entries swapped, so their sorted rows and sorted
     # columns agree: group by those first.
-    sorted_rows = np.sort(a, axis=1), np.sort(a.T, axis=1)
-    coarse = _equal_rows(np.column_stack((a.diagonal(), *sorted_rows)), range(n))
+    coarse: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        key = (row[i], *(tuple(sorted(line[i])) for line in lines))
+        coarse.setdefault(key, []).append(i)
     classes = []
-    for group in coarse:
+    for group in coarse.values():
         # i and j are twins with M_ij = v exactly when their rows, and their
         # columns, are equal once both diagonal entries are set to v; v is
         # in row i, and so in every row of the group
         left = group
-        for v in sorted(set(a[group[0]].tolist())):
+        for v in sorted(set(rows[group[0]])):
             if len(left) < 2:
                 break
-            at = (np.arange(len(left)), left)
-            row_v, col_v = a[left], a.T[left]
-            row_v[at] = col_v[at] = v
-            fine = _equal_rows(np.column_stack((row_v, col_v)), left)
-            classes += [f for f in fine if len(f) > 1]
-            left = [f[0] for f in fine if len(f) == 1]
+            fine: dict[tuple, list[int]] = {}
+            for i in left:
+                key = tuple(line[i][:i] + (v,) + line[i][i + 1:] for line in lines)
+                fine.setdefault(key, []).append(i)
+            classes += [f for f in fine.values() if len(f) > 1]
+            left = [f[0] for f in fine.values() if len(f) == 1]
         classes += [[i] for i in left]
     return sorted(classes)
 
 
-def _equal_rows(rows: np.ndarray, labels) -> list[list[int]]:
-    """The labels of a 2-D array's rows, grouped by equal rows, through the
-    rows' bytes in a dict."""
-    data = rows.tobytes()
-    width = rows.shape[1] * rows.itemsize
-    groups: dict[bytes, list[int]] = {}
-    for k, label in enumerate(labels):
-        groups.setdefault(data[k * width:(k + 1) * width], []).append(label)
-    return list(groups.values())
-
-
 def _twin_quotient(m: IntMatrix, classes: list[list[int]]):
     """(sizes, c, diag) for a partition of m's indices into classes of
-    twins: the class sizes m_a; the k x k array c of the value each class a
+    twins: the class sizes m_a; the k x k list c of the value each class a
     holds towards class b, with c_aa its value off the diagonal (for a
     singleton, its diagonal entry); and each class's diagonal entry M_ii.
-    The arrays keep m's dtype. Eigenvectors that sum to zero on one class
-    have the eigenvalue d_a = M_ii - c_aa (m_a - 1 of them per class), and
-    class-constant vectors see the quotient c_ab m_b, whose diagonal is
+    Eigenvectors that sum to zero on one class have the eigenvalue
+    d_a = M_ii - c_aa (m_a - 1 of them per class), and class-constant
+    vectors see the quotient c_ab m_b, whose diagonal is
     M_ii + c_aa (m_a - 1)."""
-    a = m.array
+    rows = m.rows
     firsts = [cls[0] for cls in classes]
-    c = a[np.ix_(firsts, firsts)]
-    c[np.diag_indices(len(classes))] = a[firsts, [cls[-1] for cls in classes]]
-    sizes = np.array([len(cls) for cls in classes], dtype=np.int64)
-    return sizes, c, a[firsts, firsts]
+    c = [[rows[i][j] for j in firsts] for i in firsts]
+    for a, cls in enumerate(classes):
+        c[a][a] = rows[cls[0]][cls[-1]]
+    return [len(cls) for cls in classes], c, [rows[i][i] for i in firsts]
+
+
+# Byte 1 to byte 255, which reads as -1 when signed.
+_NEGATED = bytes.maketrans(b"\x01", b"\xff")
 
 
 def laplacian(graph: Graph) -> IntMatrix:
     """L = D - A; rows sum to zero."""
-    lap = np.negative(_bit_matrix(graph), dtype=np.int64)
-    np.fill_diagonal(lap, -lap.sum(axis=1))
-    return IntMatrix(lap)
+    n = graph.n
+    rows = []
+    for v, mask in enumerate(graph.adj):
+        row = memoryview(_bit_bytes(mask, n).translate(_NEGATED)).cast("b").tolist()
+        row[v] = mask.bit_count()
+        rows.append(tuple(row))
+    return IntMatrix._of(tuple(rows), symmetric=True)
 
 
 def adjacency(graph: Graph) -> IntMatrix:
-    return IntMatrix(_bit_matrix(graph).astype(np.int64))
+    n = graph.n
+    return IntMatrix._of(tuple(tuple(_bit_bytes(mask, n)) for mask in graph.adj), symmetric=True)
 
 
 # --- exact characteristic polynomial -------------------------------------
@@ -188,14 +168,13 @@ def _char_poly(m: IntMatrix) -> CharPoly:
     """The factors of _twin_factors, multiplied out."""
     if m.n == 0:
         return CharPoly((1,))
-    shifts, quotient = _twin_factors(m)
-    coeffs = np.array(quotient, dtype=object)
+    shifts, coeffs = _twin_factors(m)
     for d, e in shifts:
-        # times (x - d)^e, expanded by the binomial theorem
-        power = [math.comb(e, k) * (-d) ** (e - k) for k in range(e + 1)]
-        coeffs = np.convolve(coeffs, np.array(power, dtype=object))
+        for _ in range(e):
+            # times (x - d), one small factor at a time
+            coeffs = [a - d * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
     assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
-    return CharPoly(tuple(coeffs.tolist()))
+    return CharPoly(tuple(coeffs))
 
 
 @functools.lru_cache(maxsize=8)
@@ -214,20 +193,21 @@ def _twin_factors(m: IntMatrix) -> tuple[list[tuple[int, int]], list[int]]:
             f"got {len(classes)}"
         )
     sizes, c, diag = _twin_quotient(m, classes)
-    q = c * sizes
-    np.fill_diagonal(q, diag + c.diagonal() * (sizes - 1))
-    shifts = [(m_ii - c_aa, size - 1) for c_aa, m_ii, size
-              in zip(c.diagonal().tolist(), diag.tolist(), sizes.tolist())]
+    q = [[c_ab * size for c_ab, size in zip(row, sizes)] for row in c]
+    shifts = []
+    for a, (m_ii, size) in enumerate(zip(diag, sizes)):
+        c_aa = c[a][a]
+        q[a][a] = m_ii + c_aa * (size - 1)
+        shifts.append((m_ii - c_aa, size - 1))
     return shifts, _char_poly_faddeev(q)
 
 
-def _char_poly_faddeev(a: np.ndarray) -> list[int]:
+def _char_poly_faddeev(a: list[list[int]]) -> list[int]:
     """Ascending coefficients c_j of det(xI - A) by Faddeev-LeVerrier, in
     Python integers: M_1 = I, c_(n-k) = -tr(A M_k) / k and
     M_(k+1) = A M_k + c_(n-k) I. Each M_k is an integer combination of
     powers of A and each c_j an integer, so every division is exact."""
     n = len(a)
-    a = a.tolist()
     coeffs = [0] * n + [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -244,12 +224,21 @@ def _char_poly_faddeev(a: np.ndarray) -> list[int]:
 
 def eigenvalues_numeric(m: IntMatrix) -> list[float]:
     """All eigenvalues of a symmetric integer matrix, ascending, via a dense
-    symmetric eigensolver (LAPACK)."""
+    symmetric eigensolver (LAPACK). The one use of numpy in the package,
+    imported here, so that only the commands that call this load it."""
+    import numpy as np
+
     if not m.is_symmetric():
         raise ValueError("eigenvalues_numeric requires a symmetric matrix")
-    if m.n == 0:
+    n = m.n
+    if n == 0:
         return []
-    return np.linalg.eigvalsh(m.array.astype(np.float64)).tolist()
+    # each row packed as n doubles straight into a C-order float64 array
+    a = np.empty((n, n), dtype=np.float64)
+    pack_row, out = struct.Struct(f"{n}d").pack_into, memoryview(a).cast("B")
+    for i, row in enumerate(m.rows):
+        pack_row(out, 8 * n * i, *row)
+    return np.linalg.eigvalsh(a).tolist()
 
 
 def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
@@ -263,7 +252,7 @@ def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
     n = lap.n
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    if not lap.is_symmetric() or lap.array.sum(axis=1).any():
+    if not lap.is_symmetric() or any(map(sum, lap.rows)):
         raise ValueError("expected a Laplacian: symmetric, with rows summing to zero")
     # the memo holds its matrices, so only those char_poly_exact can share
     # it for are kept
@@ -285,21 +274,19 @@ def to_matrix_market(m: IntMatrix):
     """Yield Matrix Market coordinate text (integer field, 1-based indices)
     in chunks of rows; emits the lower triangle with the 'symmetric'
     qualifier when applicable."""
-    a = m.array
+    rows, n = m.rows, m.n
     symmetric = m.is_symmetric()
-
-    def written(lo: int) -> np.ndarray:
-        # rows lo.. of the entries written; row i keeps j <= lo + i if symmetric
-        nonzero = a[lo:lo + _BLOCK_ROWS] != 0
-        return np.tril(nonzero, k=lo) if symmetric else nonzero
-
-    starts = range(0, m.n, _BLOCK_ROWS)
-    count = sum(np.count_nonzero(written(lo)) for lo in starts)
+    count = sum(n - row.count(0) for row in rows)
+    if symmetric:
+        # the lower triangle: the diagonal and half of the rest
+        count = (count + sum(1 for i, row in enumerate(rows) if row[i])) // 2
     kind = "symmetric" if symmetric else "general"
-    yield f"%%MatrixMarket matrix coordinate integer {kind}\n{m.n} {m.n} {count}\n"
-    for lo in starts:
-        rows, cols = np.nonzero(written(lo))
-        rows += lo
-        # one "i j v" line per entry; %d writes an int as str() does
-        entries = np.column_stack((rows + 1, cols + 1, a[rows, cols])).ravel().tolist()
-        yield "%d %d %d\n" * len(rows) % tuple(entries)
+    yield f"%%MatrixMarket matrix coordinate integer {kind}\n{n} {n} {count}\n"
+    columns = range(1, n + 1)
+    for lo in range(0, n, _BLOCK_ROWS):
+        entries: list[int] = []
+        for i in range(lo, min(lo + _BLOCK_ROWS, n)):
+            row = rows[i][:i + 1] if symmetric else rows[i]
+            # one "i j v" line per nonzero entry; %d writes an int as str() does
+            entries += chain.from_iterable(zip(repeat(i + 1), compress(columns, row), compress(row, row)))
+        yield "%d %d %d\n" * (len(entries) // 3) % tuple(entries)

@@ -9,10 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .graphs import Graph, _bits, graph_from_edges
-from .groups import FiniteGroup, _quotient_table, is_cyclic
+from .groups import FiniteGroup, _mask, is_cyclic
 
 def _is_clique(adj, mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in _bits(mask))
@@ -156,10 +154,8 @@ def cayley_graph(g: FiniteGroup, s: ConnectionSet) -> Graph:
     |S|-regular."""
     if s.group is not g:
         raise ValueError("connection set belongs to a different group")
-    member = np.zeros(g.n, dtype=bool)
-    member[list(s.elements)] = True
-    rows = np.packbits(member[_quotient_table(g)], axis=1, bitorder="little")
-    return Graph(g.n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+    # y = s^{-1} x for some s in S, and S holds the inverses of its members
+    return Graph(g.n, tuple(_mask(g.op(t, x) for t in s.elements) for x in range(g.n)))
 
 def cayley_classification(g: FiniteGroup) -> bool:
     """True iff the strong power graph of g is a Cayley graph of some group,

@@ -405,8 +405,41 @@ def loopless_masks(draw):
     return masks
 
 
+@st.composite
+def twin_class_masks(draw):
+    """Masks built from planted classes of true twins (a clique) or false
+    twins (no edges inside), each pair of classes joined fully or not at
+    all, under a random labeling; at times one class sees another one way
+    only, or one edge loses one direction."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(order[start:start + size])
+        start += size
+    k = len(classes)
+    joined = {(a, b): draw(st.booleans()) for a in range(k) for b in range(a, k)}
+    for a in range(k):
+        for b in range(a):
+            joined[a, b] = joined[b, a]
+    if k > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(range(k)))[:2]
+        joined[a, b] = not joined[a, b]
+    masks = [0] * n
+    for a, cls in enumerate(classes):
+        for b, other in enumerate(classes):
+            if joined[a, b]:
+                for v in cls:
+                    masks[v] |= sum(1 << w for w in other if w != v)
+    if n > 1 and draw(st.booleans()):
+        v, w = draw(st.permutations(range(n)))[:2]
+        masks[v] ^= 1 << w
+    return masks
+
+
 @settings(max_examples=150, deadline=None)
-@given(loopless_masks())
+@given(st.one_of(loopless_masks(), twin_class_masks()))
 def test_symmetry_check_matches_bit_probes(masks):
     # reference: probe each edge (v, w) in row-major order for its reverse
     n = len(masks)

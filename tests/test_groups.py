@@ -174,6 +174,7 @@ def test_make_from_table_rejects_non_latin():
         ([[0, 1], [1, "0"]], "row 1 has non-integer entry '0'"),
         ([[[0], [1]], [[1], [0]]], "row 0 has non-integer entry [0]"),
         ([[0, 1], [1]], "row 1 has length 1, expected 2"),
+        ([0], "row 0 is 0, not a sequence of integers"),
         ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "row 2 is not a permutation of 0..2"),
         ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "column 1 is not a permutation of 0..2"),
     ]
@@ -264,11 +265,88 @@ def test_associativity_check_matches_all_triples():
             assert accepted == associative, table
 
 
+def ordered_failure(table):
+    """The error, and for all but associativity its message, that the
+    checks give when run in their documented order over every entry, row,
+    column and triple; (None, None) for a group."""
+    n = len(table)
+    full = list(range(n))
+    for i, row in enumerate(table):
+        for v in row:
+            if not 0 <= v < n:
+                return NotLatinSquareError, f"row {i} has out-of-range entry {v}"
+    for i, row in enumerate(table):
+        if sorted(row) != full:
+            return NotLatinSquareError, f"row {i} is not a permutation of 0..{n - 1}"
+    for j in range(n):
+        if sorted(row[j] for row in table) != full:
+            return NotLatinSquareError, f"column {j} is not a permutation of 0..{n - 1}"
+    ids = [e for e in range(n) if list(table[e]) == full and [r[e] for r in table] == full]
+    if not ids:
+        return NoIdentityError, "no two-sided identity element"
+    e = ids[0]
+    for x in range(n):
+        if not any(table[x][y] == e == table[y][x] for y in range(n)):
+            return MissingInverseError, f"element {x} has no two-sided inverse"
+    if any(table[table[a][b]][c] != table[a][table[b][c]]
+           for a in range(n) for b in range(n) for c in range(n)):
+        return NotAssociativeError, None
+    return None, None
+
+
+@st.composite
+def damaged_group_tables(draw):
+    """A corpus group's table under a random relabeling, then changed in a
+    few entries, rows or columns, or not at all."""
+    _, g = draw(st.sampled_from(noncyclic_corpus(12)))
+    n = g.n
+    p = draw(st.permutations(range(n)))
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[p[a]][p[b]] = p[g.op(a, b)]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("entry", "swap", "rows", "columns")))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.integers(0, n - 1))
+        if kind == "entry":
+            table[i][j] = draw(st.integers(-1, n))
+        elif kind == "swap":
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+        elif kind == "rows":
+            table[i], table[k] = table[k], table[i]
+        else:
+            for row in table:
+                row[j], row[k] = row[k], row[j]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_group_tables())
+def test_validation_names_the_first_failure_in_order(table):
+    # columns are read only once another check fails, and must still be
+    # named before the identity, inverse and associativity errors
+    error, message = ordered_failure(table)
+    if error is None:
+        g = make_from_table(table)
+        assert g.table == tuple(map(tuple, table))
+        return
+    with pytest.raises(error) as ei:
+        make_from_table(table)
+    if message is not None:
+        assert str(ei.value) == message
+
+
 def test_every_group_table_is_accepted():
     for spec, g in noncyclic_corpus(24):
-        assert isinstance(g.table, np.ndarray), spec
-        for table in (g.table, g.table.tolist()):
-            assert np.array_equal(make_from_table(table).table, g.table), spec
+        # immutable rows of ints, every entry the int of tuple(range(n))
+        # that equals it
+        assert isinstance(g.table, tuple) and all(type(row) is tuple for row in g.table), spec
+        assert all(type(x) is int for row in g.table for x in row), spec
+        assert len({id(x) for row in g.table for x in row}) == g.n, spec
+        rows = [list(row) for row in g.table]
+        for table in (g.table, rows, np.array(rows)):
+            assert make_from_table(table).table == g.table, spec
     for k in range(1, 101):
         assert make_dihedral(k).n == 2 * k
 
@@ -280,8 +358,8 @@ def test_frozen_group_is_hashable_and_immutable():
         assert {g: g.n}[g] == g.n  # hashes
         with pytest.raises(AttributeError):
             g.n = 4
-    with pytest.raises(ValueError):  # the table is read-only
-        klein.table[0, 0] = 1
+    with pytest.raises(TypeError):  # the table is read-only
+        klein.table[0][0] = 1
     assert klein.op(0, 0) == 0
 
 
@@ -318,7 +396,7 @@ def test_load_cayley_table_csv(tmp_path):
     assert g.n == 3
     assert is_cyclic(g)
     spec_g = parse_group_spec(f"table:{path}")
-    assert np.array_equal(spec_g.table, g.table)
+    assert spec_g.table == g.table
 
 
 def test_load_cayley_table_csv_rejects_bad_cell(tmp_path):

@@ -52,24 +52,65 @@ def test_import_does_not_load_the_cli():
     assert "'strongpow.cli'" not in proc.stdout
 
 
+# runs `python -m strongpow ARGV`, then reports whether numpy was loaded
+_RUN_MAIN = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'strongpow'\n"
+    "try:\n"
+    "    runpy.run_module('strongpow', run_name='__main__')\n"
+    "finally:\n"
+    "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["sweep", "--range", "2..5"], 0),
     (["--help"], 0),
     (["sweep", "--range", "5"], 2),
+    (["invariants", "--format", "json", "--group", "zn:16"], 0),
+    (["invariants", "--format", "json", "--group", "dihedral:8"], 0),
+    (["invariants", "--format", "json", "--group", "product:zn:2+zn:8"], 0),
+    (["build", "--group", "dihedral:8", "--format", "json"], 0),
+    (["build", "--group", "zn:12", "--format", "dot"], 0),
+    (["build", "--group", "zn:12", "--format", "mtx"], 0),
+    (["verify", "--family", "cyclic", "--range", "2..12", "--checks", "kappa,perm_adj,linegraph"], 0),
 ])
 def test_commands_without_numeric_work_start_without_numpy(argv, code):
-    # runs `python -m strongpow ARGV`, then reports whether numpy was loaded
-    run_main = (
-        "import runpy, sys\n"
-        "sys.argv[0] = 'strongpow'\n"
-        "try:\n"
-        "    runpy.run_module('strongpow', run_name='__main__')\n"
-        "finally:\n"
-        "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
-    )
-    proc = _fresh_python(run_main, *argv)
+    proc = _fresh_python(_RUN_MAIN, *argv)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_the_float_eigensolve_loads_numpy():
+    argv = ["verify", "--family", "cyclic", "--range", "2..6", "--checks", "spectrum"]
+    proc = _fresh_python(_RUN_MAIN, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: True"
+
+
+def test_integers_past_4300_digits_are_written_outside_the_cli():
+    # CPython refuses, by default, to write an int of more than 4300 digits;
+    # each conversion lifts the limit for itself and restores it
+    code = (
+        "import sys\n"
+        "from strongpow.cli import bundle_to_json\n"
+        "from strongpow.formulas import _text, spanning_tree_count_formula\n"
+        "from strongpow.verify import run_verify\n"
+        "limit = sys.get_int_max_str_digits()\n"
+        "assert _text(10**5000) == '1' + '0' * 5000\n"
+        "assert bundle_to_json({'x': 10**5000}) == '{\\n  \"x\": 1' + '0' * 5000 + '\\n}\\n'\n"
+        "(rec,) = run_verify('cyclic', 1400, 1400, ('tau',)).records\n"
+        "assert rec.status == 'agree', rec\n"
+        "assert rec.formula_value == _text(spanning_tree_count_formula(1400, True))\n"
+        "assert len(rec.formula_value) > 4300\n"
+        "assert sys.get_int_max_str_digits() == limit\n"
+        "print(limit)\n"
+    )
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
 
 
 def test_every_public_name_still_resolves():

@@ -77,19 +77,24 @@ def test_exact_spectrum_type():
     assert s.trace() == 12
 
 
-def test_int_matrix_dtype_follows_the_row_sum_bound():
-    # int64 while n * max |entry| cannot overflow a row's absolute sum
-    limit = (2**63 - 1) // 3
-    for edge, dtype in ((limit, np.int64), (limit + 1, object)):
+def test_int_matrix_rows_are_immutable_and_exact():
+    # entries of any size stay exact Python ints, held in tuples
+    for edge in ((2**63 - 1) // 3, 2**63, 10**40):
         for v in (edge, -edge):
             m = IntMatrix([[v, 0, 0], [0, 1, 0], [0, 0, v]])
-            assert m.array.dtype == dtype
             assert m.rows == ((v, 0, 0), (0, 1, 0), (0, 0, v))
+            assert all(type(row) is tuple for row in m.rows)
             assert m.trace() == 2 * v + 1
-            assert not m.array.flags.writeable
+            with pytest.raises(TypeError):
+                m.rows[0][0] = 0
     assert IntMatrix([]).n == 0
-    assert IntMatrix(np.array([[2**63 - 1]], dtype=np.int64)).array.dtype == np.int64
-    assert IntMatrix(np.array([[2**62, 0], [0, 0]], dtype=np.int64)).array.dtype == object
+    # numpy integers become Python ints; floats are refused, not truncated
+    m = IntMatrix(np.array([[2**62, 0], [0, 2**63 - 1]], dtype=np.int64))
+    assert m.rows == ((2**62, 0), (0, 2**63 - 1))
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert 2 * m.rows[0][0] == 2**63
+    with pytest.raises(TypeError):
+        IntMatrix([[1.0]])
 
 
 def test_int_matrix_backings_agree():
@@ -105,7 +110,6 @@ def test_int_matrix_backings_agree():
         a = IntMatrix(rows)
         b = IntMatrix(np.array([[int(str(v)) for v in row] for row in rows],
                                dtype=object).reshape(len(rows), len(rows)))
-        assert b.array.dtype == object
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
         assert a.rows == b.rows
         assert a.trace() == b.trace()
@@ -139,7 +143,9 @@ def test_laplacian_and_adjacency_match_bit_probes(n, rng, density):
            for u, row in enumerate(adj)]
     assert adjacency(g).rows == tuple(map(tuple, adj))
     assert laplacian(g).rows == tuple(map(tuple, lap))
-    assert adjacency(g).array.dtype == laplacian(g).array.dtype == np.int64
+    for m in (adjacency(g), laplacian(g)):
+        assert all(type(row) is tuple for row in m.rows)
+        assert all(type(x) is int for row in m.rows for x in row)
 
 
 def test_laplacian_and_adjacency_matrices():

@@ -243,3 +243,27 @@ def test_power_closures_are_computed_once_per_table_group(capsys):
     _closure_classes.cache_clear()
     report = run_verify("corpus", 4, 12, checks=("kappa", "cayley"))
     assert _closure_classes.cache_info().misses == len({r.spec for r in report.records})
+
+
+def test_a_refused_oracle_computes_no_closed_form(monkeypatch):
+    # the permanents' closed forms at order 1025 cost seconds, the char
+    # poly's at any order past 256 more; their oracles refuse at once
+    calls = []
+    for name in ("char_poly_from_spectrum", "clique_plus_vertex_adjacency_permanent",
+                 "clique_plus_vertex_laplacian_permanent",
+                 "complete_graph_laplacian_permanent"):
+        def refuse(*args, _name=name):
+            calls.append(_name)
+            raise AssertionError(f"{_name} ran for a refused record")
+
+        monkeypatch.setattr(verify, name, refuse)
+    checks = ("charpoly", "perm_adj", "perm_lap", "perm_complete")
+    n = RYSER_LIMIT + 1
+    report = run_verify("cyclic", n, n, checks=checks)
+    assert [(r.check, r.status) for r in report.records] == [(c, SKIPPED) for c in checks]
+    assert all(r.formula_value == r.oracle_value == "" for r in report.records)
+    assert calls == []
+    # a record whose oracle runs still computes its closed form
+    with pytest.raises(AssertionError, match="clique_plus_vertex_adjacency_permanent ran"):
+        run_verify("cyclic", 12, 12, checks=("perm_adj",))
+    assert calls == ["clique_plus_vertex_adjacency_permanent"]
