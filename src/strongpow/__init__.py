@@ -25,8 +25,8 @@ _EXPORTS = {
         make_cyclic make_dihedral make_direct_product make_from_table
         make_klein make_symmetric noncyclic_corpus parse_group_spec""",
     "graphs": """Graph chromatic_number_exact complete_graph degree_sequence
-        graph_from_edges graph_isomorphic graph_to_dot graph_to_json
-        is_complete is_regular strong_power_graph vertex_connectivity""",
+        graph_from_edges graph_to_dot graph_to_json is_complete is_regular
+        strong_power_graph vertex_connectivity""",
     "spectral": """IntMatrix adjacency char_poly_exact eigenvalues_numeric
         laplacian spanning_tree_count_kirchhoff to_matrix_market
         twin_classes""",

@@ -6,11 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import SizeGuardError
 from .groups import FiniteGroup, _closure_classes, _mask
 
-CHROMATIC_ORACLE_LIMIT = 14
-ISOMORPHISM_LIMIT = 12
 # Rows per chunk of a streamed export.
 _BLOCK_ROWS = 16
 # Binary digits '0' and '1' to bytes 0 and 1.
@@ -237,54 +234,11 @@ def _local_connectivity(adj, s: int, t: int, cap: int) -> int:
     return min(found, cap)
 
 
-def _max_clique_size(adj, n: int) -> int:
-    best = 0
-
-    def extend(cand: int, size: int):
-        nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = max(best, size)
-            return
-        v = (cand & -cand).bit_length() - 1
-        extend(cand & adj[v], size + 1)          # take v
-        extend(cand ^ (1 << v), size)            # skip v
-    extend((1 << n) - 1, 0)
-    return best
-
-
-def _colorable(order, adj, k: int) -> bool:
-    n = len(order)
-    colors = [-1] * n
-
-    def place(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        forbidden = 0
-        for j in range(i):
-            if (adj[v] >> order[j]) & 1:
-                forbidden |= 1 << colors[j]
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if not (forbidden >> c) & 1:
-                colors[i] = c
-                if place(i + 1, max(used, c + 1)):
-                    return True
-        colors[i] = -1
-        return False
-
-    return place(0, 0)
-
-
-def chromatic_number_exact(graph: Graph) -> int:
-    """Exact chromatic number.
-
-    Complete graphs and clique-plus-one-vertex graphs (the only shapes the
-    strong power graph construction produces) get a closed-form answer at any
-    size; anything else falls to branch-and-bound, bounded at 14 vertices.
-    """
+def chromatic_number_exact(graph: Graph) -> int | None:
+    """Exact chromatic number of the only shapes the strong power graph
+    construction produces, at any size: 0 for the empty graph, n for K_n,
+    and n - 1 when one vertex meets every non-edge. None for any other
+    graph."""
     n = graph.n
     if n == 0:
         return 0
@@ -296,82 +250,7 @@ def chromatic_number_exact(graph: Graph) -> int:
         # G - v is complete, as v's non-neighbours make up every non-edge;
         # v misses a vertex of that (n-1)-clique, so its color can be reused.
         return n - 1
-    if n > CHROMATIC_ORACLE_LIMIT:
-        raise SizeGuardError(
-            f"chromatic_number_exact is bounded at {CHROMATIC_ORACLE_LIMIT} vertices "
-            f"for general graphs, got {n}"
-        )
-    lower = _max_clique_size(graph.adj, n)
-    order = sorted(range(n), key=lambda v: -graph.adj[v].bit_count())
-    for k in range(max(lower, 1), n + 1):
-        if _colorable(order, graph.adj, k):
-            return k
-    return n
-
-
-def _refine_labels(graph: Graph) -> list[int]:
-    labels = [m.bit_count() for m in graph.adj]
-    for _ in range(3):
-        sig = [
-            (labels[v], tuple(sorted(labels[w] for w in _bits(graph.adj[v]))))
-            for v in range(graph.n)
-        ]
-        canon = {s: i for i, s in enumerate(sorted(set(sig)))}
-        labels = [canon[s] for s in sig]
-    return labels
-
-
-def graph_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test by label-refined backtracking; the search is
-    bounded at 12 vertices per side, but structural resolutions that need no
-    search (unequal sizes, identical adjacency, completeness) work at any
-    size."""
-    if a.n != b.n or a.edge_count() != b.edge_count():
-        return False
-    if a.adj == b.adj:
-        return True
-    ca, cb = is_complete(a), is_complete(b)
-    if ca or cb:
-        return ca and cb
-    if a.n > ISOMORPHISM_LIMIT:
-        raise SizeGuardError(
-            f"graph_isomorphic search is bounded at {ISOMORPHISM_LIMIT} "
-            f"vertices, got {a.n}"
-        )
-    la, lb = _refine_labels(a), _refine_labels(b)
-    if sorted(la) != sorted(lb):
-        return False
-    n = a.n
-    # Map a-vertices in order of rarest label first.
-    rarity = {lab: la.count(lab) for lab in set(la)}
-    order = sorted(range(n), key=lambda v: (rarity[la[v]], v))
-    image = [-1] * n
-    used = 0
-
-    def assign(i: int) -> bool:
-        nonlocal used
-        if i == n:
-            return True
-        u = order[i]
-        for v in range(n):
-            if (used >> v) & 1 or lb[v] != la[u]:
-                continue
-            ok = True
-            for j in range(i):
-                w = order[j]
-                if ((a.adj[u] >> w) & 1) != ((b.adj[v] >> image[w]) & 1):
-                    ok = False
-                    break
-            if ok:
-                image[u] = v
-                used |= 1 << v
-                if assign(i + 1):
-                    return True
-                used ^= 1 << v
-                image[u] = -1
-        return False
-
-    return assign(0)
+    return None
 
 
 def graph_to_json(graph: Graph):

@@ -1,8 +1,9 @@
 """Reference oracles and graph builders that only the tests use.
 
 Each oracle is a slow, obviously-correct computation kept as a cross-check
-for a faster routine in `strongpow`, and each refuses inputs past a size
-guard instead of running for hours. The builders make the small test graphs
+for a faster routine in `strongpow`, or, like the isomorphism search, as
+the reference the tests compare small built graphs with. Each refuses
+inputs past a size guard instead of running for hours. The builders make the small test graphs
 that no command constructs.
 """
 
@@ -18,13 +19,15 @@ from strongpow.graphs import (
     Graph,
     _bits,
     complete_graph,
+    degree_sequence,
     graph_from_edges,
-    graph_isomorphic,
+    is_complete,
 )
 from strongpow.groups import FiniteGroup
 from strongpow.spectral import IntMatrix
 
 CONNECTIVITY_ORACLE_LIMIT = 14
+ISOMORPHISM_LIMIT = 12
 BRUTEFORCE_CONSTRUCTION_LIMIT = 32
 EXPANSION_LIMIT = 10
 ROOT_SEARCH_HOST_LIMIT = 7
@@ -136,7 +139,7 @@ def graph_dot_text(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- construction, determinant, permanent and connectivity oracles -----------
+# --- construction, determinant, permanent, connectivity and isomorphism ------
 
 
 def strong_power_graph_bruteforce(g: FiniteGroup) -> Graph:
@@ -256,6 +259,38 @@ def vertex_connectivity_bruteforce(graph: Graph) -> int:
             if keep.bit_count() <= 1 or not _connected_on(graph.adj, keep):
                 return k
     return n - 1
+
+
+def graph_isomorphic(a: Graph, b: Graph) -> bool:
+    """Exact isomorphism test: a backtracking search that maps a's vertices
+    in order onto b's vertices of equal degree, bounded at 12 vertices.
+    Unequal degree sequences, equal adjacency and complete graphs are
+    settled without the search at any size."""
+    if degree_sequence(a) != degree_sequence(b):
+        return False
+    if a.adj == b.adj or is_complete(a):
+        return True
+    n = a.n
+    if n > ISOMORPHISM_LIMIT:
+        raise SizeGuardError(
+            f"graph_isomorphic search is bounded at {ISOMORPHISM_LIMIT} vertices, got {n}"
+        )
+    image: list[int] = []  # image[w] is b's vertex for a's vertex w
+
+    def extend(u: int) -> bool:
+        if u == n:
+            return True
+        for v in range(n):
+            if v not in image and b.degree(v) == a.degree(u) and all(
+                a.has_edge(u, w) == b.has_edge(v, image[w]) for w in range(u)
+            ):
+                image.append(v)
+                if extend(u + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
 
 
 # --- line graphs: Beineke's patterns and an exhaustive root search -----------

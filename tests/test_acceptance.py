@@ -18,7 +18,6 @@ from strongpow.formulas import (
 from strongpow.graphs import (
     complete_graph,
     chromatic_number_exact,
-    graph_isomorphic,
     is_regular,
     strong_power_graph,
 )
@@ -44,6 +43,7 @@ from reference import (
     BEINEKE_PATTERNS,
     clique_plus_vertex_graph,
     cyclic_line_graph_root,
+    graph_isomorphic,
     induced_subgraph,
     line_graph_construct,
     permanent_expansion,

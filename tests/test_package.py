@@ -15,13 +15,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# Every name the package exported when it imported all its modules eagerly.
+# Every name the package exported when it imported all its modules eagerly,
+# less graph_isomorphic, which only the tests use (tests/reference.py).
 _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderError
     MissingInverseError NoIdentityError NotAssociativeError NotLatinSquareError
     element_order euler_phi is_cyclic load_cayley_table_csv make_cyclic
     make_dihedral make_direct_product make_from_table make_klein make_symmetric
     noncyclic_corpus parse_group_spec Graph chromatic_number_exact complete_graph
-    degree_sequence graph_from_edges graph_isomorphic graph_to_dot graph_to_json
+    degree_sequence graph_from_edges graph_to_dot graph_to_json
     is_complete is_regular strong_power_graph vertex_connectivity CharPoly
     ExactSpectrum IntMatrix adjacency algebraic_connectivity char_poly_exact
     char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
@@ -120,6 +121,7 @@ def test_every_public_name_still_resolves():
     for name in _PUBLIC:
         assert getattr(strongpow, name) is not None, name
     assert set(_PUBLIC) <= set(dir(strongpow))
+    assert set(_PUBLIC) == set(strongpow.__all__)
     assert strongpow.cli.permanent_ryser is strongpow.permanent_ryser
     with pytest.raises(AttributeError):
         strongpow.no_such_name

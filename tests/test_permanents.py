@@ -6,7 +6,7 @@ import pytest
 
 from strongpow import permanents
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import complete_graph, graph_isomorphic, strong_power_graph
+from strongpow.graphs import complete_graph, strong_power_graph
 from strongpow.groups import make_cyclic
 from strongpow.permanents import (
     CliqueParams,
@@ -17,7 +17,7 @@ from strongpow.permanents import (
 )
 from strongpow.spectral import IntMatrix, adjacency, laplacian, twin_classes
 
-from reference import clique_plus_vertex_graph, permanent_expansion
+from reference import clique_plus_vertex_graph, graph_isomorphic, permanent_expansion
 
 
 def cyclic_adjacency_permanent(n):

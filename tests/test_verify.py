@@ -6,6 +6,7 @@ import pytest
 import strongpow.verify as verify
 from strongpow.cli import compute_invariant_bundle, main
 from strongpow.errors import SizeGuardError
+from strongpow.graphs import Graph, strong_power_graph
 from strongpow.groups import _closure_classes, make_cyclic, noncyclic_corpus
 from strongpow.permanents import RYSER_LIMIT
 from strongpow.verify import (
@@ -78,8 +79,10 @@ def test_run_verify_cyclic_spot_records():
     assert tau4.formula_value == "3" and tau4.status == AGREE
     perm_lap4 = find(report, "perm_lap", 4)
     assert perm_lap4.formula_value == "22" and perm_lap4.status == AGREE
+    # P_s(Z_2) = 2K_1 is Cay(Z_2, {}), and the closed form is stated for n >= 3
     cayley2 = find(report, "cayley", 2)
     assert cayley2.status == SKIPPED
+    assert cayley2.note == "closed form stated for n >= 3"
     cayley3 = find(report, "cayley", 3)
     assert cayley3.status == AGREE
 
@@ -137,11 +140,45 @@ def test_report_tsv_and_json_shapes():
     assert {r["check"] for r in payload["records"]} == {"tau", "le"}
 
 
-def test_skip_notes_name_the_guard():
-    # corpus at order 16 exceeds the isomorphism search bound for the
-    # cayley witness but the structural fast path still settles it
+def test_cayley_witness_is_checked_past_order_12():
+    # the witness C(G, G \ {e}) is compared as a labelled graph, so the
+    # order-16 corpus groups agree with no size bound in the way
     report = run_verify("corpus", 16, 16, checks=("cayley",))
-    assert all(r.status == AGREE for r in report.records)
+    assert report.records and all(r.status == AGREE for r in report.records)
+
+
+def _drop_edge(monkeypatch, u, v):
+    """Make verify build each strong power graph less the edge {u, v}."""
+    def damaged(group):
+        g = strong_power_graph(group)
+        adj = list(g.adj)
+        assert adj[u] >> v & 1
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return Graph(g.n, tuple(adj))
+
+    monkeypatch.setattr(verify, "strong_power_graph", damaged)
+
+
+def test_a_graph_of_neither_shape_disagrees(monkeypatch):
+    known = load_known_discrepancies()
+    # Z_64 less the edge between the generators 1 and 3: no vertex meets
+    # both that non-edge and the identity's, so chi has no shape to read
+    _drop_edge(monkeypatch, 1, 3)
+    report = run_verify("cyclic", 64, 64, checks=("chi",))
+    [chi] = report.records
+    assert chi.status == DISAGREE
+    assert chi.note == "graph is neither complete nor a clique plus one vertex"
+    assert report.exit_code(known) == 1
+    # an order-16 group's K_16 less one edge is a clique plus one vertex of
+    # chi 15, and not the witness K_16
+    _drop_edge(monkeypatch, 0, 1)
+    spec = next(spec for spec, grp in noncyclic_corpus(16) if grp.n == 16)
+    report = run_verify("corpus", 16, 16, checks=("chi", "cayley"))
+    records = [r for r in report.records if r.spec == spec]
+    assert [(r.check, r.status, r.oracle_value) for r in records] == [
+        ("chi", DISAGREE, "15"), ("cayley", DISAGREE, "false")]
+    assert report.exit_code(known) == 1
 
 
 def test_one_registry_drives_verify_invariants_and_sweep(capsys):
