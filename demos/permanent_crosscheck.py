@@ -7,12 +7,12 @@ The permanent has no efficient general algorithm, but the strong power
 graph of a cyclic group is a clique plus one extra vertex, and for that
 shape the adjacency and Laplacian permanents collapse to alternating sums.
 This script evaluates each closed form and confirms it against Ryser's
-inclusion-exclusion algorithm (exact, O(2^n * n), fine through n = 14 here).
+inclusion-exclusion algorithm, summed over the twin classes of each matrix
+(three for Z_n, one for K_n), which `twin_quotient` reads off the graph.
 """
 
 from strongpow import (
     CliqueParams,
-    adjacency,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph,
@@ -21,6 +21,7 @@ from strongpow import (
     make_cyclic,
     permanent_ryser,
     strong_power_graph,
+    twin_quotient,
 )
 
 print("cyclic strong power graphs: per(A) and per(L), formula vs Ryser")
@@ -29,7 +30,7 @@ for n in range(2, 15):
     graph = strong_power_graph(make_cyclic(n))
     shape = CliqueParams.for_group(n, cyclic=True)
     pa_formula = clique_plus_vertex_adjacency_permanent(shape)
-    pa_ryser = permanent_ryser(adjacency(graph))
+    pa_ryser = permanent_ryser(twin_quotient(graph, laplacian=False))
     pl_formula = clique_plus_vertex_laplacian_permanent(shape)
     pl_ryser = permanent_ryser(laplacian(graph))
     assert pa_formula == pa_ryser and pl_formula == pl_ryser

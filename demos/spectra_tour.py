@@ -42,7 +42,7 @@ for spec in SPECS:
     print(f"   spectrum: {spectrum}")
 
     # the numeric eigenvalues of the constructed Laplacian back this up
-    numeric = eigenvalues_numeric(lap)
+    numeric = eigenvalues_numeric(graph)
     target = spectrum.eigenvalues_desc()[::-1]
     dev = max(abs(a - b) for a, b in zip(numeric, target))
     print(f"   max deviation from numeric eigenvalues: {dev:.2e}")

@@ -25,11 +25,11 @@ _EXPORTS = {
         make_cyclic make_dihedral make_direct_product make_from_table
         make_klein make_symmetric noncyclic_corpus parse_group_spec""",
     "graphs": """Graph chromatic_number_exact complete_graph degree_sequence
-        graph_from_edges graph_to_dot graph_to_json is_complete is_regular
-        strong_power_graph vertex_connectivity""",
-    "spectral": """IntMatrix adjacency char_poly_exact eigenvalues_numeric
-        laplacian spanning_tree_count_kirchhoff to_matrix_market
-        twin_classes""",
+        graph_from_edges graph_to_dot graph_to_json graph_to_matrix_market
+        is_complete is_regular strong_power_graph twin_quotient
+        vertex_connectivity""",
+    "spectral": """char_poly_exact eigenvalues_numeric laplacian
+        spanning_tree_count_kirchhoff""",
     "permanents": """CliqueParams clique_plus_vertex_adjacency_permanent
         clique_plus_vertex_laplacian_permanent
         complete_graph_laplacian_permanent permanent_ryser""",

@@ -120,9 +120,8 @@ def _write_output(chunks, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    from .graphs import graph_to_dot, graph_to_json, strong_power_graph
+    from .graphs import graph_to_dot, graph_to_json, graph_to_matrix_market, strong_power_graph
     from .groups import parse_group_spec
-    from .spectral import adjacency, laplacian, to_matrix_market
 
     group = parse_group_spec(args.group)
     graph = strong_power_graph(group)
@@ -131,8 +130,7 @@ def cmd_build(args) -> int:
     elif args.format == "dot":
         chunks = graph_to_dot(graph)
     else:
-        matrix = laplacian(graph) if args.matrix == "laplacian" else adjacency(graph)
-        chunks = to_matrix_market(matrix)
+        chunks = graph_to_matrix_market(graph, args.matrix == "laplacian")
     _write_output(chunks, args.out)
     return 0
 

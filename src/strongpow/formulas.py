@@ -8,7 +8,6 @@ module alone.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Every check of the verify harness, in canonical record order.
@@ -57,15 +56,50 @@ def _any_digits(convert, value):
         sys.set_int_max_str_digits(limit)
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class _Frozen:
+    """Base of the package's immutable value classes. A subclass names its
+    fields in __slots__ and sets each once, in its __init__, through
+    object.__setattr__; instances of one class compare and hash by those
+    fields. Plain slots cost far less to define and to import than a frozen
+    dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which also validates
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class CharPoly(_Frozen):
     """Monic integer polynomial; coeffs[k] is the coefficient of x^k."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not coeffs or coeffs[-1] != 1:
             raise ValueError("characteristic polynomial must be monic")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -99,19 +133,19 @@ class CharPoly:
         return out
 
 
-@dataclass(frozen=True)
-class ExactSpectrum:
+class ExactSpectrum(_Frozen):
     """Integer eigenvalues with multiplicities, strictly decreasing."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        for value, mult in self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        for value, mult in pairs:
             if mult < 1:
                 raise ValueError(f"multiplicity of {value} must be >= 1")
-        values = [value for value, _ in self.pairs]
+        values = [value for value, _ in pairs]
         if any(later >= earlier for later, earlier in zip(values[1:], values)):
             raise ValueError("eigenvalues must be strictly decreasing")
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def from_pairs(cls, pairs) -> "ExactSpectrum":

@@ -3,9 +3,9 @@ Python-int bitmask per vertex. All operations are pure; Graph is immutable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
+from .formulas import _Frozen
 from .groups import FiniteGroup, _closure_classes, _mask
 
 # Rows per chunk of a streamed export.
@@ -14,12 +14,17 @@ _BLOCK_ROWS = 16
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[int, ...]
+class Graph(_Frozen):
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validation, a method of its own so that it can be timed apart
+        (perfbench's graphs.graph_validate layer)."""
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
         for v, mask in enumerate(self.adj):
@@ -46,15 +51,14 @@ class Graph:
         return [e for us, vs in _edge_blocks(self) for e in zip(us, vs)]
 
 
-def _is_symmetric(adj: tuple[int, ...]) -> bool:
-    """Whether w in adj[v] exactly when v in adj[w], for loopless masks.
-    The vertices fall into classes of equal closed masks (true twins) or,
-    failing that, of equal open masks (false twins), so that every vertex
-    of a class sees each vertex outside it alike, and the members of a
-    class see each other alike both ways. The relation is then symmetric
-    exactly when each class A that sees some of a class B sees all of B,
-    and B all of A: one test per pair of adjacent classes, so a graph with
-    few classes, such as K_n, costs O(n) operations on n-bit masks."""
+def _twins(adj: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]:
+    """The vertices in classes of true twins (equal closed masks, so
+    adjacent) and, of the vertices left alone, of false twins (equal open
+    masks, so not adjacent): the classes, ascending and in the order of
+    their least vertex; each vertex's class; and each class's mask. A
+    vertex u with a true twin v has no false twin w: w would see v, so u,
+    and so itself. In a graph the classes are therefore those of i ~ j
+    when N(i) and N(j) agree outside {i, j}."""
     closed: dict[int, list[int]] = {}
     for v, mask in enumerate(adj):
         closed.setdefault(mask | 1 << v, []).append(v)
@@ -66,11 +70,23 @@ def _is_symmetric(adj: tuple[int, ...]) -> bool:
         else:
             opened.setdefault(adj[members[0]], []).append(members[0])
     classes += opened.values()
+    classes.sort()
     owner = [0] * len(adj)
     for i, members in enumerate(classes):
         for v in members:
             owner[v] = i
-    masks = [_mask(members) for members in classes]
+    return classes, owner, [_mask(members) for members in classes]
+
+
+def _is_symmetric(adj: tuple[int, ...]) -> bool:
+    """Whether w in adj[v] exactly when v in adj[w], for loopless masks.
+    Each twin class (see _twins) sees every vertex outside it alike, and
+    the members of a class see each other alike both ways. The relation is
+    then symmetric exactly when each class A that sees some of a class B
+    sees all of B, and B all of A: one test per pair of adjacent classes,
+    so a graph with few classes, such as K_n, costs O(n) operations on
+    n-bit masks."""
+    classes, owner, masks = _twins(adj)
     for members, mask in zip(classes, masks):
         seen = adj[members[0]] & ~mask
         while seen:
@@ -79,6 +95,40 @@ def _is_symmetric(adj: tuple[int, ...]) -> bool:
                 return False
             seen ^= masks[j]
     return True
+
+
+def twin_quotient(graph: Graph, laplacian: bool):
+    """(sizes, c, diag), all tuples, for the Laplacian L = D - A of graph,
+    or for its adjacency matrix A, over the twin classes of _twins: i and j
+    are twins when N(i) and N(j) agree outside {i, j}, which is when they
+    are twins of the matrix (M_ii = M_jj, M_ij = M_ji, and rows and columns
+    agree outside {i, j}). sizes holds the class sizes m_a, c the value
+    c_ab that each class a holds towards class b, with c_aa its value off
+    the diagonal (for a singleton, its diagonal entry), and diag each
+    class's diagonal entry M_ii. This is an equitable partition (Godsil &
+    Royle, Algebraic Graph Theory, 9.3): eigenvectors that sum to zero on
+    one class have the eigenvalue d_a = M_ii - c_aa (m_a - 1 of them per
+    class), and class-constant vectors see the quotient c_ab m_b, whose
+    diagonal is M_ii + c_aa (m_a - 1). One mask test per pair of adjacent
+    classes, so K_n and Z_n's graph cost O(n) operations on n-bit masks."""
+    adj = graph.adj
+    classes, owner, masks = _twins(adj)
+    edge = -1 if laplacian else 1
+    c, diag = [], []
+    for a, (members, mask) in enumerate(zip(classes, masks)):
+        i = members[0]
+        row = [0] * len(classes)
+        seen = adj[i] & ~mask
+        while seen:
+            b = owner[(seen & -seen).bit_length() - 1]
+            row[b] = edge
+            seen &= ~masks[b]
+        m_ii = adj[i].bit_count() if laplacian else 0
+        # true twins are adjacent, false twins not; a singleton's c_aa is M_ii
+        row[a] = m_ii if len(members) == 1 else edge if adj[i] & mask else 0
+        c.append(tuple(row))
+        diag.append(m_ii)
+    return tuple(map(len, classes)), tuple(c), tuple(diag)
 
 
 def _bit_bytes(mask: int, n: int) -> bytes:
@@ -272,3 +322,26 @@ def graph_to_dot(graph: Graph):
     for us, vs in _edge_blocks(graph):
         yield "".join(f"  {u} -- {v};\n" for u, v in zip(us, vs))
     yield "}\n"
+
+
+def graph_to_matrix_market(graph: Graph, laplacian: bool):
+    """Yield, in chunks of rows, Matrix Market coordinate text (integer
+    field, 1-based indices, 'symmetric' qualifier) of the graph's Laplacian
+    L = D - A or of its adjacency matrix A: the nonzero entries of the lower
+    triangle, row by row, read off the masks."""
+    n, adj = graph.n, graph.adj
+    count = graph.edge_count() + (sum(map(bool, adj)) if laplacian else 0)
+    yield f"%%MatrixMarket matrix coordinate integer symmetric\n{n} {n} {count}\n"
+    names = [str(j) for j in range(1, n + 1)]
+    edge = " -1\n" if laplacian else " 1\n"
+    for lo in range(0, n, _BLOCK_ROWS):
+        lines = []
+        for i in range(lo, min(lo + _BLOCK_ROWS, n)):
+            head = names[i] + " "
+            # the columns j < i of row i's neighbours, then its diagonal
+            below = list(compress(names, _bit_bytes(adj[i], i)))
+            if below:
+                lines.append(head + (edge + head).join(below) + edge)
+            if laplacian and adj[i]:
+                lines.append(f"{head}{names[i]} {adj[i].bit_count()}\n")
+        yield "".join(lines)

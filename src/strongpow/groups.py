@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from operator import index, itemgetter
+
+from .formulas import _Frozen
 
 MAX_TABLE_ORDER = 4096
 
@@ -55,8 +56,7 @@ class GroupSpecError(ValueError):
 Table = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(_Frozen):
     """A finite group on element indices 0..n-1.
 
     table is None for Z_n, whose operation is addition mod n; otherwise it
@@ -64,9 +64,14 @@ class FiniteGroup:
     of the neutral element. Groups compare and hash as objects.
     """
 
-    n: int
-    identity: int
-    table: Table | None
+    __slots__ = ("n", "identity", "table")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, identity: int, table: Table | None):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "table", table)
 
     def op(self, a: int, b: int) -> int:
         if self.table is None:

@@ -12,15 +12,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import SizeGuardError
-from .formulas import euler_phi
-from .spectral import IntMatrix, _twin_quotient, twin_classes
+from .formulas import _Frozen, euler_phi
 
 # No permanent is computed past this order, whatever its twin classes, so a
-# caller can refuse before it builds a matrix. The grouped sum for L(K_1024),
-# one class, takes 0.1-0.25 s, for L(K_4096) about 5.6 s (2-vCPU host).
+# caller can refuse before it reads a quotient. The grouped sum for
+# L(K_1024), one class, takes 0.1-0.25 s, for L(K_4096) about 5.6 s (2-vCPU
+# host).
 RYSER_LIMIT = 1024
 # The grouped sum runs for at most this many terms prod_a (m_a + 1). Z_N's
 # three classes give 2 (phi + 1) (N - phi) terms: at most 33,024 up to
@@ -28,9 +27,6 @@ RYSER_LIMIT = 1024
 # on a 2-vCPU host. A matrix without twins fits up to order 15: 2^15 terms
 # in about 0.6-1.4 s.
 _TERM_BUDGET = 40_000
-# The memo holds its matrices, so only those up to this order, a few KB
-# each, are kept; past it one can take megabytes.
-_MEMO_ORDER = 24
 
 
 def _comb(a: int, b: int) -> int:
@@ -42,53 +38,58 @@ def _comb(a: int, b: int) -> int:
 
 
 def _ryser_guard(n: int) -> None:
-    """The order cap on Ryser's permanent; callers that build a matrix only
-    for Ryser run it first, so a matrix past RYSER_LIMIT is never built."""
+    """The order cap on Ryser's permanent, which a caller can run before it
+    reads a quotient."""
     if n > RYSER_LIMIT:
         raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
 
 
-def permanent_ryser(m: IntMatrix) -> int:
-    """Exact permanent by Ryser's inclusion-exclusion over column subsets,
+def permanent_ryser(quotient) -> int:
+    """Exact permanent of the matrix M whose twin quotient is
+    (sizes, c, diag) (see graphs.twin_quotient), by Ryser's
+    inclusion-exclusion over column subsets,
 
-        per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} a_ij,
+        per(M) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} m_ij,
 
     with the subsets grouped by how many columns they take from each twin
-    class (see twin_classes and _ryser_grouped), in Python integers, so
-    entries of any size stay exact. A matrix whose grouped sum has more
-    than 40,000 terms (without twins, one past order 15), or that lies past
-    order RYSER_LIMIT, raises SizeGuardError. A zero row or column gives 0
-    at any order up to RYSER_LIMIT. Results up to order 24 are memoized
-    per process on the matrix entries."""
-    n = m.n
+    class (see _ryser_grouped), in Python integers, so entries of any size
+    stay exact. A quotient whose grouped sum has more than 40,000 terms
+    (without twins, one past order 15), or that lies past order
+    RYSER_LIMIT, raises SizeGuardError. A zero row or column gives 0 at any
+    order up to RYSER_LIMIT. Results are memoized per process on the
+    quotient."""
+    sizes, c, diag = quotient
+    n = sum(sizes)
     _ryser_guard(n)
     if n == 0:
         return 1
-    if not (all(map(any, m.rows)) and all(map(any, zip(*m.rows)))):
+    # the entries of class a's rows are M_ii and c_a0, c_a1, ..., those of
+    # its columns M_ii and c_0a, c_1a, ... (a singleton's c_aa is M_ii)
+    rows, columns = zip(diag, *zip(*c)), zip(diag, *c)
+    if not (all(map(any, rows)) and all(map(any, columns))):
         return 0
-    return (_permanent if n <= _MEMO_ORDER else _permanent.__wrapped__)(m)
+    return _permanent(quotient)
 
 
 @functools.lru_cache(maxsize=64)
-def _permanent(m: IntMatrix) -> int:
+def _permanent(quotient) -> int:
     """Permanent of a matrix with no zero row or column, by Ryser's sum
     over its twin classes when that has at most _TERM_BUDGET terms."""
-    classes = twin_classes(m)
-    terms = math.prod(len(cls) + 1 for cls in classes)
+    sizes = quotient[0]
+    terms = math.prod(size + 1 for size in sizes)
     if terms > _TERM_BUDGET:
         raise SizeGuardError(
-            f"permanent_ryser: order {m.n} has {len(classes)} twin classes, which "
+            f"permanent_ryser: order {sum(sizes)} has {len(sizes)} twin classes, which "
             f"give {terms} grouped terms, past the budget of {_TERM_BUDGET}"
         )
-    return _ryser_grouped(*_twin_quotient(m, classes))
+    return _ryser_grouped(*quotient)
 
 
 def _ryser_grouped(sizes, c, diag) -> int:
-    """Ryser's sum over the lists of _twin_quotient, with the subsets
-    grouped by how many columns r_a they take from each twin class a
-    (Ryser 1963): a row of class a sums to R_a = sum_b c_ab r_b when its
-    own column is left out and to R_a + d_a, d_a = M_ii - c_aa, when it is
-    taken, so
+    """Ryser's sum over a twin quotient, with the subsets grouped by how
+    many columns r_a they take from each twin class a (Ryser 1963): a row
+    of class a sums to R_a = sum_b c_ab r_b when its own column is left out
+    and to R_a + d_a, d_a = M_ii - c_aa, when it is taken, so
 
         per(M) = (-1)^n sum_r (-1)^(sum r) prod_a C(m_a, r_a)
                      (R_a + d_a)^(r_a) R_a^(m_a - r_a),
@@ -107,8 +108,7 @@ def _ryser_grouped(sizes, c, diag) -> int:
     return -total if sum(sizes) & 1 else total
 
 
-@dataclass(frozen=True)
-class CliqueParams:
+class CliqueParams(_Frozen):
     """Shape parameters of a clique-plus-one-vertex graph: a clique on m+n
     vertices whose extra vertex is adjacent to n of them and non-adjacent to
     the other m. Total m+n+1 vertices; d = m+n-1.
@@ -117,12 +117,13 @@ class CliqueParams:
     for_group.
     """
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int):
+        if m < 0 or n < 0:
             raise ValueError("clique parameters must be nonnegative")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def d(self) -> int:

@@ -1,145 +1,27 @@
-"""Laplacian and adjacency assembly, and the spectral oracles: exact
-characteristic polynomials, spanning-tree counts read off them, and the
-numeric eigensolver. Their closed-form counterparts live in `formulas`, and
-the verify harness compares the two; neither is substituted for the other.
+"""The spectral oracles: exact characteristic polynomials and spanning-tree
+counts, evaluated over a matrix's twin quotient (see graphs.twin_quotient),
+and the numeric Laplacian eigensolver. Their closed-form counterparts live
+in `formulas`, and the verify harness compares the two; neither is
+substituted for the other.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
-from itertools import chain, compress, repeat
-from operator import index
 
 from .errors import SizeGuardError
 from .formulas import CharPoly
-from .graphs import _BLOCK_ROWS, Graph, _bit_bytes
+from .graphs import Graph, twin_quotient
 
 CHAR_POLY_LIMIT = 256
 
 
-class IntMatrix:
-    """Square integer matrix, held as `rows`: a tuple of n rows, each a
-    tuple of n Python ints, so every entry is exact whatever its size.
-    Equality and hash go by value."""
-
-    __slots__ = ("rows", "_symmetric", "_hash")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(map(index, row)) for row in rows)
-        for i, row in enumerate(rows):
-            if len(row) != len(rows):
-                raise ValueError(
-                    f"expected a square matrix, got row {i} of length {len(row)} "
-                    f"in {len(rows)} rows")
-        self.rows, self._symmetric, self._hash = rows, None, None
-
-    @classmethod
-    def _of(cls, rows: tuple[tuple[int, ...], ...], symmetric: bool | None = None):
-        """A matrix on rows that are already square tuples of ints."""
-        m = cls.__new__(cls)
-        m.rows, m._symmetric, m._hash = rows, symmetric, None
-        return m
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def trace(self) -> int:
-        return sum(row[i] for i, row in enumerate(self.rows))
-
-    def is_symmetric(self) -> bool:
-        if self._symmetric is None:
-            # zip(*rows) yields the columns one at a time
-            self._symmetric = all(map(tuple.__eq__, self.rows, zip(*self.rows)))
-        return self._symmetric
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        # the memos hash a matrix on every lookup
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({list(map(list, self.rows))!r})"
-
-
-def twin_classes(m: IntMatrix) -> list[list[int]]:
-    """The indices split into classes of twins, each class ascending and
-    the classes in the order of their least index. Indices i and j are twins
-    when M_ii = M_jj, M_ij = M_ji, and their rows and their columns agree
-    outside {i, j}. Twinship is an equivalence, and a class holds one value
-    c_aa off its diagonal and one value c_ab towards each other class b
-    (an equitable partition). Any partition into classes of twins, all
-    singletons included, gives the exact char poly and permanent."""
-    rows = m.rows
-    # the columns matter only where they are not the rows
-    lines = (rows,) if m.is_symmetric() else (rows, tuple(zip(*rows)))
-    # Twins share their diagonal entry, and each one's row (and column) is
-    # the other's with two entries swapped, so their sorted rows and sorted
-    # columns agree: group by those first.
-    coarse: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        key = (row[i], *(tuple(sorted(line[i])) for line in lines))
-        coarse.setdefault(key, []).append(i)
-    classes = []
-    for group in coarse.values():
-        # i and j are twins with M_ij = v exactly when their rows, and their
-        # columns, are equal once both diagonal entries are set to v; v is
-        # in row i, and so in every row of the group
-        left = group
-        for v in sorted(set(rows[group[0]])):
-            if len(left) < 2:
-                break
-            fine: dict[tuple, list[int]] = {}
-            for i in left:
-                key = tuple(line[i][:i] + (v,) + line[i][i + 1:] for line in lines)
-                fine.setdefault(key, []).append(i)
-            classes += [f for f in fine.values() if len(f) > 1]
-            left = [f[0] for f in fine.values() if len(f) == 1]
-        classes += [[i] for i in left]
-    return sorted(classes)
-
-
-def _twin_quotient(m: IntMatrix, classes: list[list[int]]):
-    """(sizes, c, diag) for a partition of m's indices into classes of
-    twins: the class sizes m_a; the k x k list c of the value each class a
-    holds towards class b, with c_aa its value off the diagonal (for a
-    singleton, its diagonal entry); and each class's diagonal entry M_ii.
-    Eigenvectors that sum to zero on one class have the eigenvalue
-    d_a = M_ii - c_aa (m_a - 1 of them per class), and class-constant
-    vectors see the quotient c_ab m_b, whose diagonal is
-    M_ii + c_aa (m_a - 1)."""
-    rows = m.rows
-    firsts = [cls[0] for cls in classes]
-    c = [[rows[i][j] for j in firsts] for i in firsts]
-    for a, cls in enumerate(classes):
-        c[a][a] = rows[cls[0]][cls[-1]]
-    return [len(cls) for cls in classes], c, [rows[i][i] for i in firsts]
-
-
-# Byte 1 to byte 255, which reads as -1 when signed.
-_NEGATED = bytes.maketrans(b"\x01", b"\xff")
-
-
-def laplacian(graph: Graph) -> IntMatrix:
-    """L = D - A; rows sum to zero."""
-    n = graph.n
-    rows = []
-    for v, mask in enumerate(graph.adj):
-        row = memoryview(_bit_bytes(mask, n).translate(_NEGATED)).cast("b").tolist()
-        row[v] = mask.bit_count()
-        rows.append(tuple(row))
-    return IntMatrix._of(tuple(rows), symmetric=True)
-
-
-def adjacency(graph: Graph) -> IntMatrix:
-    n = graph.n
-    return IntMatrix._of(tuple(tuple(_bit_bytes(mask, n)) for mask in graph.adj), symmetric=True)
+def laplacian(graph: Graph):
+    """L = D - A, as its twin quotient (sizes, c, diag): the form in which
+    char_poly_exact, spanning_tree_count_kirchhoff and permanent_ryser read
+    a matrix."""
+    return twin_quotient(graph, True)
 
 
 # --- exact characteristic polynomial -------------------------------------
@@ -149,26 +31,29 @@ def adjacency(graph: Graph) -> IntMatrix:
 TWIN_CLASS_LIMIT = 32
 
 
-def char_poly_exact(m: IntMatrix) -> CharPoly:
-    """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients, evaluated over the twin classes of M (see twin_classes).
-    Bounded at order 256, where the polynomial already takes about 93 KB
-    of text, and at TWIN_CLASS_LIMIT twin classes. Results are memoized
-    per process on the matrix entries."""
-    n = m.n
+def _char_poly_guard(n: int) -> None:
+    """The order cap on char_poly_exact, which a caller can run before it
+    reads a quotient."""
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
             f"char_poly_exact is bounded at order {CHAR_POLY_LIMIT}, got {n}"
         )
-    return _char_poly(m)
+
+
+def char_poly_exact(quotient) -> CharPoly:
+    """Monic characteristic polynomial det(xI - M) with exact integer
+    coefficients of the matrix M whose twin quotient is (sizes, c, diag)
+    (see graphs.twin_quotient). Bounded at order 256, where the polynomial
+    already takes about 93 KB of text, and at TWIN_CLASS_LIMIT twin
+    classes. Results are memoized per process on the quotient."""
+    _char_poly_guard(sum(quotient[0]))
+    return _char_poly(quotient)
 
 
 @functools.lru_cache(maxsize=8)
-def _char_poly(m: IntMatrix) -> CharPoly:
+def _char_poly(quotient) -> CharPoly:
     """The factors of _twin_factors, multiplied out."""
-    if m.n == 0:
-        return CharPoly((1,))
-    shifts, coeffs = _twin_factors(m)
+    shifts, coeffs = _twin_factors(quotient)
     for d, e in shifts:
         for _ in range(e):
             # times (x - d), one small factor at a time
@@ -177,28 +62,34 @@ def _char_poly(m: IntMatrix) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
-@functools.lru_cache(maxsize=8)
-def _twin_factors(m: IntMatrix) -> tuple[list[tuple[int, int]], list[int]]:
-    """The characteristic polynomial factored over twin classes (see
-    _twin_quotient): det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q),
-    where Q is the quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic
-    Graph Theory, 9.3). Returns the pairs (d_a, m_a - 1) and the ascending
-    coefficients of det(xI - Q). With every class a singleton, Q is M and
-    the product is empty. The quotient is bounded at TWIN_CLASS_LIMIT
-    classes, for char_poly_exact and spanning_tree_count_kirchhoff alike."""
-    classes = twin_classes(m)
-    if len(classes) > TWIN_CLASS_LIMIT:
-        raise SizeGuardError(
-            f"the exact char poly is bounded at {TWIN_CLASS_LIMIT} twin classes, "
-            f"got {len(classes)}"
-        )
-    sizes, c, diag = _twin_quotient(m, classes)
+def _quotient_matrix(quotient) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The quotient Q, Q_ab = c_ab m_b with diagonal M_ii + c_aa (m_a - 1),
+    and the pairs (d_a, m_a - 1), d_a = M_ii - c_aa."""
+    sizes, c, diag = quotient
     q = [[c_ab * size for c_ab, size in zip(row, sizes)] for row in c]
     shifts = []
     for a, (m_ii, size) in enumerate(zip(diag, sizes)):
         c_aa = c[a][a]
         q[a][a] = m_ii + c_aa * (size - 1)
         shifts.append((m_ii - c_aa, size - 1))
+    return q, shifts
+
+
+@functools.lru_cache(maxsize=8)
+def _twin_factors(quotient) -> tuple[list[tuple[int, int]], list[int]]:
+    """The characteristic polynomial factored over twin classes:
+    det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q), where Q is the
+    quotient and d_a = M_ii - c_aa (Godsil & Royle, Algebraic Graph Theory,
+    9.3). Returns the pairs (d_a, m_a - 1) and the ascending coefficients of
+    det(xI - Q). With every class a singleton, Q is M and the product is
+    empty. The quotient is bounded at TWIN_CLASS_LIMIT classes, for
+    char_poly_exact and spanning_tree_count_kirchhoff alike."""
+    if len(quotient[0]) > TWIN_CLASS_LIMIT:
+        raise SizeGuardError(
+            f"the exact char poly is bounded at {TWIN_CLASS_LIMIT} twin classes, "
+            f"got {len(quotient[0])}"
+        )
+    q, shifts = _quotient_matrix(quotient)
     return shifts, _char_poly_faddeev(q)
 
 
@@ -222,42 +113,46 @@ def _char_poly_faddeev(a: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def eigenvalues_numeric(m: IntMatrix) -> list[float]:
-    """All eigenvalues of a symmetric integer matrix, ascending, via a dense
+def eigenvalues_numeric(graph: Graph) -> list[float]:
+    """All eigenvalues of the graph's Laplacian, ascending, via a dense
     symmetric eigensolver (LAPACK). The one use of numpy in the package,
     imported here, so that only the commands that call this load it."""
     import numpy as np
 
-    if not m.is_symmetric():
-        raise ValueError("eigenvalues_numeric requires a symmetric matrix")
-    n = m.n
+    n = graph.n
     if n == 0:
         return []
-    # each row packed as n doubles straight into a C-order float64 array
-    a = np.empty((n, n), dtype=np.float64)
-    pack_row, out = struct.Struct(f"{n}d").pack_into, memoryview(a).cast("B")
-    for i, row in enumerate(m.rows):
-        pack_row(out, 8 * n * i, *row)
-    return np.linalg.eigvalsh(a).tolist()
+    # the masks as rows of little-endian bytes, unpacked to 0/1 entries of A
+    width = (n + 7) // 8
+    packed = b"".join(mask.to_bytes(width, "little") for mask in graph.adj)
+    a = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width), axis=1,
+                      count=n, bitorder="little")
+    # 0.0 - A, so that the zeros are +0.0, then the degrees on the diagonal
+    lap = np.zeros((n, n))
+    lap -= a
+    np.fill_diagonal(lap, a.sum(axis=1))
+    return np.linalg.eigvalsh(lap).tolist()
 
 
-def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
-    """Spanning trees of a graph from its Laplacian L, by the all-minors
-    matrix-tree theorem: the coefficient of x in det(xI - L) is (-1)^(n-1)
-    times the sum of the n principal (n-1)-minors of L, each of which
-    equals the count, so c_1 = (-1)^(n-1) n tau. c_1 is read off the
-    memoized twin-class factors that char_poly_exact multiplies out, as the
-    x-coefficient of det(xI - Q) times the constant terms of the others, so
-    this is bounded by TWIN_CLASS_LIMIT twin classes, not by the order."""
-    n = lap.n
+def spanning_tree_count_kirchhoff(lap) -> int:
+    """Spanning trees of a graph from the twin quotient (sizes, c, diag) of
+    its Laplacian L (see laplacian), by the all-minors matrix-tree theorem:
+    the coefficient of x in det(xI - L) is (-1)^(n-1) times the sum of the
+    n principal (n-1)-minors of L, each of which equals the count, so
+    c_1 = (-1)^(n-1) n tau. c_1 is read off the memoized twin-class factors
+    that char_poly_exact multiplies out, as the x-coefficient of
+    det(xI - Q) times the constant terms of the others, so this is bounded
+    by TWIN_CLASS_LIMIT twin classes, not by the order."""
+    sizes, c, _ = lap
+    n = sum(sizes)
     if n == 0:
         raise ValueError("spanning trees of the empty graph are undefined")
-    if not lap.is_symmetric() or any(map(sum, lap.rows)):
+    q, _ = _quotient_matrix(lap)
+    # L is symmetric when c is off its diagonal, and its rows sum to zero
+    # when Q's do
+    if any(map(sum, q)) or any(c[a][b] != c[b][a] for a in range(len(c)) for b in range(a)):
         raise ValueError("expected a Laplacian: symmetric, with rows summing to zero")
-    # the memo holds its matrices, so only those char_poly_exact can share
-    # it for are kept
-    factors = _twin_factors if n <= CHAR_POLY_LIMIT else _twin_factors.__wrapped__
-    shifts, quotient = factors(lap)
+    shifts, quotient = _twin_factors(lap)
     # Q's rows sum to zero as L's do, so det(xI - Q) vanishes at 0 and the
     # x-coefficient of the product is its own times prod_a (-d_a)^(m_a - 1)
     assert quotient[0] == 0, "the quotient of a Laplacian must be singular"
@@ -265,28 +160,3 @@ def spanning_tree_count_kirchhoff(lap: IntMatrix) -> int:
     tau, rest = divmod((-1) ** (n - 1) * c1, n)
     assert rest == 0, f"x-coefficient {c1} of the Laplacian is not a multiple of {n}"
     return tau
-
-
-# --- exports ---------------------------------------------------------------
-
-
-def to_matrix_market(m: IntMatrix):
-    """Yield Matrix Market coordinate text (integer field, 1-based indices)
-    in chunks of rows; emits the lower triangle with the 'symmetric'
-    qualifier when applicable."""
-    rows, n = m.rows, m.n
-    symmetric = m.is_symmetric()
-    count = sum(n - row.count(0) for row in rows)
-    if symmetric:
-        # the lower triangle: the diagonal and half of the rest
-        count = (count + sum(1 for i, row in enumerate(rows) if row[i])) // 2
-    kind = "symmetric" if symmetric else "general"
-    yield f"%%MatrixMarket matrix coordinate integer {kind}\n{n} {n} {count}\n"
-    columns = range(1, n + 1)
-    for lo in range(0, n, _BLOCK_ROWS):
-        entries: list[int] = []
-        for i in range(lo, min(lo + _BLOCK_ROWS, n)):
-            row = rows[i][:i + 1] if symmetric else rows[i]
-            # one "i j v" line per nonzero entry; %d writes an int as str() does
-            entries += chain.from_iterable(zip(repeat(i + 1), compress(columns, row), compress(row, row)))
-        yield "%d %d %d\n" * (len(entries) // 3) % tuple(entries)

@@ -6,9 +6,9 @@ construction and classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .formulas import _Frozen
 from .graphs import Graph, _bits, graph_from_edges
 from .groups import FiniteGroup, _mask, is_cyclic
 
@@ -125,24 +125,23 @@ def is_line_graph(g: Graph) -> bool:
     with no size guard."""
     return line_graph_root(g) is not None
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(_Frozen):
     """A connection set for a Cayley graph: excludes the identity and is
     closed under inversion."""
 
-    group: FiniteGroup
-    elements: frozenset[int]
+    __slots__ = ("group", "elements")
 
-    def __post_init__(self):
-        g = self.group
-        for x in self.elements:
-            if not 0 <= x < g.n:
-                raise ValueError(f"element {x} out of range for order {g.n}")
-        if g.identity in self.elements:
+    def __init__(self, group: FiniteGroup, elements: frozenset[int]):
+        for x in elements:
+            if not 0 <= x < group.n:
+                raise ValueError(f"element {x} out of range for order {group.n}")
+        if group.identity in elements:
             raise ValueError("connection set must not contain the identity")
-        inverses = frozenset(g.inverse(x) for x in self.elements)
-        if inverses != self.elements:
+        inverses = frozenset(group.inverse(x) for x in elements)
+        if inverses != elements:
             raise ValueError("connection set must be closed under inversion")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
 
 def full_connection_set(g: FiniteGroup) -> ConnectionSet:
     """All non-identity elements; always a valid connection set."""

@@ -15,11 +15,10 @@ defects are reported without masking new ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import SizeGuardError
 from .formulas import (
@@ -39,17 +38,15 @@ from .groups import FiniteGroup, is_cyclic, make_cyclic, noncyclic_corpus
 from .graphs import (
     Graph,
     chromatic_number_exact,
-    complete_graph,
     is_regular,
     strong_power_graph,
+    twin_quotient,
     vertex_connectivity,
 )
 from .spectral import (
-    IntMatrix,
-    adjacency,
+    _char_poly_guard,
     char_poly_exact,
     eigenvalues_numeric,
-    laplacian,
     spanning_tree_count_kirchhoff,
 )
 from .permanents import (
@@ -77,8 +74,7 @@ NUMERIC_SPECTRUM_TOL = 1e-8
 LE_RECOMPUTE_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str
     family: str
     spec: str
@@ -89,8 +85,7 @@ class CheckRecord:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class KnownDiscrepancy:
+class KnownDiscrepancy(NamedTuple):
     """One documented formula defect: a check name plus a parameter
     predicate. A disagree record matching an entry keeps exit code 0."""
 
@@ -133,9 +128,10 @@ def load_known_discrepancies() -> tuple[KnownDiscrepancy, ...]:
 
 class GroupCase:
     """One group under check: its order, whether it is cyclic, and its strong
-    power graph. The graph, its Laplacian, its adjacency matrix and the
-    numeric Laplacian spectrum are built on first use, at most once each, and
-    shared by every check of the group."""
+    power graph. The graph, the twin quotients of its Laplacian and of its
+    adjacency matrix (see twin_quotient) and the numeric Laplacian spectrum
+    are built on first use, at most once each, and shared by every check of
+    the group."""
 
     def __init__(self, group: FiniteGroup):
         self.group, self.n, self.cyclic = group, group.n, is_cyclic(group)
@@ -145,16 +141,16 @@ class GroupCase:
         return strong_power_graph(self.group)
 
     @cached_property
-    def lap_matrix(self) -> IntMatrix:
-        return laplacian(self.graph)
+    def lap_quotient(self):
+        return twin_quotient(self.graph, True)
 
     @cached_property
-    def adj_matrix(self) -> IntMatrix:
-        return adjacency(self.graph)
+    def adj_quotient(self):
+        return twin_quotient(self.graph, False)
 
     @cached_property
     def lap_eigenvalues(self) -> list[float]:
-        return eigenvalues_numeric(self.lap_matrix)
+        return eigenvalues_numeric(self.graph)
 
     def formula(self, check: str):
         """The check's closed form, or None below the least order it is
@@ -239,15 +235,27 @@ def _judge_cayley(case, claimed, oracle):
     return _agreement(case, claimed, False, "graph is non-regular")
 
 
-def _ryser(n: int, matrix: Callable[[], IntMatrix]) -> int:
-    """Ryser's permanent of matrix(), built only if order n passes
-    RYSER_LIMIT."""
+def _char_poly_coeffs(case: GroupCase) -> tuple[int, ...]:
+    """The coefficients of L's char poly, its quotient read only if the
+    order passes CHAR_POLY_LIMIT."""
+    _char_poly_guard(case.n)
+    return tuple(char_poly_exact(case.lap_quotient).coeffs)
+
+
+def _ryser(n: int, quotient: Callable[[], tuple]) -> int:
+    """Ryser's permanent of the matrix whose twin quotient is quotient(),
+    read only if order n passes RYSER_LIMIT."""
     _ryser_guard(n)
-    return permanent_ryser(matrix())
+    return permanent_ryser(quotient())
 
 
-@dataclass(frozen=True)
-class Invariant:
+def _complete_laplacian(n: int) -> tuple:
+    """The twin quotient of L(K_n): one class, -1 off the diagonal and n - 1
+    on it (K_1's one vertex is a singleton, whose c_aa is its 0)."""
+    return (n,), ((-1 if n > 1 else 0,),), (n - 1,)
+
+
+class Invariant(NamedTuple):
     """One closed form paired with its oracle. Both take a GroupCase; the
     judge turns their values into the record's formula, oracle, status and
     note. The closed form is stated for orders n >= min_n."""
@@ -268,10 +276,10 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: c.lap_eigenvalues, _judge_spectrum),
     "charpoly": Invariant(
         1, lambda c: tuple(char_poly_from_spectrum(closed_form_spectrum(c.n, c.cyclic)).coeffs),
-        lambda c: tuple(char_poly_exact(c.lap_matrix).coeffs)),
+        lambda c: _char_poly_coeffs(c)),
     "tau": Invariant(
         2, lambda c: spanning_tree_count_formula(c.n, c.cyclic),
-        lambda c: spanning_tree_count_kirchhoff(c.lap_matrix)),
+        lambda c: spanning_tree_count_kirchhoff(c.lap_quotient)),
     "le": Invariant(
         2, lambda c: laplacian_energy_closed_form(c.n, c.cyclic),
         lambda c: c.lap_eigenvalues, _judge_le),
@@ -291,13 +299,13 @@ INVARIANTS: dict[str, Invariant] = {
         _judge_cayley),
     "perm_adj": Invariant(
         2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: _ryser(c.n, lambda: c.adj_matrix)),
+        lambda c: _ryser(c.n, lambda: c.adj_quotient)),
     "perm_lap": Invariant(
         2, lambda c: clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: _ryser(c.n, lambda: c.lap_matrix)),
+        lambda c: _ryser(c.n, lambda: c.lap_quotient)),
     "perm_complete": Invariant(
         1, lambda c: complete_graph_laplacian_permanent(c.n),
-        lambda c: _ryser(c.n, lambda: laplacian(complete_graph(c.n))),
+        lambda c: _ryser(c.n, lambda: _complete_laplacian(c.n)),
         lambda c, f, o: _agreement(c, f, o, f"complete graph K_{c.n}")),
 }
 
@@ -318,12 +326,11 @@ def run_one_check(check: str, family: str, spec: str, case: GroupCase) -> CheckR
     return CheckRecord(check, family, spec, n, *inv.judge(case, inv.formula(case), oracle))
 
 
-@dataclass
 class VerifyReport:
-    family: str
-    n_lo: int
-    n_hi: int
-    records: list[CheckRecord]
+    """The records of one run over a family and an inclusive order range."""
+
+    def __init__(self, family: str, n_lo: int, n_hi: int, records: list[CheckRecord]):
+        self.family, self.n_lo, self.n_hi, self.records = family, n_lo, n_hi, records
 
     def counts(self) -> dict[str, int]:
         out = {AGREE: 0, DISAGREE: 0, SKIPPED: 0}

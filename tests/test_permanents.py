@@ -6,7 +6,7 @@ import pytest
 
 from strongpow import permanents
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import complete_graph, strong_power_graph
+from strongpow.graphs import complete_graph, strong_power_graph, twin_quotient
 from strongpow.groups import make_cyclic
 from strongpow.permanents import (
     CliqueParams,
@@ -15,9 +15,26 @@ from strongpow.permanents import (
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
-from strongpow.spectral import IntMatrix, adjacency, laplacian, twin_classes
+from strongpow.spectral import laplacian
 
-from reference import clique_plus_vertex_graph, graph_isomorphic, permanent_expansion
+from reference import (
+    IntMatrix,
+    clique_plus_vertex_graph,
+    graph_isomorphic,
+    laplacian_matrix,
+    matrix_quotient,
+    permanent_expansion,
+)
+
+
+def adjacency(graph):
+    """A's twin quotient, the form permanent_ryser reads."""
+    return twin_quotient(graph, False)
+
+
+def ryser(m):
+    """permanent_ryser of a whole matrix, by its twin quotient."""
+    return permanent_ryser(matrix_quotient(m))
 
 
 def cyclic_adjacency_permanent(n):
@@ -33,20 +50,20 @@ def random_matrix(n, rng, lo=-3, hi=3):
 
 
 def test_permanent_small_anchors():
-    assert permanent_ryser(IntMatrix([[3]])) == 3
-    assert permanent_ryser(IntMatrix([[1, 2], [3, 4]])) == 10
-    assert permanent_ryser(IntMatrix([[1, 1], [1, 1]])) == 2
+    assert ryser(IntMatrix([[3]])) == 3
+    assert ryser(IntMatrix([[1, 2], [3, 4]])) == 10
+    assert ryser(IntMatrix([[1, 1], [1, 1]])) == 2
     ones3 = IntMatrix([[1] * 3 for _ in range(3)])
-    assert permanent_ryser(ones3) == 6
+    assert ryser(ones3) == 6
     identity4 = IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])
-    assert permanent_ryser(identity4) == 1
+    assert ryser(identity4) == 1
 
 
 def test_permanent_zero_fast_paths():
     zero_row = IntMatrix([[0, 0], [1, 2]])
-    assert permanent_ryser(zero_row) == 0
+    assert ryser(zero_row) == 0
     zero_col = IntMatrix([[0, 1], [0, 2]])
-    assert permanent_ryser(zero_col) == 0
+    assert ryser(zero_col) == 0
 
 
 def test_permanent_ryser_matches_expansion():
@@ -59,13 +76,13 @@ def test_permanent_ryser_matches_expansion():
                 if n == 10 and hi > 3:
                     continue  # expansion takes seconds on a dense n = 10 matrix
                 m = random_matrix(n, rng, lo, hi)
-                value = permanent_ryser(m)
+                value = ryser(m)
                 assert value == permanent_expansion(m), m
                 negative_odd += n % 2 == 1 and value < 0
     assert negative_odd > 0
     for n in range(1, 10):
         minus_identity = IntMatrix([[-int(i == j) for j in range(n)] for i in range(n)])
-        assert permanent_ryser(minus_identity) == (-1) ** n
+        assert ryser(minus_identity) == (-1) ** n
 
 
 def test_permanent_ryser_matches_sympy():
@@ -74,7 +91,7 @@ def test_permanent_ryser_matches_sympy():
     for n in range(1, 9):
         for _ in range(3):
             m = random_matrix(n, rng)
-            assert permanent_ryser(m) == sympy.Matrix(m.rows).per()
+            assert ryser(m) == sympy.Matrix(m.rows).per()
 
 
 def test_permanent_ryser_cyclic_closed_forms_past_one_block():
@@ -92,11 +109,12 @@ def test_permanent_ryser_past_two_to_the_64():
 
 
 def test_permanent_ryser_repeat_is_cached():
-    m = laplacian(strong_power_graph(make_cyclic(12)))
-    first = permanent_ryser(m)
+    g = strong_power_graph(make_cyclic(12))
+    first = permanent_ryser(laplacian(g))
     hits = permanents._permanent.cache_info().hits
-    assert permanent_ryser(IntMatrix(m.rows)) == first
-    assert permanent_ryser(IntMatrix(np.array(m.rows, dtype=object))) == first
+    # equal quotients built apart share the memo
+    assert ryser(laplacian_matrix(g)) == first
+    assert ryser(IntMatrix(np.array(laplacian_matrix(g).rows, dtype=object))) == first
     assert permanents._permanent.cache_info().hits == hits + 2
 
 
@@ -111,17 +129,25 @@ def test_permanent_guards():
     # 2^16 do not; a zero row still gives 0 past that, and past
     # RYSER_LIMIT nothing is computed
     m = rank_one(15)
-    assert len(twin_classes(m)) == 15
-    assert permanent_ryser(m) == math.factorial(15) ** 2 * math.factorial(16)
+    assert len(matrix_quotient(m)[0]) == 15
+    assert ryser(m) == math.factorial(15) ** 2 * math.factorial(16)
     with pytest.raises(SizeGuardError, match=(
             r"^permanent_ryser: order 16 has 16 twin classes, which give 65536 "
             r"grouped terms, past the budget of 40000$")):
-        permanent_ryser(rank_one(16))
-    assert permanent_ryser(IntMatrix([[0] * 25 for _ in range(25)])) == 0
+        ryser(rank_one(16))
+    assert ryser(IntMatrix([[0] * 25 for _ in range(25)])) == 0
+    # a zero row or column of a quotient without twins, past the budget
+    rows = [[i + j + 1 for j in range(16)] for i in range(16)]
+    for zero in (lambda r, i: r[3].__setitem__(i, 0), lambda r, i: r[i].__setitem__(3, 0)):
+        m = [list(row) for row in rows]
+        for i in range(16):
+            zero(m, i)
+        assert len(matrix_quotient(IntMatrix(m))[0]) >= 15
+        assert ryser(IntMatrix(m)) == 0
     limit = permanents.RYSER_LIMIT
     with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order {limit}, "
                                              f"got {limit + 1}$"):
-        permanent_ryser(IntMatrix(np.zeros((limit + 1, limit + 1), dtype=np.int64)))
+        permanent_ryser(((limit + 1,), ((0,),), (0,)))
     with pytest.raises(SizeGuardError):
         permanent_expansion(IntMatrix([[0] * 11 for _ in range(11)]))
 

@@ -19,20 +19,31 @@ from strongpow.formulas import (
     laplacian_energy_from_spectrum,
     spanning_tree_count_formula,
 )
-from strongpow.graphs import complete_graph, graph_from_edges, strong_power_graph
+from strongpow.graphs import (
+    complete_graph,
+    graph_from_edges,
+    graph_to_matrix_market,
+    strong_power_graph,
+    twin_quotient,
+)
 from strongpow.groups import make_cyclic, make_dihedral, noncyclic_corpus
 from strongpow.permanents import permanent_ryser
 from strongpow.spectral import (
-    IntMatrix,
-    adjacency,
     char_poly_exact,
     eigenvalues_numeric,
     laplacian,
     spanning_tree_count_kirchhoff,
-    to_matrix_market,
 )
 
-from reference import det_bareiss, disjoint_union, permanent_expansion
+from reference import (
+    IntMatrix,
+    det_bareiss,
+    disjoint_union,
+    laplacian_matrix,
+    matrix_market_text,
+    matrix_quotient,
+    permanent_expansion,
+)
 
 
 def random_symmetric(n, rng, lo=-4, hi=4):
@@ -114,13 +125,14 @@ def test_int_matrix_backings_agree():
         assert a.rows == b.rows
         assert a.trace() == b.trace()
         assert a.is_symmetric() == b.is_symmetric()
-        assert "".join(to_matrix_market(a)) == "".join(to_matrix_market(b))
+        assert matrix_market_text(a) == matrix_market_text(b)
+        assert matrix_quotient(a) == matrix_quotient(b)
         values = []
         for m in (a, b):
             spectral._char_poly.cache_clear()
             spectral._twin_factors.cache_clear()
             permanents._permanent.cache_clear()
-            values.append((char_poly_exact(m), permanent_ryser(m)))
+            values.append((char_poly_exact(matrix_quotient(m)), permanent_ryser(matrix_quotient(m))))
         assert values[0] == values[1]
         assert values[0][0].evaluate(0) == (-1) ** a.n * det_bareiss(a)
         if a.n <= 6:
@@ -136,32 +148,32 @@ NEIGHBOURHOOD_SIZES = (0, 1, 7, 8, 9, 63, 64, 65)
 @given(st.sampled_from(NEIGHBOURHOOD_SIZES), st.randoms(use_true_random=False),
        st.floats(0, 1))
 def test_laplacian_and_adjacency_match_bit_probes(n, rng, density):
+    # the mask readers, the twin quotient and the Matrix Market export,
+    # against the matrices of bit probes, across byte and word boundaries
     g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                              if rng.random() < density])
     adj = [[(g.adj[u] >> w) & 1 for w in range(n)] for u in range(n)]
     lap = [[sum(row) if w == u else -b for w, b in enumerate(row)]
            for u, row in enumerate(adj)]
-    assert adjacency(g).rows == tuple(map(tuple, adj))
-    assert laplacian(g).rows == tuple(map(tuple, lap))
-    for m in (adjacency(g), laplacian(g)):
-        assert all(type(row) is tuple for row in m.rows)
-        assert all(type(x) is int for row in m.rows for x in row)
+    for is_lap, rows in ((False, adj), (True, lap)):
+        m = IntMatrix(rows)
+        assert twin_quotient(g, is_lap) == matrix_quotient(m)
+        assert "".join(graph_to_matrix_market(g, is_lap)) == matrix_market_text(m)
+    assert laplacian(g) == twin_quotient(g, True)
 
 
 def test_laplacian_and_adjacency_matrices():
     g = strong_power_graph(make_cyclic(4))
-    assert adjacency(g).rows == (
-        (0, 0, 1, 0),
-        (0, 0, 1, 1),
-        (1, 1, 0, 1),
-        (0, 1, 1, 0),
-    )
-    assert laplacian(g).rows == (
+    assert laplacian_matrix(g).rows == (
         (1, 0, -1, 0),
         (0, 2, -1, -1),
         (-1, -1, 3, -1),
         (0, -1, -1, 2),
     )
+    # classes {0}, {1, 3} (the generators, adjacent) and {2}
+    assert twin_quotient(g, False) == ((1, 2, 1), ((0, 0, 1), (0, 1, 1), (1, 1, 0)), (0, 0, 0))
+    assert twin_quotient(g, True) == (
+        (1, 2, 1), ((1, 0, -1), (0, -1, -1), (-1, -1, 3)), (1, 2, 3))
 
 
 def test_det_bareiss():
@@ -172,7 +184,7 @@ def test_det_bareiss():
     assert det_bareiss(singular) == 0
     rng = random.Random(3)
     wide = random_symmetric(10, rng, lo=-9, hi=9)
-    assert det_bareiss(wide) == (-1) ** 10 * char_poly_exact(wide).evaluate(0)
+    assert det_bareiss(wide) == (-1) ** 10 * char_poly_exact(matrix_quotient(wide)).evaluate(0)
 
 
 def test_char_poly_exact_cyclic_4():
@@ -189,7 +201,7 @@ def shifted(m, t):
 
 def assert_char_poly_at_points(m):
     # n + 1 points pin down a degree-n polynomial
-    p = char_poly_exact(m)
+    p = char_poly_exact(matrix_quotient(m))
     assert p.degree == m.n
     for t in range(-(m.n // 2), m.n - m.n // 2 + 1):
         assert p.evaluate(t) == det_bareiss(shifted(m, t)), (m, t)
@@ -213,7 +225,7 @@ def test_char_poly_exact_matches_direct_determinant():
             assert_char_poly_at_points(random_square(n, rng, entry))
     for _ in range(12):
         m = random_symmetric(rng.randint(1, 6), rng)
-        assert det_bareiss(m) == (-1) ** m.n * char_poly_exact(m).evaluate(0)
+        assert det_bareiss(m) == (-1) ** m.n * char_poly_exact(matrix_quotient(m)).evaluate(0)
 
 
 def test_char_poly_exact_pivot_branches():
@@ -253,8 +265,9 @@ def test_char_poly_exact_pivot_branches():
     }
     for m in cases.values():
         assert_char_poly_at_points(m)
-    assert char_poly_exact(cases["zero"]).coeffs == (0, 0, 0, 0, 0, 1)
-    assert char_poly_exact(cases["cyclic permutation"]).coeffs == (-1, 0, 0, 0, 0, 0, 1)
+    assert char_poly_exact(matrix_quotient(cases["zero"])).coeffs == (0, 0, 0, 0, 0, 1)
+    assert char_poly_exact(matrix_quotient(cases["cyclic permutation"])).coeffs == (
+        -1, 0, 0, 0, 0, 0, 1)
 
 
 def test_char_poly_exact_matches_sympy():
@@ -264,7 +277,7 @@ def test_char_poly_exact_matches_sympy():
         for entry in RANDOM_ENTRIES:
             m = random_square(n, rng, entry)
             expected = sympy.Matrix(m.rows).charpoly().all_coeffs()[::-1]
-            assert char_poly_exact(m).coeffs == tuple(int(c) for c in expected)
+            assert char_poly_exact(matrix_quotient(m)).coeffs == tuple(int(c) for c in expected)
 
 
 @st.composite
@@ -277,17 +290,19 @@ def small_matrices(draw):
 @settings(max_examples=80, deadline=None)
 @given(small_matrices(), st.integers(-30, 30))
 def test_char_poly_exact_evaluates_to_determinant(m, t):
-    assert char_poly_exact(m).evaluate(t) == det_bareiss(shifted(m, t))
+    assert char_poly_exact(matrix_quotient(m)).evaluate(t) == det_bareiss(shifted(m, t))
 
 
 def test_char_poly_exact_repeat_is_cached(monkeypatch):
     spectral._char_poly.cache_clear()
     spectral._twin_factors.cache_clear()
-    m = laplacian(strong_power_graph(make_cyclic(20)))
+    g = strong_power_graph(make_cyclic(20))
+    m = laplacian(g)
     first = char_poly_exact(m)
     hits = spectral._char_poly.cache_info().hits
-    assert char_poly_exact(IntMatrix(m.rows)) is first
-    assert char_poly_exact(IntMatrix(np.array(m.rows, dtype=object))) is first
+    # equal quotients built apart share the memo
+    assert char_poly_exact(matrix_quotient(laplacian_matrix(g))) is first
+    assert char_poly_exact(laplacian(strong_power_graph(make_cyclic(20)))) is first
     assert spectral._char_poly.cache_info().hits == hits + 2
 
     # tau reads the factors the char poly was multiplied out from
@@ -300,20 +315,24 @@ def test_char_poly_exact_repeat_is_cached(monkeypatch):
     assert (-1) ** 19 * first.coeffs[1] == 20 * tau
 
 
+def cycle(n):
+    """C_n: past n = 4 no two vertices are twins."""
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def cycle_laplacian(n):
-    """L(C_n): past n = 4 no two vertices are twins."""
-    return laplacian(graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+    return laplacian(cycle(n))
 
 
 def test_char_poly_exact_guard():
     with pytest.raises(SizeGuardError, match="^char_poly_exact is bounded at order 256, got 257$"):
-        char_poly_exact(IntMatrix([[0] * 257 for _ in range(257)]))
+        char_poly_exact(matrix_quotient(IntMatrix([[0] * 257 for _ in range(257)])))
     # the quotient is bounded at 32 twin classes, for tau as well
     at_bound = cycle_laplacian(32)
-    assert len(spectral.twin_classes(at_bound)) == spectral.TWIN_CLASS_LIMIT == 32
+    assert len(at_bound[0]) == spectral.TWIN_CLASS_LIMIT == 32
     poly = char_poly_exact(at_bound)
     for t in (-1, 0, 1, 4):
-        assert poly.evaluate(t) == det_bareiss(shifted(at_bound, t))
+        assert poly.evaluate(t) == det_bareiss(shifted(laplacian_matrix(cycle(32)), t))
     assert spanning_tree_count_kirchhoff(at_bound) == 32
     for oracle in (char_poly_exact, spanning_tree_count_kirchhoff):
         with pytest.raises(SizeGuardError, match=(
@@ -330,17 +349,27 @@ def test_closed_form_spectrum_examples():
     assert closed_form_spectrum(9, True).pairs == ((9, 2), (8, 5), (2, 1), (0, 1))
 
 
+def test_eigenvalues_numeric_reads_the_whole_laplacian():
+    # the float Laplacian packed from the masks gives eigvalsh the same
+    # input, so the same output, as the whole integer matrix converted
+    graphs = [strong_power_graph(make_cyclic(n)) for n in (1, 2, 12, 64, 65, 97)]
+    graphs += [strong_power_graph(make_dihedral(6)), cycle(9), complete_graph(3)]
+    for g in graphs:
+        whole = np.array(laplacian_matrix(g).rows, dtype=np.float64)
+        assert eigenvalues_numeric(g) == np.linalg.eigvalsh(whole).tolist()
+
+
 def test_closed_form_spectrum_matches_numeric():
     for n in range(2, 21):
         g = strong_power_graph(make_cyclic(n))
         expected = closed_form_spectrum(n, True).eigenvalues_desc()[::-1]
-        numeric = eigenvalues_numeric(laplacian(g))
+        numeric = eigenvalues_numeric(g)
         assert len(numeric) == len(expected)
         assert max(abs(a - b) for a, b in zip(numeric, expected)) < 1e-8
     for _, grp in noncyclic_corpus(12):
         g = strong_power_graph(grp)
         expected = closed_form_spectrum(grp.n, False).eigenvalues_desc()[::-1]
-        numeric = eigenvalues_numeric(laplacian(g))
+        numeric = eigenvalues_numeric(g)
         assert max(abs(a - b) for a, b in zip(numeric, expected)) < 1e-8
 
 
@@ -393,7 +422,7 @@ def test_spanning_tree_count():
     # not a Laplacian: rows that do not sum to zero, or not symmetric
     for m in ([[1, 0], [0, 1]], [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]):
         with pytest.raises(ValueError, match="expected a Laplacian"):
-            spanning_tree_count_kirchhoff(IntMatrix(m))
+            spanning_tree_count_kirchhoff(matrix_quotient(IntMatrix(m)))
 
 
 def test_spanning_tree_count_past_256_vertices():
@@ -407,7 +436,7 @@ def test_spanning_tree_count_past_256_vertices():
 def reduced_laplacian_determinant(graph):
     """Kirchhoff's count as Bareiss's determinant of L with row and column 0
     deleted."""
-    rows = laplacian(graph).rows
+    rows = laplacian_matrix(graph).rows
     return det_bareiss(IntMatrix([row[1:] for row in rows[1:]]))
 
 
@@ -506,15 +535,15 @@ def test_to_matrix_market_symmetric():
         "4 3 -1\n"
         "4 4 2\n"
     )
-    assert "".join(to_matrix_market(laplacian(g))) == expected
-
-
-def test_to_matrix_market_general():
-    m = IntMatrix([[0, 1], [0, 0]])
-    text = "".join(to_matrix_market(m))
-    assert "general" in text.splitlines()[0]
-    assert text.splitlines()[1] == "2 2 1"
-    assert text.splitlines()[2] == "1 2 1"
+    assert "".join(graph_to_matrix_market(g, True)) == expected
+    assert "".join(graph_to_matrix_market(g, False)) == (
+        "%%MatrixMarket matrix coordinate integer symmetric\n"
+        "4 4 4\n"
+        "3 1 1\n"
+        "3 2 1\n"
+        "4 2 1\n"
+        "4 3 1\n"
+    )
 
 
 def test_closed_form_input_validation():

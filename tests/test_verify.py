@@ -235,22 +235,24 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
 
 
 def test_each_matrix_is_built_once_per_group(monkeypatch):
-    calls = {"laplacian": [], "adjacency": [], "eigenvalues_numeric": []}
+    # each group's graph is read once for each of its two twin quotients
+    # (L and A) and once for its float Laplacian; L(K_n) needs no graph
+    calls = {"twin_quotient": [], "eigenvalues_numeric": [], "strong_power_graph": []}
     for name, log in calls.items():
         def spy(arg, *args, _real=getattr(verify, name), _log=log, **kwargs):
-            _log.append(arg)
+            _log.append((arg, *args))
             return _real(arg, *args, **kwargs)
 
         monkeypatch.setattr(verify, name, spy)
     report = run_verify("cyclic", 2, 12)
     groups = 11
     assert len({r.spec for r in report.records}) == groups
-    # perm_complete builds L(K_n), a different graph, once per group as well
     for name, log in calls.items():
-        assert max(Counter(log).values()) == 1, name
-    assert len(calls["laplacian"]) <= 2 * groups
-    assert len(calls["adjacency"]) <= groups
-    assert len(calls["eigenvalues_numeric"]) <= groups
+        # the same graph (or group), and the same flag, is never read twice
+        assert max(Counter((id(arg), *rest) for arg, *rest in log).values()) == 1, name
+    assert len(calls["twin_quotient"]) == 2 * groups
+    assert len(calls["eigenvalues_numeric"]) == groups
+    assert len(calls["strong_power_graph"]) == groups
     # Past order 24 the twin-class sum gives the permanents: K_25 is one
     # class, Z_25 three
     for spec in ("zn:25", "product:zn:5+zn:5"):
@@ -259,16 +261,20 @@ def test_each_matrix_is_built_once_per_group(monkeypatch):
             assert b[field]["ryser"] == b[field]["formula"] is not None
     report = run_verify("cyclic", 25, 25, checks=("perm_adj", "perm_lap", "perm_complete"))
     assert [r.status for r in report.records] == [AGREE] * 3
-    # Past RYSER_LIMIT no matrix is built only to be refused: not A, not L,
-    # not the Laplacian of K_n.
+    # Past RYSER_LIMIT, and past CHAR_POLY_LIMIT, no quotient is read only
+    # to be refused, and no graph is built
     for log in calls.values():
         log.clear()
     case = verify.GroupCase(make_cyclic(RYSER_LIMIT + 1))
-    assert [case.oracle(c) for c in ("perm_adj", "perm_lap", "perm_complete")] == [None] * 3
+    checks = ("charpoly", "perm_adj", "perm_lap", "perm_complete")
+    assert [case.oracle(c) for c in checks] == [None] * 4
     with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order "
                                              f"{RYSER_LIMIT}, got {RYSER_LIMIT + 1}$"):
         verify.INVARIANTS["perm_complete"].oracle(case)
-    assert calls["laplacian"] == calls["adjacency"] == []
+    with pytest.raises(SizeGuardError, match=f"^char_poly_exact is bounded at order "
+                                             f"256, got {RYSER_LIMIT + 1}$"):
+        verify.INVARIANTS["charpoly"].oracle(case)
+    assert calls == {name: [] for name in calls}
 
 
 def test_power_closures_are_computed_once_per_table_group(capsys):
