@@ -408,7 +408,8 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     end = pos
-    while end < len(text) and text[end].isdigit():
+    # isdecimal, not isdigit: int() rejects digits such as the superscripts
+    while end < len(text) and text[end].isdecimal():
         end += 1
     if end == pos:
         raise GroupSpecError("expected an integer", pos)

@@ -16,10 +16,9 @@ import math
 from .errors import SizeGuardError
 from .formulas import _Frozen, euler_phi
 
-# No permanent is computed past this order, whatever its twin classes, so a
-# caller can refuse before it reads a quotient. The grouped sum for
-# L(K_1024), one class, takes 0.1-0.25 s, for L(K_4096) about 5.6 s (2-vCPU
-# host).
+# No permanent is computed past this order, whatever its twin classes. The
+# grouped sum for L(K_1024), one class, takes 0.1-0.25 s, for L(K_4096)
+# about 5.6 s (2-vCPU host).
 RYSER_LIMIT = 1024
 # The grouped sum runs for at most this many terms prod_a (m_a + 1). Z_N's
 # three classes give 2 (phi + 1) (N - phi) terms: at most 33,024 up to
@@ -37,13 +36,6 @@ def _comb(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _ryser_guard(n: int) -> None:
-    """The order cap on Ryser's permanent, which a caller can run before it
-    reads a quotient."""
-    if n > RYSER_LIMIT:
-        raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
-
-
 def permanent_ryser(quotient) -> int:
     """Exact permanent of the matrix M whose twin quotient is
     (sizes, c, diag) (see graphs.twin_quotient), by Ryser's
@@ -53,14 +45,15 @@ def permanent_ryser(quotient) -> int:
 
     with the subsets grouped by how many columns they take from each twin
     class (see _ryser_grouped), in Python integers, so entries of any size
-    stay exact. A quotient whose grouped sum has more than 40,000 terms
-    (without twins, one past order 15), or that lies past order
-    RYSER_LIMIT, raises SizeGuardError. A zero row or column gives 0 at any
-    order up to RYSER_LIMIT. Results are memoized per process on the
+    stay exact. A quotient that lies past order RYSER_LIMIT, or whose
+    grouped sum has more than 40,000 terms (without twins, one past order
+    15), raises SizeGuardError. A zero row or column gives 0 at any order
+    up to RYSER_LIMIT. The grouped sums are memoized per process on the
     quotient."""
     sizes, c, diag = quotient
     n = sum(sizes)
-    _ryser_guard(n)
+    if n > RYSER_LIMIT:
+        raise SizeGuardError(f"permanent_ryser is bounded at order {RYSER_LIMIT}, got {n}")
     if n == 0:
         return 1
     # the entries of class a's rows are M_ii and c_a0, c_a1, ..., those of
@@ -68,23 +61,16 @@ def permanent_ryser(quotient) -> int:
     rows, columns = zip(diag, *zip(*c)), zip(diag, *c)
     if not (all(map(any, rows)) and all(map(any, columns))):
         return 0
-    return _permanent(quotient)
-
-
-@functools.lru_cache(maxsize=64)
-def _permanent(quotient) -> int:
-    """Permanent of a matrix with no zero row or column, by Ryser's sum
-    over its twin classes when that has at most _TERM_BUDGET terms."""
-    sizes = quotient[0]
     terms = math.prod(size + 1 for size in sizes)
     if terms > _TERM_BUDGET:
         raise SizeGuardError(
-            f"permanent_ryser: order {sum(sizes)} has {len(sizes)} twin classes, which "
+            f"permanent_ryser: order {n} has {len(sizes)} twin classes, which "
             f"give {terms} grouped terms, past the budget of {_TERM_BUDGET}"
         )
-    return _ryser_grouped(*quotient)
+    return _ryser_grouped(sizes, c, diag)
 
 
+@functools.lru_cache(maxsize=64)
 def _ryser_grouped(sizes, c, diag) -> int:
     """Ryser's sum over a twin quotient, with the subsets grouped by how
     many columns r_a they take from each twin class a (Ryser 1963): a row

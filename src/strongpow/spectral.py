@@ -31,28 +31,17 @@ def laplacian(graph: Graph):
 TWIN_CLASS_LIMIT = 32
 
 
-def _char_poly_guard(n: int) -> None:
-    """The order cap on char_poly_exact, which a caller can run before it
-    reads a quotient."""
+def char_poly_exact(quotient) -> CharPoly:
+    """Monic characteristic polynomial det(xI - M) with exact integer
+    coefficients of the matrix M whose twin quotient is (sizes, c, diag)
+    (see graphs.twin_quotient): the memoized factors of _twin_factors,
+    multiplied out. Bounded at order 256, where the polynomial already
+    takes about 93 KB of text, and at TWIN_CLASS_LIMIT twin classes."""
+    n = sum(quotient[0])
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
             f"char_poly_exact is bounded at order {CHAR_POLY_LIMIT}, got {n}"
         )
-
-
-def char_poly_exact(quotient) -> CharPoly:
-    """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients of the matrix M whose twin quotient is (sizes, c, diag)
-    (see graphs.twin_quotient). Bounded at order 256, where the polynomial
-    already takes about 93 KB of text, and at TWIN_CLASS_LIMIT twin
-    classes. Results are memoized per process on the quotient."""
-    _char_poly_guard(sum(quotient[0]))
-    return _char_poly(quotient)
-
-
-@functools.lru_cache(maxsize=8)
-def _char_poly(quotient) -> CharPoly:
-    """The factors of _twin_factors, multiplied out."""
     shifts, coeffs = _twin_factors(quotient)
     for d, e in shifts:
         for _ in range(e):

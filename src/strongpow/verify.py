@@ -43,19 +43,13 @@ from .graphs import (
     twin_quotient,
     vertex_connectivity,
 )
-from .spectral import (
-    _char_poly_guard,
-    char_poly_exact,
-    eigenvalues_numeric,
-    spanning_tree_count_kirchhoff,
-)
+from .spectral import char_poly_exact, eigenvalues_numeric, spanning_tree_count_kirchhoff
 from .permanents import (
     CliqueParams,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
     complete_graph_laplacian_permanent,
     permanent_ryser,
-    _ryser_guard,
 )
 from .structure import (
     cayley_classification,
@@ -235,20 +229,6 @@ def _judge_cayley(case, claimed, oracle):
     return _agreement(case, claimed, False, "graph is non-regular")
 
 
-def _char_poly_coeffs(case: GroupCase) -> tuple[int, ...]:
-    """The coefficients of L's char poly, its quotient read only if the
-    order passes CHAR_POLY_LIMIT."""
-    _char_poly_guard(case.n)
-    return tuple(char_poly_exact(case.lap_quotient).coeffs)
-
-
-def _ryser(n: int, quotient: Callable[[], tuple]) -> int:
-    """Ryser's permanent of the matrix whose twin quotient is quotient(),
-    read only if order n passes RYSER_LIMIT."""
-    _ryser_guard(n)
-    return permanent_ryser(quotient())
-
-
 def _complete_laplacian(n: int) -> tuple:
     """The twin quotient of L(K_n): one class, -1 off the diagonal and n - 1
     on it (K_1's one vertex is a singleton, whose c_aa is its 0)."""
@@ -276,7 +256,7 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: c.lap_eigenvalues, _judge_spectrum),
     "charpoly": Invariant(
         1, lambda c: tuple(char_poly_from_spectrum(closed_form_spectrum(c.n, c.cyclic)).coeffs),
-        lambda c: _char_poly_coeffs(c)),
+        lambda c: char_poly_exact(c.lap_quotient).coeffs),
     "tau": Invariant(
         2, lambda c: spanning_tree_count_formula(c.n, c.cyclic),
         lambda c: spanning_tree_count_kirchhoff(c.lap_quotient)),
@@ -299,13 +279,13 @@ INVARIANTS: dict[str, Invariant] = {
         _judge_cayley),
     "perm_adj": Invariant(
         2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: _ryser(c.n, lambda: c.adj_quotient)),
+        lambda c: permanent_ryser(c.adj_quotient)),
     "perm_lap": Invariant(
         2, lambda c: clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(c.n, c.cyclic)),
-        lambda c: _ryser(c.n, lambda: c.lap_quotient)),
+        lambda c: permanent_ryser(c.lap_quotient)),
     "perm_complete": Invariant(
         1, lambda c: complete_graph_laplacian_permanent(c.n),
-        lambda c: _ryser(c.n, lambda: _complete_laplacian(c.n)),
+        lambda c: permanent_ryser(_complete_laplacian(c.n)),
         lambda c, f, o: _agreement(c, f, o, f"complete graph K_{c.n}")),
 }
 

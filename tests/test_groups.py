@@ -387,6 +387,12 @@ def test_parse_group_spec_errors_report_position():
         parse_group_spec("zn:5junk")
     with pytest.raises(GroupSpecError):
         parse_group_spec("product:zn:2")
+    # characters that isdigit accepts but int() does not, such as "²", are
+    # not read as part of an integer
+    with pytest.raises(GroupSpecError, match=r"^expected an integer \(position 3\)$"):
+        parse_group_spec("zn:²")
+    with pytest.raises(GroupSpecError, match=r"^trailing text '²' \(position 4\)$"):
+        parse_group_spec("zn:1²")
 
 
 def test_load_cayley_table_csv(tmp_path):

@@ -111,11 +111,11 @@ def test_permanent_ryser_past_two_to_the_64():
 def test_permanent_ryser_repeat_is_cached():
     g = strong_power_graph(make_cyclic(12))
     first = permanent_ryser(laplacian(g))
-    hits = permanents._permanent.cache_info().hits
+    hits = permanents._ryser_grouped.cache_info().hits
     # equal quotients built apart share the memo
     assert ryser(laplacian_matrix(g)) == first
     assert ryser(IntMatrix(np.array(laplacian_matrix(g).rows, dtype=object))) == first
-    assert permanents._permanent.cache_info().hits == hits + 2
+    assert permanents._ryser_grouped.cache_info().hits == hits + 2
 
 
 def rank_one(n):
@@ -150,6 +150,23 @@ def test_permanent_guards():
         permanent_ryser(((limit + 1,), ((0,),), (0,)))
     with pytest.raises(SizeGuardError):
         permanent_expansion(IntMatrix([[0] * 11 for _ in range(11)]))
+
+
+def test_refused_permanent_is_never_memoized():
+    permanents._ryser_grouped.cache_clear()
+    limit = permanents.RYSER_LIMIT
+    past_limit = laplacian(complete_graph(limit + 1))
+    past_budget = matrix_quotient(rank_one(16))
+    for quotient, message in ((past_limit, f"bounded at order {limit}, got {limit + 1}$"),
+                              (past_budget, "65536 grouped terms, past the budget of 40000$")):
+        for _ in range(2):
+            with pytest.raises(SizeGuardError, match=message):
+                permanent_ryser(quotient)
+            assert permanents._ryser_grouped.cache_info().currsize == 0
+    # the next allowed quotients are still computed, and memoized
+    assert permanent_ryser(laplacian(complete_graph(limit))) == complete_graph_laplacian_permanent(limit)
+    assert ryser(rank_one(12)) == math.factorial(12) ** 2 * math.factorial(13)
+    assert permanents._ryser_grouped.cache_info().currsize == 2
 
 
 def test_permanent_ryser_closed_forms_past_order_24():

@@ -129,9 +129,8 @@ def test_int_matrix_backings_agree():
         assert matrix_quotient(a) == matrix_quotient(b)
         values = []
         for m in (a, b):
-            spectral._char_poly.cache_clear()
             spectral._twin_factors.cache_clear()
-            permanents._permanent.cache_clear()
+            permanents._ryser_grouped.cache_clear()
             values.append((char_poly_exact(matrix_quotient(m)), permanent_ryser(matrix_quotient(m))))
         assert values[0] == values[1]
         assert values[0][0].evaluate(0) == (-1) ** a.n * det_bareiss(a)
@@ -294,16 +293,15 @@ def test_char_poly_exact_evaluates_to_determinant(m, t):
 
 
 def test_char_poly_exact_repeat_is_cached(monkeypatch):
-    spectral._char_poly.cache_clear()
     spectral._twin_factors.cache_clear()
     g = strong_power_graph(make_cyclic(20))
     m = laplacian(g)
     first = char_poly_exact(m)
-    hits = spectral._char_poly.cache_info().hits
-    # equal quotients built apart share the memo
-    assert char_poly_exact(matrix_quotient(laplacian_matrix(g))) is first
-    assert char_poly_exact(laplacian(strong_power_graph(make_cyclic(20)))) is first
-    assert spectral._char_poly.cache_info().hits == hits + 2
+    hits = spectral._twin_factors.cache_info().hits
+    # equal quotients built apart share the memoized factors
+    assert char_poly_exact(matrix_quotient(laplacian_matrix(g))) == first
+    assert char_poly_exact(laplacian(strong_power_graph(make_cyclic(20)))) == first
+    assert spectral._twin_factors.cache_info().hits == hits + 2
 
     # tau reads the factors the char poly was multiplied out from
     def refuse(a):
@@ -313,6 +311,19 @@ def test_char_poly_exact_repeat_is_cached(monkeypatch):
     tau = spanning_tree_count_kirchhoff(m)
     assert tau == spanning_tree_count_formula(20, True)
     assert (-1) ** 19 * first.coeffs[1] == 20 * tau
+
+
+def test_refused_char_poly_is_never_memoized():
+    spectral._twin_factors.cache_clear()
+    past = laplacian(strong_power_graph(make_cyclic(257)))
+    for _ in range(2):
+        with pytest.raises(SizeGuardError, match="^char_poly_exact is bounded at order 256, got 257$"):
+            char_poly_exact(past)
+        assert spectral._twin_factors.cache_info().currsize == 0
+    # the next allowed quotient is still computed, and memoized
+    at_bound = laplacian(strong_power_graph(make_cyclic(256)))
+    assert char_poly_exact(at_bound) == char_poly_from_spectrum(closed_form_spectrum(256, True))
+    assert spectral._twin_factors.cache_info().currsize == 1
 
 
 def cycle(n):
