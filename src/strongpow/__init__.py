@@ -29,7 +29,7 @@ _EXPORTS = {
         is_complete is_regular strong_power_graph twin_quotient
         vertex_connectivity""",
     "spectral": """char_poly_exact eigenvalues_numeric laplacian
-        spanning_tree_count_kirchhoff""",
+        laplacian_spectrum spanning_tree_count_kirchhoff""",
     "permanents": """CliqueParams clique_plus_vertex_adjacency_permanent
         clique_plus_vertex_laplacian_permanent
         complete_graph_laplacian_permanent permanent_ryser""",

@@ -4,8 +4,8 @@ run formula-vs-oracle verification sweeps, and export per-order CSV tables.
 Exit codes: 0 success (verify: all agree or documented disagreements only),
 1 undocumented disagreement from verify, 2 usage or input errors. A reader
 that closes stdout early ends the output quietly, with the same exit code.
-Each command imports the modules it runs; only the spectrum and le checks
-of `verify` load numpy, for their float eigensolve.
+Each command imports the modules it runs; only the spectrum check of
+`verify` loads numpy, for its float eigensolve.
 """
 
 from __future__ import annotations

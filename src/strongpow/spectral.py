@@ -1,8 +1,8 @@
-"""The spectral oracles: exact characteristic polynomials and spanning-tree
-counts, evaluated over a matrix's twin quotient (see graphs.twin_quotient),
-and the numeric Laplacian eigensolver. Their closed-form counterparts live
-in `formulas`, and the verify harness compares the two; neither is
-substituted for the other.
+"""The spectral oracles: exact characteristic polynomials, Laplacian spectra
+and spanning-tree counts, evaluated over a matrix's twin quotient (see
+graphs.twin_quotient), and the numeric Laplacian eigensolver. Their
+closed-form counterparts live in `formulas`, and the verify harness
+compares the two; neither is substituted for the other.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 import math
 
 from .errors import SizeGuardError
-from .formulas import CharPoly
+from .formulas import CharPoly, ExactSpectrum
 from .graphs import Graph, twin_quotient
 
 CHAR_POLY_LIMIT = 256
@@ -51,6 +51,32 @@ def char_poly_exact(quotient) -> CharPoly:
     return CharPoly(tuple(coeffs))
 
 
+def laplacian_spectrum(lap) -> ExactSpectrum | None:
+    """The exact spectrum of a graph's Laplacian L, from its twin quotient
+    (see laplacian), or None when L has an eigenvalue that is not an
+    integer. The memoized factors of _twin_factors give each d_a with
+    multiplicity m_a - 1; the roots of det(xI - Q) are found by exact
+    synthetic division at x = 0, 1, ..., n, since a simple graph's
+    Laplacian eigenvalues lie in [0, n]. Bounded by TWIN_CLASS_LIMIT twin
+    classes, as spanning_tree_count_kirchhoff is."""
+    shifts, coeffs = _twin_factors(lap)
+    n = sum(lap[0])
+    pairs = list(shifts)
+    x = 0
+    while len(coeffs) > 1 and x <= n:
+        # synthetic division, coeffs = (X - x) quotient + rest, with the
+        # quotient built from its highest coefficient down
+        quotient = [coeffs[-1]]
+        for a in reversed(coeffs[1:-1]):
+            quotient.append(a + x * quotient[-1])
+        if coeffs[0] + x * quotient[-1]:
+            x += 1
+        else:
+            coeffs = quotient[::-1]
+            pairs.append((x, 1))
+    return ExactSpectrum.from_pairs(pairs) if len(coeffs) == 1 else None
+
+
 def _quotient_matrix(quotient) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """The quotient Q, Q_ab = c_ab m_b with diagonal M_ii + c_aa (m_a - 1),
     and the pairs (d_a, m_a - 1), d_a = M_ii - c_aa."""
@@ -72,7 +98,8 @@ def _twin_factors(quotient) -> tuple[list[tuple[int, int]], list[int]]:
     9.3). Returns the pairs (d_a, m_a - 1) and the ascending coefficients of
     det(xI - Q). With every class a singleton, Q is M and the product is
     empty. The quotient is bounded at TWIN_CLASS_LIMIT classes, for
-    char_poly_exact and spanning_tree_count_kirchhoff alike."""
+    char_poly_exact, laplacian_spectrum and spanning_tree_count_kirchhoff
+    alike."""
     if len(quotient[0]) > TWIN_CLASS_LIMIT:
         raise SizeGuardError(
             f"the exact char poly is bounded at {TWIN_CLASS_LIMIT} twin classes, "

@@ -15,15 +15,13 @@ defects are reported without masking new ones.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import os
 from functools import cached_property
-from importlib import resources
 from typing import Callable, NamedTuple, Optional
 
 from .errors import SizeGuardError
 from .formulas import (
     CHECK_NAMES,
-    ExactSpectrum,
     _text,
     char_poly_from_spectrum,
     chi_formula,
@@ -43,7 +41,12 @@ from .graphs import (
     twin_quotient,
     vertex_connectivity,
 )
-from .spectral import char_poly_exact, eigenvalues_numeric, spanning_tree_count_kirchhoff
+from .spectral import (
+    char_poly_exact,
+    eigenvalues_numeric,
+    laplacian_spectrum,
+    spanning_tree_count_kirchhoff,
+)
 from .permanents import (
     CliqueParams,
     clique_plus_vertex_adjacency_permanent,
@@ -65,7 +68,6 @@ DISAGREE = "disagree"
 SKIPPED = "skipped"
 
 NUMERIC_SPECTRUM_TOL = 1e-8
-LE_RECOMPUTE_TOL = 1e-7
 
 
 class CheckRecord(NamedTuple):
@@ -102,30 +104,17 @@ class KnownDiscrepancy(NamedTuple):
 
 
 def load_known_discrepancies() -> tuple[KnownDiscrepancy, ...]:
-    text = (
-        resources.files("strongpow")
-        .joinpath("known_discrepancies.json")
-        .read_text(encoding="utf-8")
-    )
-    entries = json.loads(text)
-    return tuple(
-        KnownDiscrepancy(
-            check=e["check"],
-            family=e.get("family"),
-            n_min=e.get("n_min"),
-            n_max=e.get("n_max"),
-            explanation=e.get("explanation", ""),
-        )
-        for e in entries
-    )
+    path = os.path.join(os.path.dirname(__file__), "known_discrepancies.json")
+    with open(path, encoding="utf-8") as fh:
+        return tuple(KnownDiscrepancy(**entry) for entry in json.load(fh))
 
 
 class GroupCase:
     """One group under check: its order, whether it is cyclic, and its strong
-    power graph. The graph, the twin quotients of its Laplacian and of its
-    adjacency matrix (see twin_quotient) and the numeric Laplacian spectrum
-    are built on first use, at most once each, and shared by every check of
-    the group."""
+    power graph. The graph and the twin quotients of its Laplacian and of
+    its adjacency matrix (see twin_quotient) are built on first use, at most
+    once each, and shared by every check of the group. The numeric Laplacian
+    spectrum is not kept: the spectrum check alone reads it."""
 
     def __init__(self, group: FiniteGroup):
         self.group, self.n, self.cyclic = group, group.n, is_cyclic(group)
@@ -141,10 +130,6 @@ class GroupCase:
     @cached_property
     def adj_quotient(self):
         return twin_quotient(self.graph, False)
-
-    @cached_property
-    def lap_eigenvalues(self) -> list[float]:
-        return eigenvalues_numeric(self.graph)
 
     def formula(self, check: str):
         """The check's closed form, or None below the least order it is
@@ -182,30 +167,14 @@ def _judge_spectrum(case, exact, numeric):
     return str(exact), oracle_str, status, f"max deviation {worst:.2e}"
 
 
-def _judge_le(case, formula, numeric):
-    """Recompute the energy by definition from the numeric spectrum, snapped
-    to integers, in exact arithmetic."""
-    snapped = []
-    for lam in numeric:
-        k = round(lam)
-        if abs(lam - k) > NUMERIC_SPECTRUM_TOL:
-            return (
-                _text(formula),
-                f"non-integer eigenvalue {lam!r}",
-                DISAGREE,
-                "definition-based recomputation expected an integer spectrum",
-            )
-        snapped.append(k)
-    edges = case.graph.edge_count()
-    spectrum = ExactSpectrum.from_pairs((k, 1) for k in snapped)
-    oracle = laplacian_energy_from_spectrum(spectrum, edges, case.n)
-    mean = Fraction(2 * edges, case.n)
-    numeric_le = sum(abs(lam - float(mean)) for lam in numeric)
-    drift = abs(numeric_le - float(oracle))
-    note = f"float recomputation drift {drift:.2e}"
-    if drift > LE_RECOMPUTE_TOL:
-        return _text(formula), _text(oracle), DISAGREE, note
-    return _agreement(case, formula, oracle, note)
+def _judge_le(case, formula, spectrum):
+    """The energy by definition, sum |lambda - 2m/n| in exact Fractions,
+    over the exact spectrum of the twin quotient; a spectrum that is not
+    integral has no exact energy here, and its record disagrees."""
+    if spectrum is None:
+        return _text(formula), "", DISAGREE, "the Laplacian spectrum is not integral"
+    oracle = laplacian_energy_from_spectrum(spectrum, case.graph.edge_count(), case.n)
+    return _agreement(case, formula, oracle, "exact spectrum of the twin quotient")
 
 
 def _judge_chi(case, formula, oracle):
@@ -253,7 +222,7 @@ class Invariant(NamedTuple):
 INVARIANTS: dict[str, Invariant] = {
     "spectrum": Invariant(
         1, lambda c: closed_form_spectrum(c.n, c.cyclic),
-        lambda c: c.lap_eigenvalues, _judge_spectrum),
+        lambda c: eigenvalues_numeric(c.graph), _judge_spectrum),
     "charpoly": Invariant(
         1, lambda c: tuple(char_poly_from_spectrum(closed_form_spectrum(c.n, c.cyclic)).coeffs),
         lambda c: char_poly_exact(c.lap_quotient).coeffs),
@@ -262,7 +231,7 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: spanning_tree_count_kirchhoff(c.lap_quotient)),
     "le": Invariant(
         2, lambda c: laplacian_energy_closed_form(c.n, c.cyclic),
-        lambda c: c.lap_eigenvalues, _judge_le),
+        lambda c: laplacian_spectrum(c.lap_quotient), _judge_le),
     "kappa": Invariant(
         1, lambda c: kappa_formula(c.n, c.cyclic),
         lambda c: vertex_connectivity(c.graph)),

@@ -29,6 +29,7 @@ from strongpow.groups import (
     noncyclic_corpus,
     parse_group_spec,
 )
+from strongpow.spectral import laplacian, laplacian_spectrum
 
 from reference import (
     BRUTEFORCE_CONSTRUCTION_LIMIT,
@@ -276,12 +277,16 @@ def test_vertex_connectivity_matches_networkx():
 
 
 def test_vertex_connectivity_matches_kappa_formula():
+    # the same walk checks the exact spectrum of the twin quotient, which
+    # the le oracle reads, against the paper's closed form
     for n in range(1, 257):
         g = strong_power_graph(make_cyclic(n))
         assert vertex_connectivity(g) == kappa_formula(n, True), n
+        assert laplacian_spectrum(laplacian(g)) == closed_form_spectrum(n, True), n
     for spec, grp in noncyclic_corpus(24):
         g = strong_power_graph(grp)
         assert vertex_connectivity(g) == kappa_formula(grp.n, False), spec
+        assert laplacian_spectrum(laplacian(g)) == closed_form_spectrum(grp.n, False), spec
 
 
 def test_chromatic_number():

@@ -29,7 +29,7 @@ _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderEr
     twin_quotient vertex_connectivity CharPoly
     ExactSpectrum algebraic_connectivity char_poly_exact
     char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
-    laplacian_energy_closed_form laplacian_energy_from_spectrum
+    laplacian_spectrum laplacian_energy_closed_form laplacian_energy_from_spectrum
     spanning_tree_count_formula spanning_tree_count_kirchhoff
     CliqueParams clique_plus_vertex_adjacency_permanent
     clique_plus_vertex_laplacian_permanent complete_graph_laplacian_permanent
@@ -39,12 +39,13 @@ _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderEr
     VerifyReport load_known_discrepancies run_verify __version__""".split()
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter, where no test has imported anything."""
+def _fresh_python(code: str, *args: str, flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter, where no test has imported anything,
+    with the interpreter's command-line flags."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=ROOT, env=env, capture_output=True,
+        [sys.executable, *flags, "-c", code, *args], cwd=ROOT, env=env, capture_output=True,
         text=True, timeout=60,
     )
 
@@ -56,14 +57,16 @@ def test_import_does_not_load_the_cli():
     assert "'strongpow.cli'" not in proc.stdout
 
 
-# runs `python -m strongpow ARGV`, then reports whether dataclasses and
-# numpy were loaded
+# runs `python -m strongpow ARGV`, then reports whether importlib.resources,
+# dataclasses and numpy were loaded
 _RUN_MAIN = (
     "import runpy, sys\n"
     "sys.argv[0] = 'strongpow'\n"
     "try:\n"
     "    runpy.run_module('strongpow', run_name='__main__')\n"
     "finally:\n"
+    "    print('importlib.resources loaded:', 'importlib.resources' in sys.modules,\n"
+    "          file=sys.stderr)\n"
     "    print('dataclasses loaded:', 'dataclasses' in sys.modules, file=sys.stderr)\n"
     "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
 )
@@ -80,11 +83,15 @@ _RUN_MAIN = (
     (["build", "--group", "zn:12", "--format", "dot"], 0),
     (["build", "--group", "zn:12", "--format", "mtx"], 0),
     (["verify", "--family", "cyclic", "--range", "2..12", "--checks", "kappa,perm_adj,linegraph"], 0),
+    (["verify", "--family", "cyclic", "--range", "2..12", "--checks", "tau,le,charpoly"], 0),
 ])
 def test_commands_without_numeric_work_start_without_numpy(argv, code):
-    proc = _fresh_python(_RUN_MAIN, *argv)
+    # -S: no site hook preloads a module, so each one seen here is the
+    # command's own
+    proc = _fresh_python(_RUN_MAIN, *argv, flags=("-S",))
     assert proc.returncode == code, proc.stderr
-    assert proc.stderr.splitlines()[-2:] == ["dataclasses loaded: False", "numpy loaded: False"]
+    assert proc.stderr.splitlines()[-3:] == [
+        "importlib.resources loaded: False", "dataclasses loaded: False", "numpy loaded: False"]
 
 
 def test_the_float_eigensolve_loads_numpy():

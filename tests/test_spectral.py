@@ -32,6 +32,7 @@ from strongpow.spectral import (
     char_poly_exact,
     eigenvalues_numeric,
     laplacian,
+    laplacian_spectrum,
     spanning_tree_count_kirchhoff,
 )
 
@@ -349,6 +350,36 @@ def test_char_poly_exact_guard():
         with pytest.raises(SizeGuardError, match=(
                 "^the exact char poly is bounded at 32 twin classes, got 33$")):
             oracle(cycle_laplacian(33))
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, outer + spokes + inner)
+
+
+def test_laplacian_spectrum_of_other_graphs():
+    # integral graphs that are not strong power graphs: twin classes of
+    # sizes 1 and 3, 2 and 3, and 2 and 2, and the Petersen graph, which has
+    # no twins, so that its quotient is L with roots 2^5 and 5^4
+    integral = {
+        "K_1,3": graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]),
+        "K_2,3": graph_from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+        "C_4": cycle(4),
+        "Petersen": petersen(),
+    }
+    for name, g in integral.items():
+        rounded = ExactSpectrum.from_pairs((round(x), 1) for x in eigenvalues_numeric(g))
+        assert laplacian_spectrum(laplacian(g)) == rounded, name
+    assert str(laplacian_spectrum(laplacian(petersen()))) == "5^4 2^5 0^1"
+    # P_4 has 2 -+ sqrt(2), C_5 eigenvalues (5 -+ sqrt(5)) / 2
+    path = graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert laplacian_spectrum(laplacian(path)) is None
+    assert laplacian_spectrum(laplacian(cycle(5))) is None
+    assert laplacian_spectrum(laplacian(graph_from_edges(0, []))) == ExactSpectrum(())
+    with pytest.raises(SizeGuardError, match="bounded at 32 twin classes, got 33$"):
+        laplacian_spectrum(cycle_laplacian(33))
 
 
 def test_closed_form_spectrum_examples():

@@ -128,7 +128,8 @@ def test_run_verify_validation():
 def test_report_tsv_and_json_shapes():
     report = run_verify("cyclic", 4, 4, checks=("tau", "le"))
     tsv = report.to_tsv()
-    lines = tsv.strip().split("\n")
+    # rstrip, not strip: a record whose note is empty ends in a tab
+    lines = tsv.rstrip("\n").split("\n")
     assert lines[0] == "check\tfamily\tparam\tn\tformula\toracle\tstatus\tnote"
     assert len(lines) == 3
     assert all(len(line.split("\t")) == 8 for line in lines)
@@ -179,6 +180,19 @@ def test_a_graph_of_neither_shape_disagrees(monkeypatch):
     assert [(r.check, r.status, r.oracle_value) for r in records] == [
         ("chi", DISAGREE, "15"), ("cayley", DISAGREE, "false")]
     assert report.exit_code(known) == 1
+
+
+def test_a_spectrum_that_is_not_integral_disagrees(monkeypatch):
+    # Z_6 less the edge {1, 2} has the Laplacian eigenvalues 4 -+ sqrt(2)
+    _drop_edge(monkeypatch, 1, 2)
+    report = run_verify("cyclic", 6, 6, checks=("le",))
+    [le] = report.records
+    assert (le.status, le.oracle_value) == (DISAGREE, "")
+    assert le.note == "the Laplacian spectrum is not integral"
+    # an integral spectrum names its oracle
+    monkeypatch.undo()
+    [le] = run_verify("cyclic", 6, 6, checks=("le",)).records
+    assert (le.oracle_value, le.note) == ("34/3", "exact spectrum of the twin quotient")
 
 
 def test_one_registry_drives_verify_invariants_and_sweep(capsys):
@@ -236,7 +250,8 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
 
 def test_each_matrix_is_built_once_per_group(monkeypatch):
     # each group's graph is read once for each of its two twin quotients
-    # (L and A) and once for its float Laplacian; L(K_n) needs no graph
+    # (L and A) and once for its float Laplacian, which only the spectrum
+    # check reads; L(K_n) needs no graph
     calls = {"twin_quotient": [], "eigenvalues_numeric": [], "strong_power_graph": []}
     for name, log in calls.items():
         def spy(arg, *args, _real=getattr(verify, name), _log=log, **kwargs):
