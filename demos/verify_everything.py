@@ -33,16 +33,16 @@ for family, lo, hi in (("cyclic", 2, 18), ("corpus", 4, 16)):
     )
     undocumented = report.undocumented_disagreements(known)
     print(f"   undocumented disagreements: {len(undocumented)}")
-    assert report.exit_code(known) == 0
+    assert not undocumented
     for r in report.records:
         if r.status == "disagree":
             print(
-                f"   disagree: {r.check} at {r.spec}:"
-                f" formula {r.formula_value}, oracle {r.oracle_value}"
+                f"   disagree: {r.check} at {r.param}:"
+                f" formula {r.formula}, oracle {r.oracle}"
             )
     for r in report.records:
         if r.status == "skipped":
-            print(f"   skipped: {r.check} at {r.spec} ({r.note})")
+            print(f"   skipped: {r.check} at {r.param} ({r.note})")
     print()
 
 print("both families clean: every disagreement is on the documented list")

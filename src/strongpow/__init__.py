@@ -14,7 +14,7 @@ import importlib
 
 _EXPORTS = {
     "errors": "SizeGuardError",
-    "formulas": """CHECK_NAMES CharPoly ExactSpectrum algebraic_connectivity
+    "formulas": """CHECK_NAMES ExactSpectrum algebraic_connectivity
         char_poly_from_spectrum chi_formula closed_form_spectrum
         cyclic_line_graph_classification euler_phi kappa_formula
         laplacian_energy_closed_form laplacian_energy_from_spectrum

@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from .formulas import CHECK_NAMES, ExactSpectrum, _any_digits, _text, closed_forms
 
-_RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
+_RANGE_RE = re.compile(r"(\d+)\.\.(\d+)")
 
 SWEEP_COLUMNS = ("n", "phi", "spectrum", "a", "tau", "le", "kappa", "chi", "linegraph")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    m = _RANGE_RE.match(text)
+    m = _RANGE_RE.fullmatch(text)
     if not m:
         raise ValueError(f"range must look like 2..24, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -157,8 +157,8 @@ def cmd_verify(args) -> int:
     undocumented = report.undocumented_disagreements(known)
     for rec in undocumented:
         sys.stderr.write(
-            f"undocumented disagreement: {rec.check} {rec.spec}: "
-            f"formula {rec.formula_value} vs oracle {rec.oracle_value}\n"
+            f"undocumented disagreement: {rec.check} {rec.param}: "
+            f"formula {rec.formula} vs oracle {rec.oracle}\n"
         )
     return 1 if undocumented else 0
 

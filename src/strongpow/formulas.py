@@ -60,8 +60,9 @@ class _Frozen:
     """Base of the package's immutable value classes. A subclass names its
     fields in __slots__ and sets each once, in its __init__, through
     object.__setattr__; instances of one class compare and hash by those
-    fields. Plain slots cost far less to define and to import than a frozen
-    dataclass."""
+    fields. A slot whose name starts with an underscore holds a cache of
+    the fields, which equality, hashing, repr and pickling skip. Plain
+    slots cost far less to define and to import than a frozen dataclass."""
 
     __slots__ = ()
 
@@ -71,8 +72,11 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _fields(self) -> list[str]:
+        return [name for name in self.__slots__ if name[0] != "_"]
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields())
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -87,50 +91,8 @@ class _Frozen:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields(), self._values()))
         return f"{type(self).__name__}({fields})"
-
-
-class CharPoly(_Frozen):
-    """Monic integer polynomial; coeffs[k] is the coefficient of x^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        if not coeffs or coeffs[-1] != 1:
-            raise ValueError("characteristic polynomial must be monic")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == 1 else f"{mag}{xs}"
-            terms.append(("-" if c < 0 else "+", body))
-        if not terms:
-            return "0"
-        sign, body = terms[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
 
 
 class ExactSpectrum(_Frozen):
@@ -190,18 +152,21 @@ def closed_form_spectrum(n: int, cyclic: bool) -> ExactSpectrum:
     )
 
 
-def char_poly_from_spectrum(s: ExactSpectrum) -> CharPoly:
-    """Monic polynomial whose roots are the spectrum's eigenvalues with
-    multiplicity, ascending coefficients. On closed_form_spectrum(n, True)
+def char_poly_from_spectrum(s: ExactSpectrum) -> tuple[int, ...]:
+    """Ascending coefficients of the monic polynomial whose roots are the
+    spectrum's eigenvalues with multiplicity. On closed_form_spectrum(n, True)
     this is the closed form x(x-n)^{n-phi-1} (x-(n-phi-1)) (x-(n-1))^{phi-1}."""
-    coeffs = [1]
-    for value, mult in s.pairs:
-        for _ in range(mult):
-            coeffs = [0] + coeffs
-            if value:
-                for k in range(len(coeffs) - 1):
-                    coeffs[k] -= value * coeffs[k + 1]
-    return CharPoly(tuple(coeffs))
+    return _times_roots([1], s.pairs)
+
+
+def _times_roots(coeffs: list[int], roots) -> tuple[int, ...]:
+    """The ascending coefficients of a monic polynomial times
+    prod (x - d)^e over the pairs (d, e) of roots, one factor at a time."""
+    for d, e in roots:
+        for _ in range(e):
+            coeffs = [a - d * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
+    return tuple(coeffs)
 
 
 def algebraic_connectivity(s: ExactSpectrum) -> int:

@@ -15,7 +15,9 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class Graph(_Frozen):
-    __slots__ = ("n", "adj")
+    # _partition keeps the twin classes of _twins, which the symmetry check
+    # computes and twin_quotient reads
+    __slots__ = ("n", "adj", "_partition")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         object.__setattr__(self, "n", n)
@@ -32,7 +34,8 @@ class Graph(_Frozen):
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if (mask >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        if not _is_symmetric(self.adj):
+        object.__setattr__(self, "_partition", _twins(self.adj))
+        if not _is_symmetric(self.adj, self._partition):
             v, w = next((v, w) for v, mask in enumerate(self.adj)
                         for w in _bits(mask) if not self.adj[w] >> v & 1)
             raise ValueError(f"asymmetric edge ({v}, {w})")
@@ -78,15 +81,15 @@ def _twins(adj: tuple[int, ...]) -> tuple[list[list[int]], list[int], list[int]]
     return classes, owner, [_mask(members) for members in classes]
 
 
-def _is_symmetric(adj: tuple[int, ...]) -> bool:
-    """Whether w in adj[v] exactly when v in adj[w], for loopless masks.
-    Each twin class (see _twins) sees every vertex outside it alike, and
-    the members of a class see each other alike both ways. The relation is
-    then symmetric exactly when each class A that sees some of a class B
-    sees all of B, and B all of A: one test per pair of adjacent classes,
-    so a graph with few classes, such as K_n, costs O(n) operations on
-    n-bit masks."""
-    classes, owner, masks = _twins(adj)
+def _is_symmetric(adj: tuple[int, ...], partition) -> bool:
+    """Whether w in adj[v] exactly when v in adj[w], for loopless masks
+    with the given twin partition (see _twins). Each twin class sees every
+    vertex outside it alike, and the members of a class see each other
+    alike both ways. The relation is then symmetric exactly when each class
+    A that sees some of a class B sees all of B, and B all of A: one test
+    per pair of adjacent classes, so a graph with few classes, such as K_n,
+    costs O(n) operations on n-bit masks."""
+    classes, owner, masks = partition
     for members, mask in zip(classes, masks):
         seen = adj[members[0]] & ~mask
         while seen:
@@ -99,20 +102,21 @@ def _is_symmetric(adj: tuple[int, ...]) -> bool:
 
 def twin_quotient(graph: Graph, laplacian: bool):
     """(sizes, c, diag), all tuples, for the Laplacian L = D - A of graph,
-    or for its adjacency matrix A, over the twin classes of _twins: i and j
-    are twins when N(i) and N(j) agree outside {i, j}, which is when they
-    are twins of the matrix (M_ii = M_jj, M_ij = M_ji, and rows and columns
-    agree outside {i, j}). sizes holds the class sizes m_a, c the value
-    c_ab that each class a holds towards class b, with c_aa its value off
-    the diagonal (for a singleton, its diagonal entry), and diag each
-    class's diagonal entry M_ii. This is an equitable partition (Godsil &
-    Royle, Algebraic Graph Theory, 9.3): eigenvectors that sum to zero on
-    one class have the eigenvalue d_a = M_ii - c_aa (m_a - 1 of them per
-    class), and class-constant vectors see the quotient c_ab m_b, whose
-    diagonal is M_ii + c_aa (m_a - 1). One mask test per pair of adjacent
-    classes, so K_n and Z_n's graph cost O(n) operations on n-bit masks."""
+    or for its adjacency matrix A, over the twin classes of _twins that the
+    graph kept from its symmetry check: i and j are twins when N(i) and N(j)
+    agree outside {i, j}, which is when they are twins of the matrix
+    (M_ii = M_jj, M_ij = M_ji, and rows and columns agree outside {i, j}).
+    sizes holds the class sizes m_a, c the value c_ab that each class a
+    holds towards class b, with c_aa its value off the diagonal (for a
+    singleton, its diagonal entry), and diag each class's diagonal entry
+    M_ii. This is an equitable partition (Godsil & Royle, Algebraic Graph
+    Theory, 9.3): eigenvectors that sum to zero on one class have the
+    eigenvalue d_a = M_ii - c_aa (m_a - 1 of them per class), and
+    class-constant vectors see the quotient c_ab m_b, whose diagonal is
+    M_ii + c_aa (m_a - 1). One mask test per pair of adjacent classes, so
+    K_n and Z_n's graph cost O(n) operations on n-bit masks."""
     adj = graph.adj
-    classes, owner, masks = _twins(adj)
+    classes, owner, masks = graph._partition
     edge = -1 if laplacian else 1
     c, diag = [], []
     for a, (members, mask) in enumerate(zip(classes, masks)):

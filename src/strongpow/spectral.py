@@ -11,7 +11,7 @@ import functools
 import math
 
 from .errors import SizeGuardError
-from .formulas import CharPoly, ExactSpectrum
+from .formulas import ExactSpectrum, _times_roots
 from .graphs import Graph, twin_quotient
 
 CHAR_POLY_LIMIT = 256
@@ -31,24 +31,19 @@ def laplacian(graph: Graph):
 TWIN_CLASS_LIMIT = 32
 
 
-def char_poly_exact(quotient) -> CharPoly:
-    """Monic characteristic polynomial det(xI - M) with exact integer
-    coefficients of the matrix M whose twin quotient is (sizes, c, diag)
-    (see graphs.twin_quotient): the memoized factors of _twin_factors,
-    multiplied out. Bounded at order 256, where the polynomial already
-    takes about 93 KB of text, and at TWIN_CLASS_LIMIT twin classes."""
+def char_poly_exact(quotient) -> tuple[int, ...]:
+    """Ascending integer coefficients of det(xI - M), monic, for the matrix
+    M whose twin quotient is (sizes, c, diag) (see graphs.twin_quotient):
+    the memoized factors of _twin_factors, multiplied out. Bounded at order
+    256, where the polynomial already takes about 93 KB of text, and at
+    TWIN_CLASS_LIMIT twin classes."""
     n = sum(quotient[0])
     if n > CHAR_POLY_LIMIT:
         raise SizeGuardError(
             f"char_poly_exact is bounded at order {CHAR_POLY_LIMIT}, got {n}"
         )
     shifts, coeffs = _twin_factors(quotient)
-    for d, e in shifts:
-        for _ in range(e):
-            # times (x - d), one small factor at a time
-            coeffs = [a - d * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-    assert coeffs[-1] == 1, "leading coefficient must be 1 for a monic result"
-    return CharPoly(tuple(coeffs))
+    return _times_roots(coeffs, shifts)
 
 
 def laplacian_spectrum(lap) -> ExactSpectrum | None:

@@ -306,6 +306,15 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def poly_at(coeffs, x: int) -> int:
+    """The polynomial with ascending coefficients coeffs at x, by Horner's
+    rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def permanent_expansion(m: IntMatrix) -> int:
     """Exact permanent by expansion along successive rows (the permanent
     analogue of cofactor expansion, without sign alternation). Independent of

@@ -210,6 +210,10 @@ def test_invalid_range_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "sweep", "--range", "5")
     assert code == 2 and err.startswith("error:")
+    # the whole text must be a range: no trailing newline
+    code, out, err = run(capsys, "verify", "--family", "cyclic", "--range", "2..3\n")
+    assert code == 2 and out == ""
+    assert err == "error: range must look like 2..24, got '2..3\\n'\n"
     # a range that holds no corpus group names the orders the corpus has
     for span in ("30..40", "5..5"):
         code, out, err = run(capsys, "verify", "--family", "corpus", "--range", span)

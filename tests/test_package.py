@@ -26,7 +26,7 @@ _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderEr
     noncyclic_corpus parse_group_spec Graph chromatic_number_exact complete_graph
     degree_sequence graph_from_edges graph_to_dot graph_to_json
     graph_to_matrix_market is_complete is_regular strong_power_graph
-    twin_quotient vertex_connectivity CharPoly
+    twin_quotient vertex_connectivity
     ExactSpectrum algebraic_connectivity char_poly_exact
     char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
     laplacian_spectrum laplacian_energy_closed_form laplacian_energy_from_spectrum
@@ -114,8 +114,8 @@ def test_integers_past_4300_digits_are_written_outside_the_cli():
         "assert bundle_to_json({'x': 10**5000}) == '{\\n  \"x\": 1' + '0' * 5000 + '\\n}\\n'\n"
         "(rec,) = run_verify('cyclic', 1400, 1400, ('tau',)).records\n"
         "assert rec.status == 'agree', rec\n"
-        "assert rec.formula_value == _text(spanning_tree_count_formula(1400, True))\n"
-        "assert len(rec.formula_value) > 4300\n"
+        "assert rec.formula == _text(spanning_tree_count_formula(1400, True))\n"
+        "assert len(rec.formula) > 4300\n"
         "assert sys.get_int_max_str_digits() == limit\n"
         "print(limit)\n"
     )
@@ -171,13 +171,12 @@ def test_value_classes_are_immutable_and_compare_by_value():
     import copy
     import pickle
 
-    from strongpow import (CharPoly, CliqueParams, ExactSpectrum, Graph, full_connection_set,
-                           make_klein)
+    from strongpow import (CliqueParams, ExactSpectrum, Graph, full_connection_set, make_klein,
+                           twin_quotient)
 
     klein = make_klein()
-    makers = [lambda: Graph(3, (2, 1, 0)), lambda: CharPoly((0, 1)),
-              lambda: ExactSpectrum(((2, 1), (0, 1))), lambda: CliqueParams(2, 3),
-              lambda: full_connection_set(klein)]
+    makers = [lambda: Graph(3, (2, 1, 0)), lambda: ExactSpectrum(((2, 1), (0, 1))),
+              lambda: CliqueParams(2, 3), lambda: full_connection_set(klein)]
     for make in makers:
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and a is not b
@@ -196,5 +195,11 @@ def test_value_classes_are_immutable_and_compare_by_value():
     # a group compares by identity, and its copy is a group of its own
     assert make_klein() != klein == klein
     assert copy.copy(klein).table == klein.table
-    with pytest.raises(ValueError, match="monic"):
-        CharPoly((1, 2))
+    # a graph's twin partition is a cache: equality, hashing, repr and
+    # pickling read only n and adj, and a copy computes its own
+    path = Graph(3, (2, 5, 2))
+    assert repr(path) == "Graph(n=3, adj=(2, 5, 2))"
+    for other in (copy.copy(path), pickle.loads(pickle.dumps(path))):
+        assert other == path and hash(other) == hash(path)
+        assert twin_quotient(other, True) == twin_quotient(path, True) == (
+            (2, 1), ((0, -1), (-1, 2)), (1, 2))

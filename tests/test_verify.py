@@ -67,18 +67,17 @@ def test_run_verify_cyclic_range():
     assert all(r.check == "le" and r.n >= 3 for r in disagreeing)
     known = load_known_discrepancies()
     assert report.undocumented_disagreements(known) == []
-    assert report.exit_code(known) == 0
 
 
 def test_run_verify_cyclic_spot_records():
     report = run_verify("cyclic", 2, 14)
     le4 = find(report, "le", 4)
-    assert le4.formula_value == "4" and le4.oracle_value == "6"
+    assert le4.formula == "4" and le4.oracle == "6"
     assert le4.status == DISAGREE
     tau4 = find(report, "tau", 4)
-    assert tau4.formula_value == "3" and tau4.status == AGREE
+    assert tau4.formula == "3" and tau4.status == AGREE
     perm_lap4 = find(report, "perm_lap", 4)
-    assert perm_lap4.formula_value == "22" and perm_lap4.status == AGREE
+    assert perm_lap4.formula == "22" and perm_lap4.status == AGREE
     # P_s(Z_2) = 2K_1 is Cay(Z_2, {}), and the closed form is stated for n >= 3
     cayley2 = find(report, "cayley", 2)
     assert cayley2.status == SKIPPED
@@ -93,19 +92,24 @@ def test_run_verify_corpus_range():
     assert counts[AGREE] == 99
     assert counts[DISAGREE] == 0
     assert counts[SKIPPED] == 0
-    assert report.exit_code(load_known_discrepancies()) == 0
+    assert report.undocumented_disagreements(load_known_discrepancies()) == []
 
 
-def test_run_verify_exit_code_without_known_list():
+def test_run_verify_exit_code_without_known_list(monkeypatch, capsys):
     report = run_verify("cyclic", 4, 4, checks=("le",))
-    assert report.exit_code(()) == 1
     assert len(report.undocumented_disagreements(())) == 1
-    assert report.exit_code(load_known_discrepancies()) == 0
+    assert report.undocumented_disagreements(load_known_discrepancies()) == []
+    # the command's exit code is decided by the undocumented disagreements
+    argv = ["verify", "--family", "cyclic", "--range", "4..4", "--checks", "le"]
+    assert main(argv) == 0
+    monkeypatch.setattr(verify, "load_known_discrepancies", lambda: ())
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "undocumented disagreement: le zn:4: formula 4 vs oracle 6\n"
 
 
 def test_run_verify_covers_each_pair_once():
     report = run_verify("cyclic", 2, 6, checks=("le", "spectrum", "tau"))
-    seen = [(r.check, r.spec) for r in report.records]
+    seen = [(r.check, r.param) for r in report.records]
     # records follow canonical (group, check) order, whatever order was asked
     assert seen == [
         (c, f"zn:{n}") for n in range(2, 7) for c in ("spectrum", "tau", "le")
@@ -139,6 +143,11 @@ def test_report_tsv_and_json_shapes():
     assert payload["counts"][AGREE] == 1
     assert payload["counts"][DISAGREE] == 1
     assert {r["check"] for r in payload["records"]} == {"tau", "le"}
+    # each JSON record holds the TSV columns, in the same order, and each
+    # TSV row is its record's values
+    assert [list(r) for r in payload["records"]] == [lines[0].split("\t")] * 2
+    assert [line.split("\t") for line in lines[1:]] == [
+        [str(v) for v in r.values()] for r in payload["records"]]
 
 
 def test_cayley_witness_is_checked_past_order_12():
@@ -170,16 +179,16 @@ def test_a_graph_of_neither_shape_disagrees(monkeypatch):
     [chi] = report.records
     assert chi.status == DISAGREE
     assert chi.note == "graph is neither complete nor a clique plus one vertex"
-    assert report.exit_code(known) == 1
+    assert report.undocumented_disagreements(known) == report.records
     # an order-16 group's K_16 less one edge is a clique plus one vertex of
     # chi 15, and not the witness K_16
     _drop_edge(monkeypatch, 0, 1)
     spec = next(spec for spec, grp in noncyclic_corpus(16) if grp.n == 16)
     report = run_verify("corpus", 16, 16, checks=("chi", "cayley"))
-    records = [r for r in report.records if r.spec == spec]
-    assert [(r.check, r.status, r.oracle_value) for r in records] == [
+    records = [r for r in report.records if r.param == spec]
+    assert [(r.check, r.status, r.oracle) for r in records] == [
         ("chi", DISAGREE, "15"), ("cayley", DISAGREE, "false")]
-    assert report.exit_code(known) == 1
+    assert set(records) <= set(report.undocumented_disagreements(known))
 
 
 def test_a_spectrum_that_is_not_integral_disagrees(monkeypatch):
@@ -187,12 +196,12 @@ def test_a_spectrum_that_is_not_integral_disagrees(monkeypatch):
     _drop_edge(monkeypatch, 1, 2)
     report = run_verify("cyclic", 6, 6, checks=("le",))
     [le] = report.records
-    assert (le.status, le.oracle_value) == (DISAGREE, "")
+    assert (le.status, le.oracle) == (DISAGREE, "")
     assert le.note == "the Laplacian spectrum is not integral"
     # an integral spectrum names its oracle
     monkeypatch.undo()
     [le] = run_verify("cyclic", 6, 6, checks=("le",)).records
-    assert (le.oracle_value, le.note) == ("34/3", "exact spectrum of the twin quotient")
+    assert (le.oracle, le.note) == ("34/3", "exact spectrum of the twin quotient")
 
 
 def test_one_registry_drives_verify_invariants_and_sweep(capsys):
@@ -205,28 +214,28 @@ def test_one_registry_drives_verify_invariants_and_sweep(capsys):
         for n in orders:
             recs = {}
             for r in run_verify(family, n, n, checks).records:
-                recs.setdefault(r.spec, {})[r.check] = r
+                recs.setdefault(r.param, {})[r.check] = r
             for spec, rec in recs.items():
                 b = bundles[spec] = compute_invariant_bundle(spec)
                 if n >= 2:
-                    assert str(b["spanning_trees"]) == rec["tau"].formula_value
-                    assert str(b["laplacian_energy_closed_form"]) == rec["le"].formula_value
+                    assert str(b["spanning_trees"]) == rec["tau"].formula
+                    assert str(b["laplacian_energy_closed_form"]) == rec["le"].formula
                 else:
                     assert b["laplacian_energy_closed_form"] is None
                     assert rec["le"].status == SKIPPED
                 # the kappa oracle has no guard, so it is computed at every order
                 assert rec["kappa"].status == AGREE
-                assert str(b["kappa"]) == rec["kappa"].formula_value
-                assert str(b["kappa_oracle"]) == rec["kappa"].oracle_value
-                assert str(b["line_graph"]).lower() == rec["linegraph"].oracle_value
+                assert str(b["kappa"]) == rec["kappa"].formula
+                assert str(b["kappa_oracle"]) == rec["kappa"].oracle
+                assert str(b["line_graph"]).lower() == rec["linegraph"].oracle
                 for field, check in (("per_adj", "perm_adj"), ("per_lap", "perm_lap")):
                     formula, ryser = b[field]["formula"], b[field]["ryser"]
                     if rec[check].status == SKIPPED:
                         # below the least order, or past Ryser's guard
                         assert formula is None or ryser is None
                     else:
-                        assert str(formula) == rec[check].formula_value
-                        assert str(ryser) == rec[check].oracle_value
+                        assert str(formula) == rec[check].formula
+                        assert str(ryser) == rec[check].oracle
     assert len(bundles) > 48
     assert main(["sweep", "--range", "1..40"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -261,7 +270,7 @@ def test_each_matrix_is_built_once_per_group(monkeypatch):
         monkeypatch.setattr(verify, name, spy)
     report = run_verify("cyclic", 2, 12)
     groups = 11
-    assert len({r.spec for r in report.records}) == groups
+    assert len({r.param for r in report.records}) == groups
     for name, log in calls.items():
         # the same graph (or group), and the same flag, is never read twice
         assert max(Counter((id(arg), *rest) for arg, *rest in log).values()) == 1, name
@@ -297,7 +306,7 @@ def test_power_closures_are_computed_once_per_table_group(capsys):
     assert _closure_classes.cache_info().misses == 1
     _closure_classes.cache_clear()
     report = run_verify("corpus", 4, 12, checks=("kappa", "cayley"))
-    assert _closure_classes.cache_info().misses == len({r.spec for r in report.records})
+    assert _closure_classes.cache_info().misses == len({r.param for r in report.records})
 
 
 def test_a_refused_oracle_computes_no_closed_form(monkeypatch):
@@ -316,7 +325,7 @@ def test_a_refused_oracle_computes_no_closed_form(monkeypatch):
     n = RYSER_LIMIT + 1
     report = run_verify("cyclic", n, n, checks=checks)
     assert [(r.check, r.status) for r in report.records] == [(c, SKIPPED) for c in checks]
-    assert all(r.formula_value == r.oracle_value == "" for r in report.records)
+    assert all(r.formula == r.oracle == "" for r in report.records)
     assert calls == []
     # a record whose oracle runs still computes its closed form
     with pytest.raises(AssertionError, match="clique_plus_vertex_adjacency_permanent ran"):
