@@ -20,7 +20,8 @@ from fractions import Fraction
 
 from .formulas import CHECK_NAMES, ExactSpectrum, _any_digits, _text, closed_forms
 
-_RANGE_RE = re.compile(r"(\d+)\.\.(\d+)")
+# ASCII digits only: \d would also match, say, Arabic-Indic digits
+_RANGE_RE = re.compile(r"([0-9]+)\.\.([0-9]+)")
 
 SWEEP_COLUMNS = ("n", "phi", "spectrum", "a", "tau", "le", "kappa", "chi", "linegraph")
 

@@ -219,92 +219,36 @@ def is_complete(graph: Graph) -> bool:
     return all(m == full ^ (1 << v) for v, m in enumerate(graph.adj))
 
 
-def vertex_connectivity(graph: Graph) -> int:
+def _clique_shape(graph: Graph) -> int | None:
+    """The most non-neighbours any vertex has, for the only shapes the strong
+    power graph construction produces: 0 for K_n (and the empty graph), and
+    v's count when v meets every non-edge, so that G - v is a clique. None
+    for any other graph."""
+    full = (1 << graph.n) - 1
+    missed = [(full ^ (1 << v) ^ m).bit_count() for v, m in enumerate(graph.adj)]
+    most = max(missed, default=0)
+    # each non-edge is counted at both ends, so v's count is half the sum
+    # exactly when every non-edge ends at v
+    return most if 2 * most == sum(missed) else None
+
+
+def vertex_connectivity(graph: Graph) -> int | None:
     """Smallest k such that deleting some k vertices disconnects the graph or
-    leaves a single vertex; 0 for disconnected or trivial graphs, n - 1 for
-    K_n. The minimum of the local connectivities over the pairs of
-    Esfahanian & Hakimi (1984): a least-degree vertex v against each vertex
-    not adjacent to it, and each non-adjacent pair of v's neighbours."""
-    adj = graph.adj
-    if graph.n <= 1:
-        return 0
-    v = min(range(graph.n), key=lambda u: adj[u].bit_count())
-    best = graph.n - 1
-    others = ((1 << graph.n) - 1) ^ (1 << v)
-    for t in _bits(others & ~adj[v]):
-        best = _local_connectivity(adj, v, t, best)
-    for a in _bits(adj[v]):
-        later = adj[v] & ~adj[a] & ~((2 << a) - 1)
-        for b in _bits(later):
-            best = _local_connectivity(adj, a, b, best)
-    return best
-
-
-def _local_connectivity(adj, s: int, t: int, cap: int) -> int:
-    """min(cap, kappa(s, t)) for non-adjacent s and t: their common
-    neighbours, which every s-t separator contains, plus the vertex-disjoint
-    s-t paths that avoid them (Menger). The paths are unit augmenting paths
-    found by BFS on the vertex-split graph, where vertex u is an arc
-    u_in -> u_out of capacity 1 (Even 1975)."""
-    common = adj[s] & adj[t]
-    found = common.bit_count()
-    keep = ~(common | (1 << s))
-    used = 0                      # vertices whose u_in -> u_out arc is full
-    flow_out = [0] * len(adj)     # flow_out[x] has w when arc x_out -> w_in is full
-    flow_in = [0] * len(adj)      # flow_in[w] has x when arc x_out -> w_in is full
-    while found < cap:
-        # BFS over (vertex, side) nodes, side 0 = in and 1 = out, from s_out
-        parent = {(s, 1): None}
-        frontier = [(s, 1)]
-        while frontier and (t, 0) not in parent:
-            nxt = []
-            for x, side in frontier:
-                if side:    # edge arcs out of x_out, and back across a full x
-                    heads = [(w, 0) for w in _bits(adj[x] & keep & ~flow_out[x])]
-                    if (used >> x) & 1:
-                        heads.append((x, 0))
-                else:       # across an empty x, or back along x's full in-arc
-                    heads = [(y, 1) for y in _bits(flow_in[x] if (used >> x) & 1 else 1 << x)]
-                for head in heads:
-                    if head not in parent:
-                        parent[head] = (x, side)
-                        nxt.append(head)
-            frontier = nxt
-        if (t, 0) not in parent:
-            break
-        head = (t, 0)
-        while parent[head] is not None:
-            (x, side), w = parent[head], head[0]
-            if x == w:      # along or back across an in -> out arc
-                used ^= 1 << w
-            elif side:      # along x_out -> w_in
-                flow_out[x] |= 1 << w
-                flow_in[w] |= 1 << x
-            else:           # back along w_out -> x_in
-                flow_out[w] &= ~(1 << x)
-                flow_in[x] &= ~(1 << w)
-            head = (x, side)
-        found += 1
-    return min(found, cap)
+    leaves a single vertex, read off the shape at any size: n - 1 for K_n,
+    and for a clique plus one vertex v the degree of v, whose neighbours
+    cut it off (0 for the empty graph and for an isolated v). None for any
+    other graph."""
+    most = _clique_shape(graph)
+    return None if most is None else max(graph.n - 1 - most, 0)
 
 
 def chromatic_number_exact(graph: Graph) -> int | None:
-    """Exact chromatic number of the only shapes the strong power graph
-    construction produces, at any size: 0 for the empty graph, n for K_n,
-    and n - 1 when one vertex meets every non-edge. None for any other
-    graph."""
-    n = graph.n
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
-    missed = [(full ^ (1 << v) ^ m).bit_count() for v, m in enumerate(graph.adj)]
-    if not any(missed):
-        return n
-    if 2 * max(missed) == sum(missed):
-        # G - v is complete, as v's non-neighbours make up every non-edge;
-        # v misses a vertex of that (n-1)-clique, so its color can be reused.
-        return n - 1
-    return None
+    """Exact chromatic number, read off the shape at any size: 0 for the
+    empty graph, n for K_n, and n - 1 for a clique plus one vertex v, which
+    misses a vertex of the (n-1)-clique and can reuse its color. None for
+    any other graph."""
+    most = _clique_shape(graph)
+    return None if most is None else graph.n - (most > 0)
 
 
 def graph_to_json(graph: Graph):

@@ -408,8 +408,9 @@ def parse_group_spec(text: str) -> FiniteGroup:
 
 def _parse_int(text: str, pos: int) -> tuple[int, int]:
     end = pos
-    # isdecimal, not isdigit: int() rejects digits such as the superscripts
-    while end < len(text) and text[end].isdecimal():
+    # ASCII digits only: int() rejects superscripts but reads other
+    # scripts' decimal digits, which the spec would then echo
+    while end < len(text) and "0" <= text[end] <= "9":
         end += 1
     if end == pos:
         raise GroupSpecError("expected an integer", pos)

@@ -5,9 +5,9 @@ independent computation on the constructed graph, in one table, INVARIANTS,
 which the verify and invariants commands read. Each (check, group) pair
 yields one record with status agree, disagree, or skipped; a record below
 the least order of its closed form, or past its oracle's size guard, is
-skipped rather than failed. The chi and cayley oracles have no guard: every
-strong power graph is K_n or a clique plus one vertex, and they decide by
-that shape at every order. Disagreements are
+skipped rather than failed. The kappa, chi and cayley oracles have no
+guard: every strong power graph is K_n or a clique plus one vertex, and they
+decide by that shape at every order. Disagreements are
 compared against the shipped known-discrepancy list so documented formula
 defects are reported without masking new ones.
 """
@@ -179,10 +179,10 @@ def _judge_le(case, formula, spectrum):
     return _agreement(case, formula, oracle, "exact spectrum of the twin quotient")
 
 
-def _judge_chi(case, formula, oracle):
-    """The oracle reads chi off the graph's shape, K_n or a clique plus one
-    vertex; a graph of neither shape is a construction defect, and its
-    record disagrees at any order."""
+def _judge_shape(case, formula, oracle):
+    """The kappa and chi oracles read the graph's shape, K_n or a clique
+    plus one vertex; a graph of neither shape is a construction defect, and
+    its record disagrees at any order."""
     if oracle is None:
         return _text(formula), "", DISAGREE, (
             "graph is neither complete nor a clique plus one vertex")
@@ -236,10 +236,10 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: laplacian_spectrum(c.lap_quotient), _judge_le),
     "kappa": Invariant(
         1, lambda c: kappa_formula(c.n, c.cyclic),
-        lambda c: vertex_connectivity(c.graph)),
+        lambda c: vertex_connectivity(c.graph), _judge_shape),
     "chi": Invariant(
         1, lambda c: chi_formula(c.n, c.cyclic),
-        lambda c: chromatic_number_exact(c.graph), _judge_chi),
+        lambda c: chromatic_number_exact(c.graph), _judge_shape),
     "linegraph": Invariant(
         1, lambda c: cyclic_line_graph_classification(c.n, c.cyclic),
         lambda c: is_line_graph(c.graph)),
@@ -334,11 +334,10 @@ def run_verify(
     if family == "cyclic":
         members = [(f"zn:{n}", make_cyclic(n)) for n in range(n_lo, n_hi + 1)]
     else:
-        members = [
-            (spec, grp) for spec, grp in noncyclic_corpus(n_hi) if grp.n >= n_lo
-        ]
+        corpus = noncyclic_corpus()
+        members = [(spec, grp) for spec, grp in corpus if n_lo <= grp.n <= n_hi]
         if not members:
-            orders = sorted({grp.n for _, grp in noncyclic_corpus()})
+            orders = sorted({grp.n for _, grp in corpus})
             raise ValueError(
                 f"no corpus group has order in {n_lo}..{n_hi}; the corpus orders "
                 f"are {', '.join(map(str, orders))}"

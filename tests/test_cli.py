@@ -184,6 +184,10 @@ def test_invalid_group_spec_exits_2(capsys):
     assert "order" in err
     code, _, err = run(capsys, "build", "--group", "nonsense")
     assert code == 2 and err.startswith("error:")
+    # an Arabic-Indic three is not read as 3, nor echoed back as the group
+    code, out, err = run(capsys, "invariants", "--group", "zn:٣", "--format", "json")
+    assert code == 2 and out == ""
+    assert err == "error: expected an integer (position 3)\n"
 
 
 def test_orders_past_the_table_bound_exit_2(capsys):
@@ -214,6 +218,10 @@ def test_invalid_range_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--family", "cyclic", "--range", "2..3\n")
     assert code == 2 and out == ""
     assert err == "error: range must look like 2..24, got '2..3\\n'\n"
+    # and its digits are ASCII: Arabic-Indic two and three are refused
+    code, out, err = run(capsys, "sweep", "--range", "\u0662..\u0663")
+    assert code == 2 and out == ""
+    assert err == "error: range must look like 2..24, got '\u0662..\u0663'\n"
     # a range that holds no corpus group names the orders the corpus has
     for span in ("30..40", "5..5"):
         code, out, err = run(capsys, "verify", "--family", "corpus", "--range", span)

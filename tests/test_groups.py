@@ -393,6 +393,10 @@ def test_parse_group_spec_errors_report_position():
         parse_group_spec("zn:²")
     with pytest.raises(GroupSpecError, match=r"^trailing text '²' \(position 4\)$"):
         parse_group_spec("zn:1²")
+    # nor are decimal digits of other scripts, which int() would read: an
+    # Arabic-Indic three is not 3
+    with pytest.raises(GroupSpecError, match=r"^expected an integer \(position 3\)$"):
+        parse_group_spec("zn:\u0663")
 
 
 def test_load_cayley_table_csv(tmp_path):

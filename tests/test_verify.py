@@ -170,24 +170,25 @@ def _drop_edge(monkeypatch, u, v):
     monkeypatch.setattr(verify, "strong_power_graph", damaged)
 
 
-def test_a_graph_of_neither_shape_disagrees(monkeypatch):
+@pytest.mark.parametrize("check, damaged_16", [("chi", "15"), ("kappa", "14")])
+def test_a_graph_of_neither_shape_disagrees(monkeypatch, check, damaged_16):
     known = load_known_discrepancies()
     # Z_64 less the edge between the generators 1 and 3: no vertex meets
-    # both that non-edge and the identity's, so chi has no shape to read
+    # both that non-edge and the identity's, so there is no shape to read
     _drop_edge(monkeypatch, 1, 3)
-    report = run_verify("cyclic", 64, 64, checks=("chi",))
-    [chi] = report.records
-    assert chi.status == DISAGREE
-    assert chi.note == "graph is neither complete nor a clique plus one vertex"
+    report = run_verify("cyclic", 64, 64, checks=(check,))
+    [rec] = report.records
+    assert rec.status == DISAGREE
+    assert rec.note == "graph is neither complete nor a clique plus one vertex"
     assert report.undocumented_disagreements(known) == report.records
-    # an order-16 group's K_16 less one edge is a clique plus one vertex of
-    # chi 15, and not the witness K_16
+    # an order-16 group's K_16 less one edge is a clique plus one vertex, of
+    # chi 15 and kappa 14, and not the witness K_16
     _drop_edge(monkeypatch, 0, 1)
     spec = next(spec for spec, grp in noncyclic_corpus(16) if grp.n == 16)
-    report = run_verify("corpus", 16, 16, checks=("chi", "cayley"))
+    report = run_verify("corpus", 16, 16, checks=(check, "cayley"))
     records = [r for r in report.records if r.param == spec]
     assert [(r.check, r.status, r.oracle) for r in records] == [
-        ("chi", DISAGREE, "15"), ("cayley", DISAGREE, "false")]
+        (check, DISAGREE, damaged_16), ("cayley", DISAGREE, "false")]
     assert set(records) <= set(report.undocumented_disagreements(known))
 
 
