@@ -15,10 +15,10 @@ import importlib
 _EXPORTS = {
     "errors": "SizeGuardError",
     "formulas": """CHECK_NAMES ExactSpectrum algebraic_connectivity
-        char_poly_from_spectrum chi_formula closed_form_spectrum
-        cyclic_line_graph_classification euler_phi kappa_formula
-        laplacian_energy_closed_form laplacian_energy_from_spectrum
-        spanning_tree_count_formula""",
+        cayley_classification char_poly_from_spectrum chi_formula
+        closed_form_spectrum cyclic_line_graph_classification euler_phi
+        kappa_formula laplacian_energy_closed_form
+        laplacian_energy_from_spectrum spanning_tree_count_formula""",
     "groups": """FiniteGroup GroupError GroupSpecError InvalidOrderError
         MissingInverseError NoIdentityError NotAssociativeError
         NotLatinSquareError element_order is_cyclic load_cayley_table_csv
@@ -33,8 +33,7 @@ _EXPORTS = {
     "permanents": """CliqueParams clique_plus_vertex_adjacency_permanent
         clique_plus_vertex_laplacian_permanent
         complete_graph_laplacian_permanent permanent_ryser""",
-    "structure": """ConnectionSet cayley_classification cayley_graph
-        full_connection_set is_line_graph line_graph_root""",
+    "structure": "is_line_graph line_graph_root",
     "verify": """CheckRecord KnownDiscrepancy VerifyReport
         load_known_discrepancies run_verify""",
 }

@@ -1,8 +1,8 @@
 """The paper's closed forms, which read only the order n, phi(n) and whether
 the group is cyclic: the Laplacian spectrum and its polynomial, algebraic
-connectivity, spanning trees, Laplacian energy, kappa, chi and line-graph
-membership. Commands that print only closed forms (`sweep`) import this
-module alone.
+connectivity, spanning trees, Laplacian energy, kappa, chi, line-graph
+membership and Cayley classification. Commands that print only closed
+forms (`sweep`) import this module alone.
 """
 
 from __future__ import annotations
@@ -254,6 +254,16 @@ def cyclic_line_graph_classification(n: int, cyclic: bool = True) -> bool:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     return not cyclic or n in (1, 4, 9) or euler_phi(n) == n - 1
+
+
+def cayley_classification(n: int, cyclic: bool) -> bool:
+    """True iff the strong power graph of a group of order n is a Cayley
+    graph of some group, which happens exactly when the group is noncyclic
+    (the witness being C(G, G without identity) = K_n). A cyclic group of
+    order >= 3 yields a non-regular graph, which no Cayley graph is."""
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    return not cyclic
 
 
 def closed_forms(n: int, cyclic: bool) -> dict[str, object]:

@@ -417,7 +417,13 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
     return int(text[pos:end]), end
 
 
-def _parse_spec(text: str, pos: int) -> tuple[FiniteGroup, int]:
+# Products nest at most this deep, which keeps the recursive descent far from
+# Python's recursion limit; a product of more than log2(MAX_TABLE_ORDER) = 12
+# nontrivial factors is past the order bound anyway.
+MAX_PRODUCT_DEPTH = 64
+
+
+def _parse_spec(text: str, pos: int, depth: int = 0) -> tuple[FiniteGroup, int]:
     if text.startswith("zn:", pos):
         n, pos = _parse_int(text, pos + 3)
         return make_cyclic(n), pos
@@ -430,10 +436,12 @@ def _parse_spec(text: str, pos: int) -> tuple[FiniteGroup, int]:
         k, pos = _parse_int(text, pos + 4)
         return make_symmetric(k), pos
     if text.startswith("product:", pos):
-        a, pos = _parse_spec(text, pos + 8)
+        if depth == MAX_PRODUCT_DEPTH:
+            raise GroupSpecError(f"products nest deeper than {MAX_PRODUCT_DEPTH} levels", pos)
+        a, pos = _parse_spec(text, pos + 8, depth + 1)
         if pos >= len(text) or text[pos] != "+":
             raise GroupSpecError("expected '+' between product operands", pos)
-        b, pos = _parse_spec(text, pos + 1)
+        b, pos = _parse_spec(text, pos + 1, depth + 1)
         return make_direct_product(a, b), pos
     if text.startswith("table:", pos):
         path = text[pos + 6 :]

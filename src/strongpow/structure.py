@@ -1,16 +1,13 @@
-"""Structural classification of strong power graphs: line-graph recognition
-by root-graph reconstruction (Roussopoulos 1973; Lehot 1974), which returns
-the root and the edge map that certify each "yes"; and Cayley-graph
-construction and classification.
+"""Line-graph recognition for strong power graphs by root-graph
+reconstruction (Roussopoulos 1973; Lehot 1974), which returns the root and
+the edge map that certify each "yes".
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .formulas import _Frozen
 from .graphs import Graph, _bits, graph_from_edges
-from .groups import FiniteGroup, _mask, is_cyclic
 
 def _is_clique(adj, mask: int) -> bool:
     return all(mask & ~adj[v] == 1 << v for v in _bits(mask))
@@ -124,41 +121,3 @@ def is_line_graph(g: Graph) -> bool:
     rebuilding a root with line_graph_root: O(n) operations on n-bit masks,
     with no size guard."""
     return line_graph_root(g) is not None
-
-class ConnectionSet(_Frozen):
-    """A connection set for a Cayley graph: excludes the identity and is
-    closed under inversion."""
-
-    __slots__ = ("group", "elements")
-
-    def __init__(self, group: FiniteGroup, elements: frozenset[int]):
-        for x in elements:
-            if not 0 <= x < group.n:
-                raise ValueError(f"element {x} out of range for order {group.n}")
-        if group.identity in elements:
-            raise ValueError("connection set must not contain the identity")
-        inverses = frozenset(group.inverse(x) for x in elements)
-        if inverses != elements:
-            raise ValueError("connection set must be closed under inversion")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", elements)
-
-def full_connection_set(g: FiniteGroup) -> ConnectionSet:
-    """All non-identity elements; always a valid connection set."""
-    return ConnectionSet(g, frozenset(range(g.n)) - {g.identity})
-
-def cayley_graph(g: FiniteGroup, s: ConnectionSet) -> Graph:
-    """The Cayley graph C(G, S): distinct x, y adjacent iff x * y^{-1} lies
-    in S. Inverse closure of S makes the relation symmetric; the result is
-    |S|-regular."""
-    if s.group is not g:
-        raise ValueError("connection set belongs to a different group")
-    # y = s^{-1} x for some s in S, and S holds the inverses of its members
-    return Graph(g.n, tuple(_mask(g.op(t, x) for t in s.elements) for x in range(g.n)))
-
-def cayley_classification(g: FiniteGroup) -> bool:
-    """True iff the strong power graph of g is a Cayley graph of some group,
-    which happens exactly when g is noncyclic (the witness being
-    C(G, G without identity) = K_n). Cyclic groups of order >= 3 yield a
-    non-regular graph, which no Cayley graph is."""
-    return not is_cyclic(g)

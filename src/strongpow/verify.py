@@ -23,6 +23,7 @@ from .errors import SizeGuardError
 from .formulas import (
     CHECK_NAMES,
     _text,
+    cayley_classification,
     char_poly_from_spectrum,
     chi_formula,
     closed_form_spectrum,
@@ -36,6 +37,7 @@ from .groups import FiniteGroup, is_cyclic, make_cyclic, noncyclic_corpus
 from .graphs import (
     Graph,
     chromatic_number_exact,
+    is_complete,
     is_regular,
     strong_power_graph,
     twin_quotient,
@@ -54,12 +56,7 @@ from .permanents import (
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
-from .structure import (
-    cayley_classification,
-    cayley_graph,
-    full_connection_set,
-    is_line_graph,
-)
+from .structure import is_line_graph
 
 FAMILIES = ("cyclic", "corpus")
 
@@ -190,9 +187,11 @@ def _judge_shape(case, formula, oracle):
 
 
 def _judge_cayley(case, claimed, oracle):
-    """For a noncyclic group the oracle is equality, as labelled graphs,
-    with the witness C(G, G \\ {e}) = K_n; for a cyclic one it is
-    regularity, where only a non-regular graph settles the claim."""
+    """For a noncyclic group the oracle is completeness: the witness
+    C(G, G \\ {e}) joins x and y iff x * y^-1 is not e, iff x != y, so by
+    the group axioms it is K_n, and the graph equals it iff it is complete.
+    For a cyclic group it is regularity, where only a non-regular graph
+    settles the claim."""
     if not case.cyclic:
         return _agreement(case, claimed, oracle, "witness C(G, G \\ {e})")
     if oracle:
@@ -244,9 +243,8 @@ INVARIANTS: dict[str, Invariant] = {
         1, lambda c: cyclic_line_graph_classification(c.n, c.cyclic),
         lambda c: is_line_graph(c.graph)),
     "cayley": Invariant(
-        3, lambda c: cayley_classification(c.group),
-        lambda c: is_regular(c.graph) if c.cyclic
-        else c.graph == cayley_graph(c.group, full_connection_set(c.group)),
+        3, lambda c: cayley_classification(c.n, c.cyclic),
+        lambda c: is_regular(c.graph) if c.cyclic else is_complete(c.graph),
         _judge_cayley),
     "perm_adj": Invariant(
         2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),

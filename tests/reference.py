@@ -4,7 +4,8 @@ Each oracle is a slow, obviously-correct computation kept as a cross-check
 for a faster routine in `strongpow`, or, like the isomorphism search, as
 the reference the tests compare small built graphs with. Each refuses
 inputs past a size guard instead of running for hours. The builders make the small test graphs
-that no command constructs. `IntMatrix` holds a whole n x n integer matrix,
+that no command constructs, and the Cayley graph C(G, S) that witnesses
+the Cayley classification. `IntMatrix` holds a whole n x n integer matrix,
 and `twin_classes` and `matrix_quotient` read a twin quotient off its
 entries: the references for `strongpow.graphs.twin_quotient`, which reads
 it off a graph's masks, and for the kernels that take a quotient.
@@ -19,7 +20,7 @@ from typing import Optional
 from operator import index
 
 from strongpow.errors import SizeGuardError
-from strongpow.formulas import cyclic_line_graph_classification
+from strongpow.formulas import _Frozen, cyclic_line_graph_classification
 from strongpow.graphs import (
     Graph,
     _bits,
@@ -28,7 +29,7 @@ from strongpow.graphs import (
     graph_from_edges,
     is_complete,
 )
-from strongpow.groups import FiniteGroup
+from strongpow.groups import FiniteGroup, _mask
 
 CONNECTIVITY_ORACLE_LIMIT = 14
 ISOMORPHISM_LIMIT = 12
@@ -273,6 +274,40 @@ def strong_power_graph_bruteforce(g: FiniteGroup) -> Graph:
             if any(pa == pb for pa in powers[a] for pb in powers[b]):
                 edges.append((a, b))
     return graph_from_edges(n, edges)
+
+
+class ConnectionSet(_Frozen):
+    """A connection set for a Cayley graph: excludes the identity and is
+    closed under inversion."""
+
+    __slots__ = ("group", "elements")
+
+    def __init__(self, group: FiniteGroup, elements: frozenset[int]):
+        for x in elements:
+            if not 0 <= x < group.n:
+                raise ValueError(f"element {x} out of range for order {group.n}")
+        if group.identity in elements:
+            raise ValueError("connection set must not contain the identity")
+        inverses = frozenset(group.inverse(x) for x in elements)
+        if inverses != elements:
+            raise ValueError("connection set must be closed under inversion")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "elements", elements)
+
+
+def full_connection_set(g: FiniteGroup) -> ConnectionSet:
+    """All non-identity elements; always a valid connection set."""
+    return ConnectionSet(g, frozenset(range(g.n)) - {g.identity})
+
+
+def cayley_graph(g: FiniteGroup, s: ConnectionSet) -> Graph:
+    """The Cayley graph C(G, S): distinct x, y adjacent iff x * y^{-1} lies
+    in S. Inverse closure of S makes the relation symmetric; the result is
+    |S|-regular."""
+    if s.group is not g:
+        raise ValueError("connection set belongs to a different group")
+    # y = s^{-1} x for some s in S, and S holds the inverses of its members
+    return Graph(g.n, tuple(_mask(g.op(t, x) for t in s.elements) for x in range(g.n)))
 
 
 def det_bareiss(m: IntMatrix) -> int:

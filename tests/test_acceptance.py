@@ -36,13 +36,15 @@ from strongpow.spectral import (
     laplacian,
     spanning_tree_count_kirchhoff,
 )
-from strongpow.structure import cayley_graph, full_connection_set, is_line_graph
+from strongpow.structure import is_line_graph
 from strongpow.verify import CheckRecord, load_known_discrepancies, run_verify
 
 from reference import (
     BEINEKE_PATTERNS,
+    cayley_graph,
     clique_plus_vertex_graph,
     cyclic_line_graph_root,
+    full_connection_set,
     graph_isomorphic,
     adjacency_matrix,
     induced_subgraph,

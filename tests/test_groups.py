@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongpow.cli import main
 from strongpow.formulas import euler_phi
 from strongpow.groups import (
+    MAX_PRODUCT_DEPTH,
     MAX_TABLE_ORDER,
     FiniteGroup,
     GroupSpecError,
@@ -397,6 +399,22 @@ def test_parse_group_spec_errors_report_position():
     # Arabic-Indic three is not 3
     with pytest.raises(GroupSpecError, match=r"^expected an integer \(position 3\)$"):
         parse_group_spec("zn:\u0663")
+
+
+@pytest.mark.parametrize("spec, pos", [
+    ("product:zn:1+" * 1000 + "zn:1", 64 * 13),
+    ("product:" * 1200 + "zn:1" + "+zn:1" * 1200, 64 * 8),
+], ids=["right-nested", "left-nested"])
+def test_deeply_nested_products_exit_2(capsys, spec, pos):
+    # past MAX_PRODUCT_DEPTH nested products, right- or left-nested, the
+    # parser refuses the spec where the recursion limit would crash it
+    assert main(["build", "--group", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: products nest deeper than {MAX_PRODUCT_DEPTH} levels (position {pos})\n")
+    # the bound itself still parses
+    assert parse_group_spec("product:zn:1+" * MAX_PRODUCT_DEPTH + "zn:1").n == 1
 
 
 def test_load_cayley_table_csv(tmp_path):

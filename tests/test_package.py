@@ -16,9 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 # Every name the package exported when it imported all its modules eagerly,
-# less graph_isomorphic, IntMatrix, twin_classes, adjacency and
-# to_matrix_market, which only the tests use (tests/reference.py), and with
-# the graph readers twin_quotient and graph_to_matrix_market.
+# less graph_isomorphic, IntMatrix, twin_classes, adjacency,
+# to_matrix_market and the Cayley witness (ConnectionSet,
+# full_connection_set, cayley_graph), which only the tests use
+# (tests/reference.py), and with the graph readers twin_quotient and
+# graph_to_matrix_market.
 _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderError
     MissingInverseError NoIdentityError NotAssociativeError NotLatinSquareError
     element_order euler_phi is_cyclic load_cayley_table_csv make_cyclic
@@ -33,8 +35,8 @@ _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderEr
     spanning_tree_count_formula spanning_tree_count_kirchhoff
     CliqueParams clique_plus_vertex_adjacency_permanent
     clique_plus_vertex_laplacian_permanent complete_graph_laplacian_permanent
-    permanent_ryser ConnectionSet cayley_classification cayley_graph chi_formula
-    cyclic_line_graph_classification full_connection_set is_line_graph
+    permanent_ryser cayley_classification chi_formula
+    cyclic_line_graph_classification is_line_graph
     kappa_formula line_graph_root CHECK_NAMES CheckRecord KnownDiscrepancy
     VerifyReport load_known_discrepancies run_verify __version__""".split()
 
@@ -171,12 +173,11 @@ def test_value_classes_are_immutable_and_compare_by_value():
     import copy
     import pickle
 
-    from strongpow import (CliqueParams, ExactSpectrum, Graph, full_connection_set, make_klein,
-                           twin_quotient)
+    from strongpow import CliqueParams, ExactSpectrum, Graph, make_klein, twin_quotient
 
     klein = make_klein()
     makers = [lambda: Graph(3, (2, 1, 0)), lambda: ExactSpectrum(((2, 1), (0, 1))),
-              lambda: CliqueParams(2, 3), lambda: full_connection_set(klein)]
+              lambda: CliqueParams(2, 3)]
     for make in makers:
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and a is not b
@@ -187,8 +188,7 @@ def test_value_classes_are_immutable_and_compare_by_value():
             setattr(a, name, None)
         with pytest.raises(AttributeError):
             delattr(a, name)
-        if not hasattr(a, "group"):
-            assert pickle.loads(pickle.dumps(a)) == a
+        assert pickle.loads(pickle.dumps(a)) == a
     assert Graph(3, (2, 1, 0)) != Graph(3, (0, 0, 0))
     assert CliqueParams(2, 3) != CliqueParams(3, 2)
     assert repr(CliqueParams(2, 3)) == "CliqueParams(m=2, n=3)"

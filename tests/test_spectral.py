@@ -11,6 +11,7 @@ from strongpow.errors import SizeGuardError
 from strongpow.formulas import (
     ExactSpectrum,
     algebraic_connectivity,
+    cayley_classification,
     char_poly_from_spectrum,
     closed_form_spectrum,
     euler_phi,
@@ -597,3 +598,5 @@ def test_closed_form_input_validation():
         spanning_tree_count_formula(0, True)
     with pytest.raises(ValueError):
         laplacian_energy_closed_form(1, True)
+    with pytest.raises(ValueError):
+        cayley_classification(0, False)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from strongpow.errors import SizeGuardError
 from strongpow.formulas import (
+    cayley_classification,
     chi_formula,
     cyclic_line_graph_classification,
     euler_phi,
@@ -16,6 +17,7 @@ from strongpow.graphs import (
     chromatic_number_exact,
     complete_graph,
     graph_from_edges,
+    is_complete,
     is_regular,
     strong_power_graph,
 )
@@ -25,20 +27,16 @@ from strongpow.groups import (
     make_symmetric,
     noncyclic_corpus,
 )
-from strongpow.structure import (
-    ConnectionSet,
-    cayley_classification,
-    cayley_graph,
-    full_connection_set,
-    is_line_graph,
-    line_graph_root,
-)
+from strongpow.structure import is_line_graph, line_graph_root
 
 from reference import (
     BEINEKE_PATTERNS,
+    ConnectionSet,
+    cayley_graph,
     contains_induced,
     cyclic_line_graph_root,
     disjoint_union,
+    full_connection_set,
     graph_isomorphic,
     induced_subgraph,
     line_graph_construct,
@@ -312,12 +310,17 @@ def test_cayley_graph_is_regular():
 
 
 def test_cayley_classification():
-    assert cayley_classification(make_klein())
-    assert not cayley_classification(make_cyclic(6))
+    assert cayley_classification(4, cyclic=False)
+    assert not cayley_classification(6, cyclic=True)
     for _, grp in noncyclic_corpus(16):
-        assert cayley_classification(grp)
+        assert cayley_classification(grp.n, cyclic=False)
         # the witness is the strong power graph itself, as labelled graphs
         assert strong_power_graph(grp) == cayley_graph(grp, full_connection_set(grp))
+    # the witness is K_n in every group, so equality with it is completeness,
+    # which the verify oracle reads instead
+    for grp in [make_cyclic(n) for n in range(1, 25)] + [g for _, g in noncyclic_corpus(16)]:
+        spg = strong_power_graph(grp)
+        assert (spg == cayley_graph(grp, full_connection_set(grp))) == is_complete(spg)
 
 
 def test_cyclic_power_graphs_not_regular():

@@ -7,7 +7,13 @@ import strongpow.verify as verify
 from strongpow.cli import compute_invariant_bundle, main
 from strongpow.errors import SizeGuardError
 from strongpow.graphs import Graph, strong_power_graph
-from strongpow.groups import _closure_classes, make_cyclic, noncyclic_corpus
+from strongpow.groups import (
+    FiniteGroup,
+    _closure_classes,
+    make_cyclic,
+    make_dihedral,
+    noncyclic_corpus,
+)
 from strongpow.permanents import RYSER_LIMIT
 from strongpow.verify import (
     AGREE,
@@ -150,11 +156,18 @@ def test_report_tsv_and_json_shapes():
         [str(v) for v in r.values()] for r in payload["records"]]
 
 
-def test_cayley_witness_is_checked_past_order_12():
-    # the witness C(G, G \ {e}) is compared as a labelled graph, so the
-    # order-16 corpus groups agree with no size bound in the way
+def test_cayley_witness_is_checked_past_order_12(monkeypatch):
+    # the witness C(G, G \ {e}) is K_n by the group axioms, so the oracle
+    # reads completeness off the graph and the order-16 corpus groups agree
     report = run_verify("corpus", 16, 16, checks=("cayley",))
     assert report.records and all(r.status == AGREE for r in report.records)
+    # past the corpus, once the graph is built, neither the closed form nor
+    # the oracle multiplies in the group
+    case = verify.GroupCase(make_dihedral(512))
+    assert case.graph.n == 1024
+    monkeypatch.setattr(FiniteGroup, "op", lambda *_: pytest.fail("multiplied in the group"))
+    assert case.oracle("cayley") is True
+    assert case.formula("cayley") is True
 
 
 def _drop_edge(monkeypatch, u, v):
