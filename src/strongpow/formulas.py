@@ -101,6 +101,7 @@ class ExactSpectrum(_Frozen):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        pairs = tuple((value, mult) for value, mult in pairs)
         for value, mult in pairs:
             if mult < 1:
                 raise ValueError(f"multiplicity of {value} must be >= 1")

@@ -21,7 +21,7 @@ class Graph(_Frozen):
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", tuple(adj))
         self.__post_init__()
 
     def __post_init__(self):

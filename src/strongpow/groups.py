@@ -379,9 +379,10 @@ def _closure_classes(g: FiniteGroup) -> dict[int, int]:
 
 
 def load_cayley_table_csv(path: str) -> FiniteGroup:
-    """Read an n x n multiplication table from CSV (n rows of n integers)."""
+    """Read an n x n multiplication table from CSV (n rows of n integers),
+    as UTF-8 with or without a byte-order mark."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line:

@@ -9,7 +9,6 @@ oracle. Nothing here "fixes" a closed form.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -48,8 +47,7 @@ def permanent_ryser(quotient) -> int:
     stay exact. A quotient that lies past order RYSER_LIMIT, or whose
     grouped sum has more than 40,000 terms (without twins, one past order
     15), raises SizeGuardError. A zero row or column gives 0 at any order
-    up to RYSER_LIMIT. The grouped sums are memoized per process on the
-    quotient."""
+    up to RYSER_LIMIT."""
     sizes, c, diag = quotient
     n = sum(sizes)
     if n > RYSER_LIMIT:
@@ -70,7 +68,6 @@ def permanent_ryser(quotient) -> int:
     return _ryser_grouped(sizes, c, diag)
 
 
-@functools.lru_cache(maxsize=64)
 def _ryser_grouped(sizes, c, diag) -> int:
     """Ryser's sum over a twin quotient, with the subsets grouped by how
     many columns r_a they take from each twin class a (Ryser 1963): a row

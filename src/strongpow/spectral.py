@@ -7,7 +7,6 @@ compares the two; neither is substituted for the other.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from .errors import SizeGuardError
@@ -34,8 +33,8 @@ TWIN_CLASS_LIMIT = 32
 def char_poly_exact(quotient) -> tuple[int, ...]:
     """Ascending integer coefficients of det(xI - M), monic, for the matrix
     M whose twin quotient is (sizes, c, diag) (see graphs.twin_quotient):
-    the memoized factors of _twin_factors, multiplied out. Bounded at order
-    256, where the polynomial already takes about 93 KB of text, and at
+    the factors of _twin_factors, multiplied out. Bounded at order 256,
+    where the polynomial already takes about 93 KB of text, and at
     TWIN_CLASS_LIMIT twin classes."""
     n = sum(quotient[0])
     if n > CHAR_POLY_LIMIT:
@@ -49,9 +48,9 @@ def char_poly_exact(quotient) -> tuple[int, ...]:
 def laplacian_spectrum(lap) -> ExactSpectrum | None:
     """The exact spectrum of a graph's Laplacian L, from its twin quotient
     (see laplacian), or None when L has an eigenvalue that is not an
-    integer. The memoized factors of _twin_factors give each d_a with
-    multiplicity m_a - 1; the roots of det(xI - Q) are found by exact
-    synthetic division at x = 0, 1, ..., n, since a simple graph's
+    integer. The factors of _twin_factors give each d_a with multiplicity
+    m_a - 1; the roots of det(xI - Q) are found by exact synthetic
+    division at x = 0, 1, ..., n, since a simple graph's
     Laplacian eigenvalues lie in [0, n]. Bounded by TWIN_CLASS_LIMIT twin
     classes, as spanning_tree_count_kirchhoff is."""
     shifts, coeffs = _twin_factors(lap)
@@ -85,7 +84,6 @@ def _quotient_matrix(quotient) -> tuple[list[list[int]], list[tuple[int, int]]]:
     return q, shifts
 
 
-@functools.lru_cache(maxsize=8)
 def _twin_factors(quotient) -> tuple[list[tuple[int, int]], list[int]]:
     """The characteristic polynomial factored over twin classes:
     det(xI - M) = prod_a (x - d_a)^(m_a - 1) * det(xI - Q), where Q is the
@@ -150,7 +148,7 @@ def spanning_tree_count_kirchhoff(lap) -> int:
     its Laplacian L (see laplacian), by the all-minors matrix-tree theorem:
     the coefficient of x in det(xI - L) is (-1)^(n-1) times the sum of the
     n principal (n-1)-minors of L, each of which equals the count, so
-    c_1 = (-1)^(n-1) n tau. c_1 is read off the memoized twin-class factors
+    c_1 = (-1)^(n-1) n tau. c_1 is read off the twin-class factors
     that char_poly_exact multiplies out, as the x-coefficient of
     det(xI - Q) times the constant terms of the others, so this is bounded
     by TWIN_CLASS_LIMIT twin classes, not by the order."""

@@ -425,6 +425,11 @@ def test_load_cayley_table_csv(tmp_path):
     assert is_cyclic(g)
     spec_g = parse_group_spec(f"table:{path}")
     assert spec_g.table == g.table
+    # a spreadsheet's "CSV UTF-8" export: a byte-order mark and CRLF lines
+    exported = tmp_path / "z3-bom.csv"
+    exported.write_bytes(b"\xef\xbb\xbf0,1,2\r\n1,2,0\r\n2,0,1\r\n")
+    assert load_cayley_table_csv(str(exported)).table == g.table
+    assert parse_group_spec(f"table:{exported}").table == g.table
 
 
 def test_load_cayley_table_csv_rejects_bad_cell(tmp_path):

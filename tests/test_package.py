@@ -176,8 +176,10 @@ def test_value_classes_are_immutable_and_compare_by_value():
     from strongpow import CliqueParams, ExactSpectrum, Graph, make_klein, twin_quotient
 
     klein = make_klein()
-    makers = [lambda: Graph(3, (2, 1, 0)), lambda: ExactSpectrum(((2, 1), (0, 1))),
-              lambda: CliqueParams(2, 3)]
+    # a value class keeps a tuple of its own, whatever sequence it is given
+    makers = [lambda: Graph(3, (2, 1, 0)), lambda: Graph(3, [2, 1, 0]),
+              lambda: ExactSpectrum(((2, 1), (0, 1))), lambda: ExactSpectrum([[2, 1], [0, 1]]),
+              lambda: ExactSpectrum(p for p in ((2, 1), (0, 1))), lambda: CliqueParams(2, 3)]
     for make in makers:
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and a is not b
@@ -190,6 +192,17 @@ def test_value_classes_are_immutable_and_compare_by_value():
             delattr(a, name)
         assert pickle.loads(pickle.dumps(a)) == a
     assert Graph(3, (2, 1, 0)) != Graph(3, (0, 0, 0))
+    assert Graph(3, [2, 1, 0]) == Graph(3, (2, 1, 0))
+    assert ExactSpectrum([(2, 1), (0, 1)]) == ExactSpectrum(((2, 1), (0, 1)))
+    # changing the source list afterwards leaves the graph as validated
+    adj = [2, 1, 0]
+    g = Graph(3, adj)
+    adj[0] = 0b1000
+    assert g.adj == (2, 1, 0)
+    assert twin_quotient(g, True) == twin_quotient(Graph(3, (2, 1, 0)), True)
+    # a generator is read once, so its order is checked as well
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        ExactSpectrum(p for p in ((0, 1), (2, 1)))
     assert CliqueParams(2, 3) != CliqueParams(3, 2)
     assert repr(CliqueParams(2, 3)) == "CliqueParams(m=2, n=3)"
     # a group compares by identity, and its copy is a group of its own

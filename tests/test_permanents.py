@@ -95,10 +95,12 @@ def test_permanent_ryser_matches_sympy():
 
 
 def test_permanent_ryser_cyclic_closed_forms_past_one_block():
-    for n in (11, 15, 18):
+    for n in (11, 12, 15, 18):
         g = strong_power_graph(make_cyclic(n))
         assert permanent_ryser(adjacency(g)) == cyclic_adjacency_permanent(n)
         assert permanent_ryser(laplacian(g)) == cyclic_laplacian_permanent(n)
+        # the equal quotient read off the whole matrix gives the same value
+        assert ryser(laplacian_matrix(g)) == cyclic_laplacian_permanent(n)
 
 
 def test_permanent_ryser_past_two_to_the_64():
@@ -106,16 +108,6 @@ def test_permanent_ryser_past_two_to_the_64():
     expected = complete_graph_laplacian_permanent(20)
     assert expected.bit_length() > 64
     assert permanent_ryser(laplacian(complete_graph(20))) == expected
-
-
-def test_permanent_ryser_repeat_is_cached():
-    g = strong_power_graph(make_cyclic(12))
-    first = permanent_ryser(laplacian(g))
-    hits = permanents._ryser_grouped.cache_info().hits
-    # equal quotients built apart share the memo
-    assert ryser(laplacian_matrix(g)) == first
-    assert ryser(IntMatrix(np.array(laplacian_matrix(g).rows, dtype=object))) == first
-    assert permanents._ryser_grouped.cache_info().hits == hits + 2
 
 
 def rank_one(n):
@@ -131,10 +123,14 @@ def test_permanent_guards():
     m = rank_one(15)
     assert len(matrix_quotient(m)[0]) == 15
     assert ryser(m) == math.factorial(15) ** 2 * math.factorial(16)
-    with pytest.raises(SizeGuardError, match=(
-            r"^permanent_ryser: order 16 has 16 twin classes, which give 65536 "
-            r"grouped terms, past the budget of 40000$")):
-        ryser(rank_one(16))
+    assert ryser(rank_one(12)) == math.factorial(12) ** 2 * math.factorial(13)
+    # a refused quotient is refused with the same message on every call
+    past_budget = matrix_quotient(rank_one(16))
+    for _ in range(2):
+        with pytest.raises(SizeGuardError, match=(
+                r"^permanent_ryser: order 16 has 16 twin classes, which give 65536 "
+                r"grouped terms, past the budget of 40000$")):
+            permanent_ryser(past_budget)
     assert ryser(IntMatrix([[0] * 25 for _ in range(25)])) == 0
     # a zero row or column of a quotient without twins, past the budget
     rows = [[i + j + 1 for j in range(16)] for i in range(16)]
@@ -145,28 +141,14 @@ def test_permanent_guards():
         assert len(matrix_quotient(IntMatrix(m))[0]) >= 15
         assert ryser(IntMatrix(m)) == 0
     limit = permanents.RYSER_LIMIT
-    with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order {limit}, "
-                                             f"got {limit + 1}$"):
-        permanent_ryser(((limit + 1,), ((0,),), (0,)))
+    for past_limit in (((limit + 1,), ((0,),), (0,)), laplacian(complete_graph(limit + 1))):
+        for _ in range(2):
+            with pytest.raises(SizeGuardError, match=f"^permanent_ryser is bounded at order "
+                                                     f"{limit}, got {limit + 1}$"):
+                permanent_ryser(past_limit)
+    assert permanent_ryser(laplacian(complete_graph(limit))) == complete_graph_laplacian_permanent(limit)
     with pytest.raises(SizeGuardError):
         permanent_expansion(IntMatrix([[0] * 11 for _ in range(11)]))
-
-
-def test_refused_permanent_is_never_memoized():
-    permanents._ryser_grouped.cache_clear()
-    limit = permanents.RYSER_LIMIT
-    past_limit = laplacian(complete_graph(limit + 1))
-    past_budget = matrix_quotient(rank_one(16))
-    for quotient, message in ((past_limit, f"bounded at order {limit}, got {limit + 1}$"),
-                              (past_budget, "65536 grouped terms, past the budget of 40000$")):
-        for _ in range(2):
-            with pytest.raises(SizeGuardError, match=message):
-                permanent_ryser(quotient)
-            assert permanents._ryser_grouped.cache_info().currsize == 0
-    # the next allowed quotients are still computed, and memoized
-    assert permanent_ryser(laplacian(complete_graph(limit))) == complete_graph_laplacian_permanent(limit)
-    assert ryser(rank_one(12)) == math.factorial(12) ** 2 * math.factorial(13)
-    assert permanents._ryser_grouped.cache_info().currsize == 2
 
 
 def test_permanent_ryser_closed_forms_past_order_24():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongpow import permanents, spectral
+from strongpow import spectral
 from strongpow.errors import SizeGuardError
 from strongpow.formulas import (
     ExactSpectrum,
@@ -131,11 +131,8 @@ def test_int_matrix_backings_agree():
         assert a.is_symmetric() == b.is_symmetric()
         assert matrix_market_text(a) == matrix_market_text(b)
         assert matrix_quotient(a) == matrix_quotient(b)
-        values = []
-        for m in (a, b):
-            spectral._twin_factors.cache_clear()
-            permanents._ryser_grouped.cache_clear()
-            values.append((char_poly_exact(matrix_quotient(m)), permanent_ryser(matrix_quotient(m))))
+        values = [(char_poly_exact(matrix_quotient(m)), permanent_ryser(matrix_quotient(m)))
+                  for m in (a, b)]
         assert values[0] == values[1]
         assert poly_at(values[0][0], 0) == (-1) ** a.n * det_bareiss(a)
         if a.n <= 6:
@@ -296,40 +293,6 @@ def test_char_poly_exact_evaluates_to_determinant(m, t):
     assert poly_at(char_poly_exact(matrix_quotient(m)), t) == det_bareiss(shifted(m, t))
 
 
-def test_char_poly_exact_repeat_is_cached(monkeypatch):
-    spectral._twin_factors.cache_clear()
-    g = strong_power_graph(make_cyclic(20))
-    m = laplacian(g)
-    first = char_poly_exact(m)
-    hits = spectral._twin_factors.cache_info().hits
-    # equal quotients built apart share the memoized factors
-    assert char_poly_exact(matrix_quotient(laplacian_matrix(g))) == first
-    assert char_poly_exact(laplacian(strong_power_graph(make_cyclic(20)))) == first
-    assert spectral._twin_factors.cache_info().hits == hits + 2
-
-    # tau reads the factors the char poly was multiplied out from
-    def refuse(a):
-        raise AssertionError("the quotient's char poly was computed again")
-
-    monkeypatch.setattr(spectral, "_char_poly_faddeev", refuse)
-    tau = spanning_tree_count_kirchhoff(m)
-    assert tau == spanning_tree_count_formula(20, True)
-    assert (-1) ** 19 * first[1] == 20 * tau
-
-
-def test_refused_char_poly_is_never_memoized():
-    spectral._twin_factors.cache_clear()
-    past = laplacian(strong_power_graph(make_cyclic(257)))
-    for _ in range(2):
-        with pytest.raises(SizeGuardError, match="^char_poly_exact is bounded at order 256, got 257$"):
-            char_poly_exact(past)
-        assert spectral._twin_factors.cache_info().currsize == 0
-    # the next allowed quotient is still computed, and memoized
-    at_bound = laplacian(strong_power_graph(make_cyclic(256)))
-    assert char_poly_exact(at_bound) == char_poly_from_spectrum(closed_form_spectrum(256, True))
-    assert spectral._twin_factors.cache_info().currsize == 1
-
-
 def cycle(n):
     """C_n: past n = 4 no two vertices are twins."""
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -340,8 +303,13 @@ def cycle_laplacian(n):
 
 
 def test_char_poly_exact_guard():
-    with pytest.raises(SizeGuardError, match="^char_poly_exact is bounded at order 256, got 257$"):
-        char_poly_exact(matrix_quotient(IntMatrix([[0] * 257 for _ in range(257)])))
+    # a refused quotient is refused with the same message on every call
+    for past in (matrix_quotient(IntMatrix([[0] * 257 for _ in range(257)])),
+                 laplacian(strong_power_graph(make_cyclic(257)))):
+        for _ in range(2):
+            with pytest.raises(SizeGuardError,
+                               match="^char_poly_exact is bounded at order 256, got 257$"):
+                char_poly_exact(past)
     # the quotient is bounded at 32 twin classes, for tau as well
     at_bound = cycle_laplacian(32)
     assert len(at_bound[0]) == spectral.TWIN_CLASS_LIMIT == 32
@@ -419,11 +387,21 @@ def test_closed_form_spectrum_matches_numeric():
 
 
 def test_closed_form_char_poly_matches_exact():
-    # 160 lies past the guard of 128 that an O(n^4) kernel needed
-    for n in (*range(1, 13), 64, 97, 128, 160):
+    # 160 lies past the guard of 128 that an O(n^4) kernel needed, and 256
+    # is the order bound
+    for n in (*range(1, 13), 20, 64, 97, 128, 160, 256):
         g = strong_power_graph(make_cyclic(n))
         stated = char_poly_from_spectrum(closed_form_spectrum(n, True))
         assert stated == char_poly_exact(laplacian(g))
+        # c_1 = (-1)^(n-1) n tau, the relation tau is read off
+        assert (-1) ** (n - 1) * stated[1] == n * spanning_tree_count_formula(n, True)
+    # equal quotients built apart give equal values: from the graph's
+    # classes, from a graph built again, and from the whole matrix
+    g = strong_power_graph(make_cyclic(20))
+    first = char_poly_exact(laplacian(g))
+    assert char_poly_exact(matrix_quotient(laplacian_matrix(g))) == first
+    assert char_poly_exact(laplacian(strong_power_graph(make_cyclic(20)))) == first
+    assert spanning_tree_count_kirchhoff(laplacian(g)) == spanning_tree_count_formula(20, True)
 
 
 def test_char_poly_from_spectrum():

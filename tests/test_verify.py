@@ -221,8 +221,7 @@ def test_a_spectrum_that_is_not_integral_disagrees(monkeypatch):
 def test_one_registry_drives_verify_invariants_and_sweep(capsys):
     checks = ("tau", "le", "kappa", "linegraph", "perm_adj", "perm_lap")
     bundles = {}
-    # One order at a time, so each bundle's Ryser permanents are the ones
-    # verify has just computed and memoized.
+    # one order at a time, each bundle beside the records of its own run
     corpus_orders = sorted({grp.n for _, grp in noncyclic_corpus(16)})
     for family, orders in (("cyclic", range(1, 41)), ("corpus", corpus_orders)):
         for n in orders:
