@@ -33,7 +33,7 @@ _EXPORTS = {
     "permanents": """CliqueParams clique_plus_vertex_adjacency_permanent
         clique_plus_vertex_laplacian_permanent
         complete_graph_laplacian_permanent permanent_ryser""",
-    "structure": "is_line_graph line_graph_root",
+    "structure": "is_line_graph",
     "verify": """CheckRecord KnownDiscrepancy VerifyReport
         load_known_discrepancies run_verify""",
 }

@@ -223,13 +223,14 @@ def _clique_shape(graph: Graph) -> int | None:
     """The most non-neighbours any vertex has, for the only shapes the strong
     power graph construction produces: 0 for K_n (and the empty graph), and
     v's count when v meets every non-edge, so that G - v is a clique. None
-    for any other graph."""
-    full = (1 << graph.n) - 1
-    missed = [(full ^ (1 << v) ^ m).bit_count() for v, m in enumerate(graph.adj)]
-    most = max(missed, default=0)
+    for any other graph. Twins have equally many non-neighbours, so each
+    twin class is counted once, times its size: O(classes) mask operations."""
+    full, adj = (1 << graph.n) - 1, graph.adj
+    missed = [((full ^ (1 << c[0]) ^ adj[c[0]]).bit_count(), len(c)) for c in graph._partition[0]]
+    most = max((count for count, _ in missed), default=0)
     # each non-edge is counted at both ends, so v's count is half the sum
     # exactly when every non-edge ends at v
-    return most if 2 * most == sum(missed) else None
+    return most if 2 * most == sum(count * size for count, size in missed) else None
 
 
 def vertex_connectivity(graph: Graph) -> int | None:

@@ -5,9 +5,9 @@ independent computation on the constructed graph, in one table, INVARIANTS,
 which the verify and invariants commands read. Each (check, group) pair
 yields one record with status agree, disagree, or skipped; a record below
 the least order of its closed form, or past its oracle's size guard, is
-skipped rather than failed. The kappa, chi and cayley oracles have no
-guard: every strong power graph is K_n or a clique plus one vertex, and they
-decide by that shape at every order. Disagreements are
+skipped rather than failed. The kappa, chi, linegraph and cayley oracles
+have no guard: every strong power graph is K_n or a clique plus one vertex,
+and they decide by that shape at every order. Disagreements are
 compared against the shipped known-discrepancy list so documented formula
 defects are reported without masking new ones.
 """
@@ -177,9 +177,9 @@ def _judge_le(case, formula, spectrum):
 
 
 def _judge_shape(case, formula, oracle):
-    """The kappa and chi oracles read the graph's shape, K_n or a clique
-    plus one vertex; a graph of neither shape is a construction defect, and
-    its record disagrees at any order."""
+    """The kappa, chi and linegraph oracles read the graph's shape, K_n or
+    a clique plus one vertex, as cayley does; a graph of neither shape is a
+    construction defect, and its record disagrees at any order."""
     if oracle is None:
         return _text(formula), "", DISAGREE, (
             "graph is neither complete nor a clique plus one vertex")
@@ -241,7 +241,7 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: chromatic_number_exact(c.graph), _judge_shape),
     "linegraph": Invariant(
         1, lambda c: cyclic_line_graph_classification(c.n, c.cyclic),
-        lambda c: is_line_graph(c.graph)),
+        lambda c: is_line_graph(c.graph), _judge_shape),
     "cayley": Invariant(
         3, lambda c: cayley_classification(c.n, c.cyclic),
         lambda c: is_regular(c.graph) if c.cyclic else is_complete(c.graph),

@@ -28,10 +28,13 @@ from strongpow.groups import (
     parse_group_spec,
 )
 from strongpow.spectral import laplacian, laplacian_spectrum
+from strongpow.structure import is_line_graph
 
 from reference import (
+    BEINEKE_PATTERNS,
     BRUTEFORCE_CONSTRUCTION_LIMIT,
     clique_plus_vertex_graph,
+    contains_induced,
     disjoint_union,
     graph_from_json,
     graph_isomorphic,
@@ -222,6 +225,8 @@ def test_shape_oracles_match_bruteforce(planted):
     assert vertex_connectivity(g) == degree
     assert chromatic_number_exact(g) == chromatic_shape_by_subgraphs(g)
     assert chromatic_number_exact(g) == (n if degree == n - 1 else n - 1)
+    assert is_line_graph(g) == (not any(contains_induced(g, p) for p in BEINEKE_PATTERNS))
+    assert is_line_graph(g) == (degree <= 2 or degree == n - 1)
 
 
 def two_cliques_through_low_vertex():
@@ -246,7 +251,7 @@ def test_vertex_connectivity_boundary_cases():
         assert vertex_connectivity(g) == vertex_connectivity_bruteforce(g)
     assert [vertex_connectivity(g) for g in shaped] == [0, 0, 1, 8, 0, 4]
     # a graph of neither shape has no answer, whatever its kappa (0, 1, 0,
-    # 1, 2, 2 below), as it has no chi
+    # 1, 2, 2 below), as it has no chi and no line-graph answer
     for g in (
         Graph(5, (0,) * 5),
         star_graph(6),
@@ -257,6 +262,7 @@ def test_vertex_connectivity_boundary_cases():
     ):
         assert vertex_connectivity(g) is None
         assert chromatic_number_exact(g) is None
+        assert is_line_graph(g) is None
 
 
 def test_vertex_connectivity_matches_networkx():

@@ -183,7 +183,7 @@ def _drop_edge(monkeypatch, u, v):
     monkeypatch.setattr(verify, "strong_power_graph", damaged)
 
 
-@pytest.mark.parametrize("check, damaged_16", [("chi", "15"), ("kappa", "14")])
+@pytest.mark.parametrize("check, damaged_16", [("chi", "15"), ("kappa", "14"), ("linegraph", "false")])
 def test_a_graph_of_neither_shape_disagrees(monkeypatch, check, damaged_16):
     known = load_known_discrepancies()
     # Z_64 less the edge between the generators 1 and 3: no vertex meets
@@ -195,7 +195,8 @@ def test_a_graph_of_neither_shape_disagrees(monkeypatch, check, damaged_16):
     assert rec.note == "graph is neither complete nor a clique plus one vertex"
     assert report.undocumented_disagreements(known) == report.records
     # an order-16 group's K_16 less one edge is a clique plus one vertex, of
-    # chi 15 and kappa 14, and not the witness K_16
+    # chi 15 and kappa 14, whose vertex of degree 14 makes it no line graph,
+    # and not the witness K_16
     _drop_edge(monkeypatch, 0, 1)
     spec = next(spec for spec, grp in noncyclic_corpus(16) if grp.n == 16)
     report = run_verify("corpus", 16, 16, checks=(check, "cayley"))
