@@ -30,8 +30,8 @@ _EXPORTS = {
         vertex_connectivity""",
     "spectral": """char_poly_exact eigenvalues_numeric laplacian
         laplacian_spectrum spanning_tree_count_kirchhoff""",
-    "permanents": """CliqueParams clique_plus_vertex_adjacency_permanent
-        clique_plus_vertex_laplacian_permanent
+    "permanents": """clique_plus_vertex_adjacency_permanent
+        clique_plus_vertex_laplacian_permanent clique_plus_vertex_shape
         complete_graph_laplacian_permanent permanent_ryser""",
     "structure": "is_line_graph",
     "verify": """CheckRecord KnownDiscrepancy VerifyReport

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .errors import SizeGuardError
-from .formulas import _Frozen, euler_phi
+from .formulas import euler_phi
 
 # No permanent is computed past this order, whatever its twin classes. The
 # grouped sum for L(K_1024), one class, takes 0.1-0.25 s, for L(K_4096)
@@ -91,42 +91,22 @@ def _ryser_grouped(sizes, c, diag) -> int:
     return -total if sum(sizes) & 1 else total
 
 
-class CliqueParams(_Frozen):
-    """Shape parameters of a clique-plus-one-vertex graph: a clique on m+n
-    vertices whose extra vertex is adjacent to n of them and non-adjacent to
-    the other m. Total m+n+1 vertices; d = m+n-1.
-
-    The strong power graph of every finite group has this shape; see
-    for_group.
-    """
-
-    __slots__ = ("m", "n")
-
-    def __init__(self, m: int, n: int):
-        if m < 0 or n < 0:
-            raise ValueError("clique parameters must be nonnegative")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-
-    @property
-    def d(self) -> int:
-        return self.m + self.n - 1
-
-    @classmethod
-    def for_group(cls, order: int, cyclic: bool) -> "CliqueParams":
-        """The shape of the strong power graph of a group of the given order:
-        (phi(N), N - phi(N) - 1) for Z_N, (0, N - 1) for a noncyclic group,
-        whose graph is the complete graph K_N."""
-        if order < 2:
-            raise ValueError(f"group order must be >= 2, got {order}")
-        if not cyclic:
-            return cls(m=0, n=order - 1)
-        phi = euler_phi(order)
-        return cls(m=phi, n=order - phi - 1)
+def clique_plus_vertex_shape(order: int, cyclic: bool) -> tuple[int, int]:
+    """The shape (m, n) of the strong power graph of a group of the given
+    order, a clique on m+n vertices whose extra vertex is adjacent to n of
+    them: (phi(N), N - phi(N) - 1) for Z_N, (0, N - 1) for a noncyclic
+    group, whose graph is the complete graph K_N."""
+    if order < 2:
+        raise ValueError(f"group order must be >= 2, got {order}")
+    if not cyclic:
+        return 0, order - 1
+    phi = euler_phi(order)
+    return phi, order - phi - 1
 
 
-def clique_plus_vertex_adjacency_permanent(p: CliqueParams) -> int:
-    """Adjacency permanent of a clique-plus-one-vertex graph:
+def clique_plus_vertex_adjacency_permanent(m: int, n: int) -> int:
+    """Adjacency permanent of a clique-plus-one-vertex graph of shape
+    (m, n) (see clique_plus_vertex_shape):
 
         n * sum_{r=1}^{m+n} (-1)^{r-1} (m+n-r)! *
             [C(m+n-1, r-1) + (n-1) C(m+n-2, r-1)]
@@ -136,7 +116,8 @@ def clique_plus_vertex_adjacency_permanent(p: CliqueParams) -> int:
         (N-phi-1) * sum_{r=1}^{N-1} (-1)^{r-1} (N-1-r)! *
             [C(N-2, r-1) + (N-2-phi) C(N-3, r-1)]
     """
-    m, n = p.m, p.n
+    if m < 0 or n < 0:
+        raise ValueError("clique parameters must be nonnegative")
     total = 0
     for r in range(1, m + n + 1):
         term = math.factorial(m + n - r) * (
@@ -146,9 +127,9 @@ def clique_plus_vertex_adjacency_permanent(p: CliqueParams) -> int:
     return n * total
 
 
-def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
-    """Laplacian permanent of a clique-plus-one-vertex graph, transcribed
-    from its source's final displayed expression:
+def clique_plus_vertex_laplacian_permanent(m: int, n: int) -> int:
+    """Laplacian permanent of a clique-plus-one-vertex graph of shape
+    (m, n), transcribed from its source's final displayed expression:
 
         sum_{r=1}^{m+n} (-1)^{m+n-r} (m+n-r)! F_r(d)
           + (d-m+1) * sum_{i+j=m+n} C(m,i) C(n,j) (d+2)^j (d+1)^i
@@ -167,8 +148,9 @@ def clique_plus_vertex_laplacian_permanent(p: CliqueParams) -> int:
         F_r = sum_{i+j=r-1} C(phi,i) N^j (N-1)^i *
             [c C(c-1,j) + c(c-1) C(c-2,j) - c(N-r) C(c,j)]
     """
-    m, n = p.m, p.n
-    d = p.d
+    if m < 0 or n < 0:
+        raise ValueError("clique parameters must be nonnegative")
+    d = m + n - 1
     # Each factor of a term depends on i or on j alone, so it is tabulated
     # once over 0..m+n; the bracket splits into a part free of r and a
     # multiple of C(n, j). Terms with i > m or j > n vanish.

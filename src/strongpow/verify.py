@@ -50,9 +50,9 @@ from .spectral import (
     spanning_tree_count_kirchhoff,
 )
 from .permanents import (
-    CliqueParams,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
+    clique_plus_vertex_shape,
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
@@ -247,10 +247,10 @@ INVARIANTS: dict[str, Invariant] = {
         lambda c: is_regular(c.graph) if c.cyclic else is_complete(c.graph),
         _judge_cayley),
     "perm_adj": Invariant(
-        2, lambda c: clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(c.n, c.cyclic)),
+        2, lambda c: clique_plus_vertex_adjacency_permanent(*clique_plus_vertex_shape(c.n, c.cyclic)),
         lambda c: permanent_ryser(c.adj_quotient)),
     "perm_lap": Invariant(
-        2, lambda c: clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(c.n, c.cyclic)),
+        2, lambda c: clique_plus_vertex_laplacian_permanent(*clique_plus_vertex_shape(c.n, c.cyclic)),
         lambda c: permanent_ryser(c.lap_quotient)),
     "perm_complete": Invariant(
         1, lambda c: complete_graph_laplacian_permanent(c.n),

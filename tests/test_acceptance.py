@@ -24,9 +24,9 @@ from strongpow.graphs import (
 )
 from strongpow.groups import make_cyclic, noncyclic_corpus, parse_group_spec
 from strongpow.permanents import (
-    CliqueParams,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
+    clique_plus_vertex_shape,
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
@@ -212,10 +212,10 @@ def test_criterion_7_permanents(criteria_log):
                 failures.append(f"{spec}: ryser != expansion on {name}")
     for n in range(2, 15):
         graph = strong_power_graph(make_cyclic(n))
-        p = CliqueParams.for_group(n, True)
-        if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(twin_quotient(graph, False)):
+        p = clique_plus_vertex_shape(n, True)
+        if clique_plus_vertex_adjacency_permanent(*p) != permanent_ryser(twin_quotient(graph, False)):
             failures.append(f"n={n}: adjacency permanent formula != ryser")
-    if clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(4, True)) != 1:
+    if clique_plus_vertex_adjacency_permanent(*clique_plus_vertex_shape(4, True)) != 1:
         failures.append("spot adjacency permanent at n=4 is not 1")
     for n in range(1, 13):
         if complete_graph_laplacian_permanent(n) != permanent_ryser(
@@ -231,8 +231,7 @@ def test_criterion_7_permanents(criteria_log):
             if m + k == 0:
                 continue
             graph = clique_plus_vertex_graph(m, k)
-            p = CliqueParams(m, k)
-            if clique_plus_vertex_adjacency_permanent(p) != permanent_ryser(
+            if clique_plus_vertex_adjacency_permanent(m, k) != permanent_ryser(
                 twin_quotient(graph, False)
             ):
                 failures.append(f"clique({m},{k}): adjacency permanent mismatch")
@@ -243,7 +242,7 @@ def test_criterion_7_permanents(criteria_log):
     for n in range(2, 13):
         graph = strong_power_graph(make_cyclic(n))
         oracle = permanent_ryser(laplacian(graph))
-        value = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
+        value = clique_plus_vertex_laplacian_permanent(*clique_plus_vertex_shape(n, True))
         records.append((n, value, oracle))
     if len(records) != 11:
         failures.append("laplacian permanent record is incomplete")

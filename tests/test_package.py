@@ -33,7 +33,7 @@ _PUBLIC = """SizeGuardError FiniteGroup GroupError GroupSpecError InvalidOrderEr
     char_poly_from_spectrum closed_form_spectrum eigenvalues_numeric laplacian
     laplacian_spectrum laplacian_energy_closed_form laplacian_energy_from_spectrum
     spanning_tree_count_formula spanning_tree_count_kirchhoff
-    CliqueParams clique_plus_vertex_adjacency_permanent
+    clique_plus_vertex_adjacency_permanent clique_plus_vertex_shape
     clique_plus_vertex_laplacian_permanent complete_graph_laplacian_permanent
     permanent_ryser cayley_classification chi_formula
     cyclic_line_graph_classification is_line_graph
@@ -173,13 +173,13 @@ def test_value_classes_are_immutable_and_compare_by_value():
     import copy
     import pickle
 
-    from strongpow import CliqueParams, ExactSpectrum, Graph, make_klein, twin_quotient
+    from strongpow import ExactSpectrum, Graph, make_klein, twin_quotient
 
     klein = make_klein()
     # a value class keeps a tuple of its own, whatever sequence it is given
     makers = [lambda: Graph(3, (2, 1, 0)), lambda: Graph(3, [2, 1, 0]),
               lambda: ExactSpectrum(((2, 1), (0, 1))), lambda: ExactSpectrum([[2, 1], [0, 1]]),
-              lambda: ExactSpectrum(p for p in ((2, 1), (0, 1))), lambda: CliqueParams(2, 3)]
+              lambda: ExactSpectrum(p for p in ((2, 1), (0, 1)))]
     for make in makers:
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and a is not b
@@ -203,8 +203,6 @@ def test_value_classes_are_immutable_and_compare_by_value():
     # a generator is read once, so its order is checked as well
     with pytest.raises(ValueError, match="strictly decreasing"):
         ExactSpectrum(p for p in ((0, 1), (2, 1)))
-    assert CliqueParams(2, 3) != CliqueParams(3, 2)
-    assert repr(CliqueParams(2, 3)) == "CliqueParams(m=2, n=3)"
     # a group compares by identity, and its copy is a group of its own
     assert make_klein() != klein == klein
     assert copy.copy(klein).table == klein.table

@@ -6,12 +6,17 @@ import pytest
 
 from strongpow import permanents
 from strongpow.errors import SizeGuardError
-from strongpow.graphs import complete_graph, strong_power_graph, twin_quotient
-from strongpow.groups import make_cyclic
+from strongpow.graphs import (
+    _clique_shape,
+    complete_graph,
+    strong_power_graph,
+    twin_quotient,
+)
+from strongpow.groups import make_cyclic, noncyclic_corpus
 from strongpow.permanents import (
-    CliqueParams,
     clique_plus_vertex_adjacency_permanent,
     clique_plus_vertex_laplacian_permanent,
+    clique_plus_vertex_shape,
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
@@ -38,11 +43,11 @@ def ryser(m):
 
 
 def cyclic_adjacency_permanent(n):
-    return clique_plus_vertex_adjacency_permanent(CliqueParams.for_group(n, True))
+    return clique_plus_vertex_adjacency_permanent(*clique_plus_vertex_shape(n, True))
 
 
 def cyclic_laplacian_permanent(n):
-    return clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
+    return clique_plus_vertex_laplacian_permanent(*clique_plus_vertex_shape(n, True))
 
 
 def random_matrix(n, rng, lo=-3, hi=3):
@@ -158,23 +163,21 @@ def test_permanent_ryser_closed_forms_past_order_24():
         assert permanent_ryser(laplacian(g)) == cyclic_laplacian_permanent(n), n
     for n in range(25, 193):
         g = complete_graph(n)
-        noncyclic = CliqueParams.for_group(n, False)
-        assert permanent_ryser(adjacency(g)) == clique_plus_vertex_adjacency_permanent(noncyclic)
+        noncyclic = clique_plus_vertex_adjacency_permanent(*clique_plus_vertex_shape(n, False))
+        assert permanent_ryser(adjacency(g)) == noncyclic
         assert permanent_ryser(laplacian(g)) == complete_graph_laplacian_permanent(n), n
 
 
 def test_clique_params_validation():
-    p = CliqueParams(2, 3)
-    assert p.d == 4
-    with pytest.raises(ValueError):
-        CliqueParams(-1, 2)
-    with pytest.raises(ValueError):
-        CliqueParams(2, -1)
-    assert CliqueParams.for_group(6, True) == CliqueParams(2, 3)
-    assert CliqueParams.for_group(5, True) == CliqueParams(4, 0)
-    assert CliqueParams.for_group(6, False) == CliqueParams(0, 5)
-    with pytest.raises(ValueError):
-        CliqueParams.for_group(1, True)
+    assert clique_plus_vertex_shape(6, True) == (2, 3)
+    assert clique_plus_vertex_shape(5, True) == (4, 0)
+    assert clique_plus_vertex_shape(6, False) == (0, 5)
+    with pytest.raises(ValueError, match="group order must be >= 2"):
+        clique_plus_vertex_shape(1, True)
+    for form in (clique_plus_vertex_adjacency_permanent, clique_plus_vertex_laplacian_permanent):
+        for m, n in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="clique parameters must be nonnegative"):
+                form(m, n)
 
 
 def test_clique_adjacency_permanent_matches_ryser():
@@ -183,9 +186,7 @@ def test_clique_adjacency_permanent_matches_ryser():
             if m + n == 0:
                 continue
             g = clique_plus_vertex_graph(m, n)
-            assert clique_plus_vertex_adjacency_permanent(
-                CliqueParams(m, n)
-            ) == permanent_ryser(adjacency(g))
+            assert clique_plus_vertex_adjacency_permanent(m, n) == permanent_ryser(adjacency(g))
 
 
 def test_clique_laplacian_permanent_matches_ryser():
@@ -194,9 +195,7 @@ def test_clique_laplacian_permanent_matches_ryser():
             if m + n == 0:
                 continue
             g = clique_plus_vertex_graph(m, n)
-            assert clique_plus_vertex_laplacian_permanent(
-                CliqueParams(m, n)
-            ) == permanent_ryser(laplacian(g))
+            assert clique_plus_vertex_laplacian_permanent(m, n) == permanent_ryser(laplacian(g))
 
 
 def test_adjacency_permanent_formula_cyclic():
@@ -235,10 +234,10 @@ def test_laplacian_permanent_formula_cyclic():
         assert cyclic_laplacian_permanent(n) == permanent_ryser(laplacian(g))
 
 
-def transcribed_laplacian_permanent(p):
+def transcribed_laplacian_permanent(m, n):
     """clique_plus_vertex_laplacian_permanent as its docstring displays it,
     every binomial and power evaluated inside F_r."""
-    m, n, d = p.m, p.n, p.d
+    d = m + n - 1
 
     def comb(a, b):
         return math.comb(a, b) if 0 <= b <= a else 0
@@ -268,25 +267,30 @@ def transcribed_laplacian_permanent(p):
 def test_laplacian_permanent_tables_match_transcription():
     for order in range(2, 61):
         for cyclic in (True, False):
-            p = CliqueParams.for_group(order, cyclic)
-            assert clique_plus_vertex_laplacian_permanent(p) == transcribed_laplacian_permanent(p)
+            p = clique_plus_vertex_shape(order, cyclic)
+            assert clique_plus_vertex_laplacian_permanent(*p) == transcribed_laplacian_permanent(*p)
     for m in range(6):
         for n in range(6):
-            p = CliqueParams(m, n)
-            assert clique_plus_vertex_laplacian_permanent(p) == transcribed_laplacian_permanent(p)
+            expected = transcribed_laplacian_permanent(m, n)
+            assert clique_plus_vertex_laplacian_permanent(m, n) == expected
 
 
 def test_formula_forms_agree_cyclic():
-    # Z_n's graph is the clique-plus-vertex graph at for_group(n, True); a
-    # noncyclic group's is K_n, whose Laplacian permanent has its own form
+    # Z_n's graph is the clique-plus-vertex graph at clique_plus_vertex_shape(n,
+    # True); a noncyclic group's is K_n, whose Laplacian permanent has its own
+    # form. The shape is computed from (n, cyclic) alone, and equals the one
+    # read off the built graph.
     for n in range(2, 13):
-        p = CliqueParams.for_group(n, True)
-        assert graph_isomorphic(
-            clique_plus_vertex_graph(p.m, p.n), strong_power_graph(make_cyclic(n))
-        )
+        m, k = clique_plus_vertex_shape(n, True)
+        assert graph_isomorphic(clique_plus_vertex_graph(m, k), strong_power_graph(make_cyclic(n)))
         assert clique_plus_vertex_laplacian_permanent(
-            CliqueParams.for_group(n, False)
+            *clique_plus_vertex_shape(n, False)
         ) == complete_graph_laplacian_permanent(n)
+    groups = [(make_cyclic(n), True) for n in range(2, 257)]
+    groups += [(grp, False) for _, grp in noncyclic_corpus()]
+    for grp, cyclic in groups:
+        most = _clique_shape(strong_power_graph(grp))
+        assert clique_plus_vertex_shape(grp.n, cyclic) == (most, grp.n - 1 - most), (grp.n, cyclic)
 
 
 def test_complete_graph_laplacian_permanent():

@@ -29,8 +29,8 @@ from strongpow.graphs import (
 )
 from strongpow.groups import make_cyclic, make_dihedral, noncyclic_corpus
 from strongpow.permanents import (
-    CliqueParams,
     clique_plus_vertex_laplacian_permanent,
+    clique_plus_vertex_shape,
     complete_graph_laplacian_permanent,
     permanent_ryser,
 )
@@ -304,7 +304,7 @@ def test_cyclic_permanents_take_the_grouped_sum():
     # three classes for Z_n and one for K_n
     for n in (12, 20, 24):
         g = strong_power_graph(make_cyclic(n))
-        value = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
+        value = clique_plus_vertex_laplacian_permanent(*clique_plus_vertex_shape(n, True))
         assert permanent_ryser(laplacian(g)) == grouped_permanent(laplacian_matrix(g)) == value
     assert permanent_ryser(laplacian(complete_graph(24))) == complete_graph_laplacian_permanent(24)
 
@@ -318,7 +318,7 @@ def test_kernels_read_the_classes_off_the_entries():
     n = 12
     g = strong_power_graph(make_cyclic(n))
     closed_poly = char_poly_from_spectrum(closed_form_spectrum(n, True))
-    closed_per = clique_plus_vertex_laplacian_permanent(CliqueParams.for_group(n, True))
+    closed_per = clique_plus_vertex_laplacian_permanent(*clique_plus_vertex_shape(n, True))
     assert char_poly_exact(laplacian(g)) == closed_poly
     assert permanent_ryser(laplacian(g)) == grouped_permanent(laplacian_matrix(g)) == closed_per
     assert not g.has_edge(0, 1)
